@@ -46,10 +46,8 @@ from .linalg import SpdSolveReport, gaussian_gram, solve_spd
 from .local_models import (
     ConstantModel,
     KernelCellModel,
-    clip,
     fit_constant,
     fit_kernel_cell,
-    predict_cell,
 )
 from .partition import (
     AdaptiveTree,
@@ -100,7 +98,6 @@ __all__ = [
     "build_adaptive",
     "build_grid",
     "cell_volume",
-    "clip",
     "convergence_slope",
     "default_scale",
     "fit_constant",
@@ -113,7 +110,6 @@ __all__ = [
     "load_model",
     "mse",
     "predict",
-    "predict_cell",
     "predict_members",
     "read_metadata",
     "run_study",

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .data import load_csv
+from .data import load_csv, read_matrix
 from .ensemble import (
     DEFAULT_CANDIDATE_PAIRS,
     TrainConfig,
@@ -134,39 +134,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_matrix(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = None
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataError(f"{path}: no data rows after header")
-    offset = 2 if has_header else 1
-    width = len(rows[0])
-    values = np.empty((len(rows), width), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {r + offset} has {len(row)} cells, expected {width}")
-        for c, cell in enumerate(row):
-            try:
-                values[r, c] = float(cell.strip())
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: non-numeric value {cell.strip()!r} "
-                    f"at row {r + offset}, column {c + 1}"
-                ) from exc
-    if not np.isfinite(values).all():
-        bad = np.argwhere(~np.isfinite(values))[0]
-        raise DataError(
-            f"{path}: non-finite value at row {bad[0] + offset}, column {bad[1] + 1}"
-        )
-    return values, header
-
-
 def _extract_target(values, header, metadata) -> tuple[np.ndarray, np.ndarray | None]:
     """Split a prediction matrix into features and (optionally) targets."""
     d = metadata["d"]
@@ -191,7 +158,7 @@ def _cmd_predict(args) -> int:
     data_info = metadata.get("data", {})
     has_header = False if args.no_header else bool(data_info.get("has_header", True))
     try:
-        values, header = _read_matrix(args.data, has_header=has_header)
+        values, header = read_matrix(args.data, has_header=has_header)
     except (DataError, OSError) as exc:
         return _fail(EXIT_DATA, str(exc))
 

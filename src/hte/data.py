@@ -110,12 +110,11 @@ def fit_standardizer(dataset: Dataset, scale_target: bool = False) -> Standardiz
     return Standardizer.fit(dataset.X, dataset.y if scale_target else None)
 
 
-def load_csv(path, target: str | int, has_header: bool = True) -> Dataset:
-    """Read a numeric CSV; the target column becomes y, the rest X in file order.
+def read_matrix(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
+    """Parse a numeric CSV into a float64 matrix and its header (if any).
 
-    The target is a header name (requires a header) or a 0-based column
-    index.  Any cell that does not parse as a finite decimal number is a
-    hard error reported with its 1-based row and column.
+    Blank lines are skipped.  Any cell that does not parse as a finite
+    decimal number is a hard error reported with its 1-based row and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -127,7 +126,37 @@ def load_csv(path, target: str | int, has_header: bool = True) -> Dataset:
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: no data rows after header")
+    offset = 2 if has_header else 1
     width = len(rows[0])
+    values = np.empty((len(rows), width), dtype=np.float64)
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {r + offset} has {len(row)} cells, expected {width}")
+        for c, cell in enumerate(row):
+            try:
+                values[r, c] = float(cell.strip())
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: non-numeric value {cell.strip()!r} "
+                    f"at row {r + offset}, column {c + 1}"
+                ) from exc
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(
+            f"{path}: non-finite value {rows[r][c].strip()!r} "
+            f"at row {r + offset}, column {c + 1}"
+        )
+    return values, header
+
+
+def load_csv(path, target: str | int, has_header: bool = True) -> Dataset:
+    """Read a numeric CSV; the target column becomes y, the rest X in file order.
+
+    The target is a header name (requires a header) or a 0-based column
+    index.  Cells are parsed by ``read_matrix``.
+    """
+    values, header = read_matrix(path, has_header)
+    width = values.shape[1]
     if isinstance(target, str):
         if header is None:
             raise ConfigError("target given by name but the file has no header")
@@ -142,25 +171,6 @@ def load_csv(path, target: str | int, has_header: bool = True) -> Dataset:
             )
     if width < 2:
         raise DataError(f"{path}: need at least one feature column besides the target")
-
-    offset = 2 if has_header else 1
-    values = np.empty((len(rows), width), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: row {r + offset} has {len(row)} cells, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            try:
-                v = float(cell.strip())
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                raise DataError(
-                    f"{path}: non-numeric value {cell.strip()!r} "
-                    f"at row {r + offset}, column {c + 1}"
-                )
-            values[r, c] = v
 
     feature_cols = [c for c in range(width) if c != target_idx]
     names = [header[c] for c in feature_cols] if header else None

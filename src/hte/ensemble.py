@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, Standardizer, default_scale, fit_standardizer
 from .errors import ConfigError, TrainingError
-from .local_models import ConstantModel, KernelCellModel, KernelCell, fit_constant, fit_kernel_cell
+from .local_models import ConstantModel, KernelCellModel, fit_constant, fit_kernel_cell
 from .partition import AdaptiveTree, GridPartition, assign_many, build_adaptive, build_grid
 from .rng import STREAM_CANDIDATE0, STREAM_ROTATION, STREAM_SPLIT, member_generator
 from .transform import HistogramTransform, sample_rotation, sample_stretch
@@ -43,9 +43,7 @@ class TrainConfig:
     ``s_min``/``s_max`` shift the log-scale window around the heuristic
     scale: bin widths run from h_hat * exp(-s_max) to h_hat * exp(-s_min).
     ``lambda2=None`` resolves to 1/n at fit time.  ``clip_bound=None``
-    resolves to the largest absolute training target.  ``lambda1`` and
-    ``penalty_exponent`` take no part in fitting at fixed bin width; they
-    are carried for schedule bookkeeping only.
+    resolves to the largest absolute training target.
     """
 
     mode: str = "nht"
@@ -58,8 +56,6 @@ class TrainConfig:
     min_samples_split: int = 1200
     gamma: float = 1.0
     lambda2: float | None = None
-    lambda1: float = 0.0
-    penalty_exponent: float = 1.0
     clip_bound: float | None = None
     fallback: str = "zero"
     k_min: int = 3
@@ -189,23 +185,29 @@ def _fit_cells(
         return fit_constant(cells, y, n_cells, fallback=fallback, clip_bound=clip_bound)
     n_fit = len(y)
     lambda2 = config.lambda2 if config.lambda2 is not None else 1.0 / n_fit
-    fitted: list[KernelCell] = []
+    counts = np.bincount(cells, minlength=n_cells)
+    if (counts == 0).any():
+        empty = int(np.flatnonzero(counts == 0)[0])
+        raise TrainingError(f"cell {empty} received no training samples")
     order = np.argsort(cells, kind="stable")
-    boundaries = np.flatnonzero(np.diff(cells[order])) + 1
-    groups = {int(cells[g[0]]): g for g in np.split(order, boundaries)}
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    is_kernel = counts >= config.k_min
+    offsets = np.concatenate(([0], np.cumsum(np.where(is_kernel, counts, 0))))
+    alpha = np.empty(offsets[-1], dtype=np.float64)
+    means = np.zeros(n_cells, dtype=np.float64)
     for cid in range(n_cells):
-        rows = groups.get(cid)
-        if rows is None:
-            raise TrainingError(f"cell {cid} received no training samples")
-        if len(rows) < config.k_min:
-            fitted.append(KernelCell(gamma=config.gamma, mean=float(y[rows].mean())))
+        rows = order[starts[cid] : starts[cid + 1]]
+        if is_kernel[cid]:
+            _, cell_alpha = fit_kernel_cell(X[rows], y[rows], config.gamma, lambda2, n_fit)
+            alpha[offsets[cid] : offsets[cid + 1]] = cell_alpha
         else:
-            support, alpha = fit_kernel_cell(
-                X[rows], y[rows], config.gamma, lambda2, n_fit
-            )
-            fitted.append(KernelCell(gamma=config.gamma, support=support, alpha=alpha))
+            means[cid] = y[rows].mean()
     return KernelCellModel(
-        cells=fitted,
+        offsets=offsets,
+        support=X[order[np.repeat(is_kernel, counts)]],
+        alpha=alpha,
+        means=means,
+        gamma=config.gamma,
         lambda2=lambda2,
         clip_bound=clip_bound,
         n_train=n_fit,
@@ -330,25 +332,21 @@ def train_ensemble(
     return EnsembleModel(members, standardizer, config, clip_bound)
 
 
+def _member_matrix(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
+    """Per-member predictions in standardized target units, shape (T, q)."""
+    X_std = model.standardizer.transform(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    return np.vstack([member_predict(m, X_std) for m in model.members])
+
+
 def predict_members(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """Per-member predictions in original target units, shape (T, q)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    X_std = model.standardizer.transform(X)
-    rows = [
-        model.standardizer.inverse_target(member_predict(m, X_std))
-        for m in model.members
-    ]
-    return np.vstack(rows)
+    return model.standardizer.inverse_target(_member_matrix(model, X))
 
 
 def predict(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """Ensemble prediction: the member average, de-standardized."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    X_std = model.standardizer.transform(X)
-    acc = np.zeros(len(X_std))
-    for member in model.members:
-        acc += member_predict(member, X_std)
-    return model.standardizer.inverse_target(acc / len(model.members))
+    M = _member_matrix(model, X)
+    return model.standardizer.inverse_target(M.sum(axis=0) / len(model.members))
 
 
 SMOOTHNESS_CLASSES = ("c0a", "c1a", "cka")

@@ -33,11 +33,7 @@ class SpdSolveReport:
 
 def gaussian_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix K[a, b] = exp(-||x_a - x_b||^2 / gamma^2)."""
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    d2 = cdist(X, X, "sqeuclidean")
-    return np.exp(-d2 / gamma**2)
+    return gaussian_cross(X, X, gamma)
 
 
 def gaussian_cross(Xa: np.ndarray, Xb: np.ndarray, gamma: float) -> np.ndarray:

@@ -22,13 +22,6 @@ from .linalg import gaussian_cross, gaussian_gram, solve_spd
 NO_CELL = -1
 
 
-def clip(t: float, bound: float) -> float:
-    """Clamp t to [-bound, bound]."""
-    if bound <= 0:
-        raise ConfigError("clip bound must be positive")
-    return min(max(t, -bound), bound)
-
-
 @dataclass
 class ConstantModel:
     """One constant per cell, plus a fallback for cells unseen in training."""
@@ -49,29 +42,21 @@ class ConstantModel:
 
 
 @dataclass
-class KernelCell:
-    """Fitted state of one cell: kernel expansion or a plain mean.
+class KernelCellModel:
+    """Per-cell Gaussian kernel ridge regressors stored as flat arrays.
 
-    Cells below the small-cell threshold skip the kernel solve and keep
-    their mean (``support is None``); a one- or two-point kernel expansion
-    is a shrunk constant anyway.
+    Cell c's expansion is ``support[offsets[c]:offsets[c + 1]]`` with the
+    matching slice of ``alpha``.  Cells below the small-cell threshold skip
+    the kernel solve (a one- or two-point expansion is a shrunk constant
+    anyway), so their range is empty and they predict ``means[c]``, the
+    mean of their training targets; ``means`` is 0 at kernel cells.
     """
 
+    offsets: np.ndarray
+    support: np.ndarray
+    alpha: np.ndarray
+    means: np.ndarray
     gamma: float
-    support: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-    mean: float = 0.0
-
-    @property
-    def is_kernel(self) -> bool:
-        return self.support is not None
-
-
-@dataclass
-class KernelCellModel:
-    """Per-cell Gaussian kernel ridge regressors with shared parameters."""
-
-    cells: list[KernelCell]
     lambda2: float
     clip_bound: float
     n_train: int
@@ -79,7 +64,7 @@ class KernelCellModel:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.means)
 
     def predict(
         self, cells: np.ndarray, X: np.ndarray, clipped: bool = True
@@ -88,21 +73,19 @@ class KernelCellModel:
         cells = np.asarray(cells, dtype=np.int64)
         X = np.asarray(X, dtype=np.float64)
         out = np.full(len(cells), self.fallback, dtype=np.float64)
-        if len(cells) == 0:
-            return out
-        order = np.argsort(cells, kind="stable")
-        sorted_cells = cells[order]
-        boundaries = np.flatnonzero(np.diff(sorted_cells)) + 1
-        for group in np.split(order, boundaries):
-            cid = int(cells[group[0]])
-            if cid == NO_CELL:
+        seen = np.flatnonzero(cells != NO_CELL)
+        out[seen] = self.means[cells[seen]]
+        in_kernel = self.offsets[cells[seen] + 1] > self.offsets[cells[seen]]
+        rows = seen[in_kernel]
+        rows = rows[np.argsort(cells[rows], kind="stable")]
+        boundaries = np.flatnonzero(np.diff(cells[rows])) + 1
+        for group in np.split(rows, boundaries):
+            if len(group) == 0:  # no query falls in a kernel cell
                 continue
-            cell = self.cells[cid]
-            if cell.is_kernel:
-                k = gaussian_cross(X[group], cell.support, cell.gamma)
-                out[group] = k @ cell.alpha
-            else:
-                out[group] = cell.mean
+            cid = cells[group[0]]
+            lo, hi = self.offsets[cid], self.offsets[cid + 1]
+            k = gaussian_cross(X[group], self.support[lo:hi], self.gamma)
+            out[group] = k @ self.alpha[lo:hi]
         if clipped:
             np.clip(out, -self.clip_bound, self.clip_bound, out=out)
         return out
@@ -157,12 +140,3 @@ def fit_kernel_cell(
     K[np.diag_indices_from(K)] += n_global * lambda2
     report = solve_spd(K, y_cell)
     return X_cell.copy(), report.solution
-
-
-def predict_cell(
-    model: ConstantModel | KernelCellModel, cell: int | None, x: np.ndarray
-) -> float:
-    """Single-point prediction for an assigned cell (None means unseen)."""
-    cells = np.array([NO_CELL if cell is None else cell], dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
-    return float(model.predict(cells, x[None, :])[0])

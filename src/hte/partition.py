@@ -23,32 +23,38 @@ from .transform import HistogramTransform, bin_key
 _NO_CELL = -1
 
 
-def _key_dtype(d: int) -> np.dtype:
-    """Structured dtype viewing a length-d int64 key row as one sortable item."""
-    return np.dtype([(f"k{i}", np.int64) for i in range(d)])
+def _pack(keys: np.ndarray) -> np.ndarray:
+    """View each int64 key row as one structured item, sortable and comparable."""
+    fields = [(f"k{i}", np.int64) for i in range(keys.shape[1])]
+    return np.ascontiguousarray(keys).view(fields).ravel()
 
 
 @dataclass
 class GridPartition:
+    """Grid cells as a key table: row c of ``keys`` is the bin key of cell c.
+
+    Rows are in first-occurrence order over the training rows.  The sorted
+    lookup index used by ``assign_many`` is derived once, at construction.
+    """
+
     transform: HistogramTransform
-    key_to_cell: dict[tuple[int, ...], int]
-    n_cells: int
-    # lazily built sorted key index for vectorized lookups
-    _index: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    keys: np.ndarray
+    _sorted_keys: np.ndarray = field(init=False, repr=False)
+    _sorted_cells: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.keys = np.ascontiguousarray(self.keys, dtype=np.int64)
+        packed = _pack(self.keys)
+        self._sorted_cells = np.argsort(packed)
+        self._sorted_keys = packed[self._sorted_cells]
 
     @property
     def dim(self) -> int:
         return self.transform.dim
 
-    def _sorted_index(self) -> tuple:
-        if self._index is None:
-            items = list(self.key_to_cell.items())
-            keys = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, self.dim)
-            cells = np.array([c for _, c in items], dtype=np.int64)
-            packed = np.ascontiguousarray(keys).view(_key_dtype(self.dim)).ravel()
-            order = np.argsort(packed)
-            self._index = (packed[order], cells[order])
-        return self._index
+    @property
+    def n_cells(self) -> int:
+        return len(self.keys)
 
 
 @dataclass
@@ -92,11 +98,7 @@ def build_grid(
     order = np.argsort(first, kind="stable")
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order), dtype=np.int64)
-    cells = rank[inverse.ravel()]
-    key_to_cell = {
-        tuple(int(v) for v in uniq[j]): int(rank[j]) for j in range(len(uniq))
-    }
-    return GridPartition(transform, key_to_cell, len(uniq)), cells
+    return GridPartition(transform, uniq[order]), rank[inverse.ravel()]
 
 
 def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -194,13 +196,12 @@ def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.nd
     if X.ndim != 2 or X.shape[1] != partition.dim:
         raise ConfigError(f"expected points of dimension {partition.dim}")
     if isinstance(partition, GridPartition):
-        keys = bin_key(partition.transform, X)
-        packed_sorted, cells_sorted = partition._sorted_index()
-        queries = np.ascontiguousarray(keys).view(_key_dtype(partition.dim)).ravel()
-        pos = np.searchsorted(packed_sorted, queries)
-        clipped = np.minimum(pos, len(packed_sorted) - 1)
-        hit = (pos < len(packed_sorted)) & (packed_sorted[clipped] == queries)
-        return np.where(hit, cells_sorted[clipped], _NO_CELL)
+        table = partition._sorted_keys
+        queries = _pack(bin_key(partition.transform, X))
+        pos = np.searchsorted(table, queries)
+        clipped = np.minimum(pos, len(table) - 1)
+        hit = (pos < len(table)) & (table[clipped] == queries)
+        return np.where(hit, partition._sorted_cells[clipped], _NO_CELL)
     Z = _rotate(partition.rotation, X)
     node = np.zeros(len(X), dtype=np.int64)
     while True:

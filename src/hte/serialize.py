@@ -9,7 +9,14 @@ Arrays are written as a dtype tag (0 = float64, 1 = int64), a u8 rank, u64
 dimensions and raw C-order bytes, so the round trip is bit-exact.  The
 header carries the effective train config, enough to reproduce the model
 byte-for-byte from the same data.  Loading verifies magic, version and
-checksum before touching any payload.
+checksum before touching any payload, then checks the shapes of the grid
+key tables and the regressor arrays against ``d`` and the cell counts.
+
+A member is its partition block then its regressor block.  A grid block
+holds the transform and the ``(n_cells, d)`` key table; a tree block holds
+the rotation and the node arrays.  A constant block holds the cell values;
+a kernel block (format 2) holds ``gamma`` and the flat arrays ``offsets``,
+``support``, ``alpha`` and ``means`` of ``KernelCellModel``.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -24,24 +32,22 @@ import numpy as np
 from .data import Standardizer
 from .ensemble import EnsembleModel, Member, TrainConfig
 from .errors import DataError
-from .local_models import ConstantModel, KernelCell, KernelCellModel
+from .local_models import ConstantModel, KernelCellModel
 from .partition import AdaptiveTree, GridPartition
 from .rng import NORMAL_METHOD, RNG_ALGORITHM
 from .transform import HistogramTransform
 
 MAGIC = b"HTEN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _CHECKSUM_BYTES = 32
 
-_TAG_F64 = 0
-_TAG_I64 = 1
+_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64)}
+_TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
 
 _PARTITION_GRID = 0
 _PARTITION_TREE = 1
 _MODEL_CONSTANT = 0
 _MODEL_KERNEL = 1
-_CELL_KERNEL = 0
-_CELL_MEAN = 1
 
 
 def _w_u8(buf: io.BytesIO, v: int) -> None:
@@ -58,13 +64,9 @@ def _w_f64(buf: io.BytesIO, v: float) -> None:
 
 def _w_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
-    if arr.dtype == np.float64:
-        tag = _TAG_F64
-    elif arr.dtype == np.int64:
-        tag = _TAG_I64
-    else:
+    if arr.dtype not in _TAGS:
         raise DataError(f"unsupported array dtype {arr.dtype}")
-    _w_u8(buf, tag)
+    _w_u8(buf, _TAGS[arr.dtype])
     _w_u8(buf, arr.ndim)
     for dim in arr.shape:
         _w_u64(buf, dim)
@@ -94,14 +96,19 @@ class _Reader:
 
     def array(self) -> np.ndarray:
         tag = self.u8()
+        if tag not in _DTYPES:
+            raise DataError(f"model file corrupt: unknown array dtype tag {tag}")
+        dtype = _DTYPES[tag]
         ndim = self.u8()
         shape = tuple(self.u64() for _ in range(ndim))
-        dtype = np.float64 if tag == _TAG_F64 else np.int64
-        count = int(np.prod(shape)) if shape else 1
-        raw = self._take(count * 8)
-        return np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(
-            dtype
-        ).reshape(shape)
+        raw = self._take(math.prod(shape) * 8)
+        little_endian = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
+        return little_endian.astype(dtype).reshape(shape)
+
+
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise DataError(f"model file corrupt: {problem}")
 
 
 def _write_standardizer(buf: io.BytesIO, stz: Standardizer) -> None:
@@ -130,10 +137,7 @@ def _write_partition(buf: io.BytesIO, part) -> None:
         _w_array(buf, t.translation)
         _w_f64(buf, t.h_lower)
         _w_f64(buf, t.h_upper)
-        keys = np.empty((part.n_cells, t.dim), dtype=np.int64)
-        for key, cid in part.key_to_cell.items():
-            keys[cid] = key
-        _w_array(buf, keys)
+        _w_array(buf, part.keys)
     else:
         _w_u8(buf, _PARTITION_TREE)
         _w_array(buf, part.rotation)
@@ -146,7 +150,7 @@ def _write_partition(buf: io.BytesIO, part) -> None:
         _w_array(buf, part.leaf_id)
 
 
-def _read_partition(r: _Reader):
+def _read_partition(r: _Reader, d: int):
     kind = r.u8()
     if kind == _PARTITION_GRID:
         rotation = r.array()
@@ -155,11 +159,13 @@ def _read_partition(r: _Reader):
         h_lower = r.f64()
         h_upper = r.f64()
         keys = r.array()
+        _require(
+            keys.dtype == np.int64 and keys.ndim == 2 and keys.shape[1] == d
+            and len(keys) > 0,
+            f"grid key table of shape {keys.shape} is not (n_cells, {d}) int64",
+        )
         transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)
-        key_to_cell = {
-            tuple(int(v) for v in keys[cid]): cid for cid in range(len(keys))
-        }
-        return GridPartition(transform, key_to_cell, len(keys))
+        return GridPartition(transform, keys)
     if kind != _PARTITION_TREE:
         raise DataError(f"unknown partition tag {kind}")
     return AdaptiveTree(
@@ -181,46 +187,44 @@ def _write_model(buf: io.BytesIO, model) -> None:
         _w_f64(buf, model.fallback)
         return
     _w_u8(buf, _MODEL_KERNEL)
+    _w_f64(buf, model.gamma)
     _w_f64(buf, model.lambda2)
     _w_f64(buf, model.clip_bound)
     _w_f64(buf, model.fallback)
     _w_u64(buf, model.n_train)
-    _w_u64(buf, len(model.cells))
-    for cell in model.cells:
-        if cell.is_kernel:
-            _w_u8(buf, _CELL_KERNEL)
-            _w_f64(buf, cell.gamma)
-            _w_array(buf, cell.support)
-            _w_array(buf, cell.alpha)
-        else:
-            _w_u8(buf, _CELL_MEAN)
-            _w_f64(buf, cell.gamma)
-            _w_f64(buf, cell.mean)
+    for arr in (model.offsets, model.support, model.alpha, model.means):
+        _w_array(buf, arr)
 
 
-def _read_model(r: _Reader):
+def _read_model(r: _Reader, d: int, n_cells: int):
     kind = r.u8()
     if kind == _MODEL_CONSTANT:
-        return ConstantModel(values=r.array(), fallback=r.f64())
+        model = ConstantModel(values=r.array(), fallback=r.f64())
+        _require(model.values.shape == (n_cells,),
+                 f"cell values of shape {model.values.shape} for {n_cells} cells")
+        return model
     if kind != _MODEL_KERNEL:
         raise DataError(f"unknown model tag {kind}")
-    lambda2 = r.f64()
-    clip_bound = r.f64()
-    fallback = r.f64()
+    gamma, lambda2, clip_bound, fallback = r.f64(), r.f64(), r.f64(), r.f64()
     n_train = r.u64()
-    n_cells = r.u64()
-    cells = []
-    for _ in range(n_cells):
-        cell_kind = r.u8()
-        gamma = r.f64()
-        if cell_kind == _CELL_KERNEL:
-            cells.append(KernelCell(gamma=gamma, support=r.array(), alpha=r.array()))
-        elif cell_kind == _CELL_MEAN:
-            cells.append(KernelCell(gamma=gamma, mean=r.f64()))
-        else:
-            raise DataError(f"unknown cell tag {cell_kind}")
+    offsets, support, alpha, means = r.array(), r.array(), r.array(), r.array()
+    _require(means.shape == (n_cells,),
+             f"kernel means of shape {means.shape} for {n_cells} cells")
+    _require(alpha.ndim == 1, "kernel coefficients are not a vector")
+    _require(
+        offsets.dtype == np.int64 and offsets.shape == (n_cells + 1,)
+        and offsets[0] == 0 and (np.diff(offsets) >= 0).all()
+        and offsets[-1] == len(alpha),
+        f"kernel offsets must run from 0 up to {len(alpha)} in {n_cells + 1} steps",
+    )
+    _require(support.shape == (len(alpha), d),
+             f"kernel support of shape {support.shape} is not ({len(alpha)}, {d})")
     return KernelCellModel(
-        cells=cells,
+        offsets=offsets,
+        support=support,
+        alpha=alpha,
+        means=means,
+        gamma=gamma,
         lambda2=lambda2,
         clip_bound=clip_bound,
         n_train=n_train,
@@ -269,7 +273,10 @@ def _verify(data: bytes) -> dict:
         raise DataError("not a model file (bad magic)")
     version = struct.unpack_from("<I", data, len(MAGIC))[0]
     if version != FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {version}")
+        raise DataError(
+            f"unsupported model format version {version} "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
     digest = hashlib.sha256(data[:-_CHECKSUM_BYTES]).digest()
     if digest != data[-_CHECKSUM_BYTES:]:
         raise DataError("model file corrupt: checksum mismatch")
@@ -294,11 +301,14 @@ def deserialize_model(data: bytes) -> EnsembleModel:
     reader = _Reader(data[:-_CHECKSUM_BYTES], header.pop("_payload_offset"))
     config = TrainConfig.from_dict(header["config"])
     standardizer = _read_standardizer(reader)
+    d = header["d"]
     members = []
     for _ in range(header["n_transforms"]):
-        partition = _read_partition(reader)
-        model = _read_model(reader)
+        partition = _read_partition(reader, d)
+        model = _read_model(reader, d, partition.n_cells)
         members.append(Member(partition, model))
+    _require(reader.pos == len(reader.data),
+             f"{len(reader.data) - reader.pos} trailing bytes after the last member")
     return EnsembleModel(members, standardizer, config, header["clip_bound"])
 
 

@@ -163,6 +163,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "d=1" in err and "d=3" in err
 
+    @pytest.mark.parametrize("cell,named", [("oops", "'oops' at row 3, column 1"),
+                                            ("NaN", "'NaN' at row 3, column 1")])
+    def test_bad_cell_exits_2_and_names_its_place(self, tmp_path, sin_csv, capsys,
+                                                  cell, named):
+        model_path = self._trained(tmp_path, sin_csv)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x\n0.25\n{cell}\n0.5\n")
+        code = main(["predict", "--model", str(model_path), "--data", str(bad)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_features_only_file_predicts_without_mse(self, tmp_path, sin_csv, capsys):
         model_path = self._trained(tmp_path, sin_csv)
         bare = tmp_path / "bare.csv"

@@ -26,7 +26,7 @@ from hte.transform import HistogramTransform, sample_rotation, sample_stretch
 
 def _constant_member(value: float) -> Member:
     transform = HistogramTransform(np.eye(1), np.ones(1), np.zeros(1), 1.0, 1.0)
-    partition = GridPartition(transform, {(0,): 0}, 1)
+    partition = GridPartition(transform, np.array([[0]]))
     return Member(partition, ConstantModel(values=np.array([value])))
 
 
@@ -151,6 +151,27 @@ class TestTrainMember:
             assert a.partition.transform.scales.tobytes() == \
                 b.partition.transform.scales.tobytes()
             np.testing.assert_array_equal(a.model.values, b.model.values)
+
+    def test_kernel_cells_are_flat_slices_of_training_rows(self):
+        ds = gen_counter3d(300, seed=17)
+        cfg = TrainConfig(mode="kht", n_transforms=2, k_min=4, master_seed=18)
+        model = train_ensemble(ds, cfg)
+        X_std = model.standardizer.transform(ds.X)
+        for member in model.members:
+            flat = member.model
+            cells = assign_many(member.partition, X_std)
+            assert flat.gamma == cfg.gamma
+            assert flat.offsets[0] == 0 and flat.offsets[-1] == len(flat.alpha)
+            assert len(flat.support) == len(flat.alpha)
+            for cid in range(member.partition.n_cells):
+                rows = np.flatnonzero(cells == cid)
+                lo, hi = flat.offsets[cid], flat.offsets[cid + 1]
+                if len(rows) >= cfg.k_min:
+                    np.testing.assert_array_equal(flat.support[lo:hi], X_std[rows])
+                    assert flat.means[cid] == 0.0
+                else:
+                    assert lo == hi
+                    assert flat.means[cid] == ds.y[rows].mean()
 
     def test_adaptive_members_respect_leaf_bound(self):
         ds = gen_counter3d(800, seed=13)

@@ -4,30 +4,33 @@ import pytest
 from hte.errors import ConfigError
 from hte.linalg import gaussian_gram
 from hte.local_models import (
+    NO_CELL,
     ConstantModel,
-    KernelCell,
     KernelCellModel,
-    clip,
     fit_constant,
     fit_kernel_cell,
-    predict_cell,
 )
 from hte.rng import philox_generator
 
 
-class TestClip:
-    def test_above(self):
-        assert clip(2.0, 1.0) == 1.0
+def _predict_one(model, cell, x) -> float:
+    """Prediction for one point in ``cell`` (NO_CELL marks an unseen cell)."""
+    return float(model.predict(np.array([cell]), np.array([x], dtype=np.float64))[0])
 
-    def test_below(self):
-        assert clip(-3.0, 1.0) == -1.0
 
-    def test_interior(self):
-        assert clip(0.5, 1.0) == 0.5
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ConfigError):
-            clip(0.0, 0.0)
+def _kernel_model(cells, clip_bound=10.0, fallback=0.0, gamma=1.0):
+    """Flat kernel model from per-cell entries: a (support, alpha) pair or a mean."""
+    kernel = [c for c in cells if isinstance(c, tuple)]
+    sizes = [len(c[1]) if isinstance(c, tuple) else 0 for c in cells]
+    d = kernel[0][0].shape[1] if kernel else 1
+    return KernelCellModel(
+        offsets=np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
+        support=np.concatenate([s for s, _ in kernel]) if kernel else np.empty((0, d)),
+        alpha=np.concatenate([a for _, a in kernel]) if kernel else np.empty(0),
+        means=np.array([0.0 if isinstance(c, tuple) else c for c in cells]),
+        gamma=gamma, lambda2=1.0, clip_bound=clip_bound, n_train=1,
+        fallback=fallback,
+    )
 
 
 class TestFitConstant:
@@ -41,12 +44,12 @@ class TestFitConstant:
 
     def test_unseen_cell_defaults_to_zero(self):
         model = fit_constant(np.array([0]), np.array([5.0]), 1)
-        assert predict_cell(model, None, np.array([0.0])) == 0.0
+        assert _predict_one(model, NO_CELL, [0.0]) == 0.0
 
     def test_global_mean_fallback(self):
         y = np.array([1.0, 2.0, 6.0])
         model = fit_constant(np.array([0, 0, 1]), y, 2, fallback=float(y.mean()))
-        assert predict_cell(model, None, np.array([0.0])) == 3.0
+        assert _predict_one(model, NO_CELL, [0.0]) == 3.0
 
     def test_rejects_empty_cells(self):
         with pytest.raises(ConfigError):
@@ -117,47 +120,45 @@ class TestFitKernelCell:
 
 
 class TestPredict:
-    def _kernel_model(self, cells, clip_bound=10.0, fallback=0.0):
-        return KernelCellModel(
-            cells=cells, lambda2=1.0, clip_bound=clip_bound, n_train=1,
-            fallback=fallback,
-        )
-
     def test_constant_cell_value(self):
         model = ConstantModel(values=np.array([2.0]))
-        assert predict_cell(model, 0, np.array([0.0])) == 2.0
+        assert _predict_one(model, 0, [0.0]) == 2.0
 
     def test_single_support_kernel_prediction(self):
         support, alpha = fit_kernel_cell(
             np.array([[0.7]]), np.array([3.0]), gamma=1.0, lambda2=1.0, n_global=1
         )
-        model = self._kernel_model([KernelCell(gamma=1.0, support=support, alpha=alpha)])
-        np.testing.assert_allclose(
-            predict_cell(model, 0, np.array([0.7])), 1.5, rtol=1e-15
-        )
+        model = _kernel_model([(support, alpha)])
+        np.testing.assert_allclose(_predict_one(model, 0, [0.7]), 1.5, rtol=1e-15)
 
     def test_clipping_applies(self):
         # alpha chosen so the raw prediction at the support point is 2.4
-        model = self._kernel_model(
-            [KernelCell(gamma=1.0, support=np.array([[0.0]]), alpha=np.array([2.4]))],
-            clip_bound=1.0,
-        )
-        assert predict_cell(model, 0, np.array([0.0])) == 1.0
+        model = _kernel_model([(np.array([[0.0]]), np.array([2.4]))], clip_bound=1.0)
+        assert _predict_one(model, 0, [0.0]) == 1.0
 
     def test_raw_values_available_unclipped(self):
-        model = self._kernel_model(
-            [KernelCell(gamma=1.0, support=np.array([[0.0]]), alpha=np.array([2.4]))],
-            clip_bound=1.0,
-        )
+        model = _kernel_model([(np.array([[0.0]]), np.array([2.4]))], clip_bound=1.0)
         raw = model.predict(np.array([0]), np.array([[0.0]]), clipped=False)
         np.testing.assert_allclose(raw, [2.4])
 
     def test_unassigned_points_get_the_fallback(self):
-        model = self._kernel_model(
-            [KernelCell(gamma=1.0, mean=5.0)], fallback=-1.5
-        )
+        model = _kernel_model([5.0], fallback=-1.5)
         out = model.predict(np.array([-1, 0]), np.zeros((2, 1)))
         np.testing.assert_allclose(out, [-1.5, 5.0])
+
+    def test_mixed_cells_in_one_batch(self):
+        support = np.array([[0.0], [1.0]])
+        alpha = np.array([1.0, -2.0])
+        model = _kernel_model([4.0, (support, alpha), -3.0], fallback=0.5)
+        X = np.array([[0.3], [0.0], [9.0], [2.0], [0.5]])
+        out = model.predict(np.array([1, 0, -1, 2, 1]), X)
+
+        def kernel(x):
+            return np.exp(-((x - support[:, 0]) ** 2)) @ alpha
+
+        np.testing.assert_allclose(
+            out, [kernel(0.3), 4.0, 0.5, -3.0, kernel(0.5)], rtol=1e-14
+        )
 
     def test_kernel_predictions_are_cell_local(self):
         rng = philox_generator(3)
@@ -167,12 +168,8 @@ class TestPredict:
         s0, a0 = fit_kernel_cell(X0, y0, 1.0, 0.1, 18)
         s1a, a1a = fit_kernel_cell(X1, rng.normal(size=8), 1.0, 0.1, 18)
         s1b, a1b = fit_kernel_cell(X1, rng.normal(size=8), 1.0, 0.1, 18)
-        model_a = self._kernel_model(
-            [KernelCell(1.0, s0, a0), KernelCell(1.0, s1a, a1a)]
-        )
-        model_b = self._kernel_model(
-            [KernelCell(1.0, s0, a0), KernelCell(1.0, s1b, a1b)]
-        )
+        model_a = _kernel_model([(s0, a0), (s1a, a1a)])
+        model_b = _kernel_model([(s0, a0), (s1b, a1b)])
         queries = rng.normal(size=(25, 2))
         cells = np.zeros(25, dtype=np.int64)
         np.testing.assert_array_equal(
@@ -187,9 +184,7 @@ class TestPredict:
             y = rng.normal(size=n)
             bound = float(np.abs(y).max()) or 1.0
             support, alpha = fit_kernel_cell(X, y, 0.5, 1e-9, n)
-            model = self._kernel_model(
-                [KernelCell(0.5, support, alpha)], clip_bound=bound
-            )
+            model = _kernel_model([(support, alpha)], clip_bound=bound, gamma=0.5)
             cells = np.zeros(n, dtype=np.int64)
             raw = model.predict(cells, X, clipped=False)
             clipped = model.predict(cells, X, clipped=True)

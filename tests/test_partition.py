@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hte.errors import ConfigError
 from hte.partition import (
     AdaptiveTree,
+    GridPartition,
     assign,
     assign_many,
     build_adaptive,
@@ -62,6 +66,24 @@ class TestAssignGrid:
         grid, _ = build_grid(_identity_1d(), np.array([[0.1]]))
         with pytest.raises(ConfigError):
             assign(grid, np.array([0.1, 0.2]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_rebuilt_key_table_assigns_like_build_grid(self, data, d, seed):
+        n = data.draw(st.integers(1, 40))
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-5.0, 5.0)))
+        Q = data.draw(hnp.arrays(np.float64, (20, d), elements=st.floats(-8.0, 8.0)))
+        t = sample_transform(d, 0.3, 1.0, philox_generator(seed))
+        grid, cells = build_grid(t, X)
+        rebuilt = GridPartition(t, grid.keys.copy())  # the load path
+        np.testing.assert_array_equal(assign_many(rebuilt, X), cells)
+
+        table = {tuple(key): cid for cid, key in enumerate(grid.keys.tolist())}
+        far = np.full((1, d), 1e6)
+        queries = np.vstack([Q, far])
+        expected = [table.get(tuple(key), -1) for key in bin_key(t, queries).tolist()]
+        np.testing.assert_array_equal(assign_many(rebuilt, queries), expected)
+        assert expected[-1] == -1
 
     def test_sharing_iff_equal_keys(self):
         t = sample_transform(2, 0.25, 0.8, philox_generator(11))

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,7 +41,9 @@ def test_round_trip_is_lossless(mode, partition):
     for a, b in zip(model.members, again.members):
         if isinstance(a.partition, GridPartition):
             assert isinstance(b.partition, GridPartition)
-            assert a.partition.key_to_cell == b.partition.key_to_cell
+            assert a.partition.keys.dtype == b.partition.keys.dtype
+            assert a.partition.keys.shape == b.partition.keys.shape
+            assert a.partition.keys.tobytes() == b.partition.keys.tobytes()
             ta, tb = a.partition.transform, b.partition.transform
             assert ta.rotation.tobytes() == tb.rotation.tobytes()
             assert ta.scales.tobytes() == tb.scales.tobytes()
@@ -56,18 +61,14 @@ def test_round_trip_is_lossless(mode, partition):
             assert a.model.fallback == b.model.fallback
         else:
             assert isinstance(b.model, KernelCellModel)
-            assert (a.model.lambda2, a.model.clip_bound, a.model.n_train,
-                    a.model.fallback) == \
-                   (b.model.lambda2, b.model.clip_bound, b.model.n_train,
-                    b.model.fallback)
-            for ca, cb in zip(a.model.cells, b.model.cells):
-                assert ca.is_kernel == cb.is_kernel
-                assert ca.gamma == cb.gamma
-                if ca.is_kernel:
-                    assert ca.support.tobytes() == cb.support.tobytes()
-                    assert ca.alpha.tobytes() == cb.alpha.tobytes()
-                else:
-                    assert ca.mean == cb.mean
+            assert (a.model.gamma, a.model.lambda2, a.model.clip_bound,
+                    a.model.n_train, a.model.fallback) == \
+                   (b.model.gamma, b.model.lambda2, b.model.clip_bound,
+                    b.model.n_train, b.model.fallback)
+            for field in ("offsets", "support", "alpha", "means"):
+                fa, fb = getattr(a.model, field), getattr(b.model, field)
+                assert (fa.dtype, fa.shape) == (fb.dtype, fb.shape)
+                assert fa.tobytes() == fb.tobytes()
 
     queries = gen_counter3d(100, seed=7).X
     np.testing.assert_array_equal(predict(model, queries), predict(again, queries))
@@ -129,3 +130,88 @@ def test_same_seed_retraining_reproduces_bytes():
     a = serialize_model(train_ensemble(ds, cfg))
     b = serialize_model(train_ensemble(ds, cfg))
     assert a == b
+
+
+def _reseal(payload: bytes) -> bytes:
+    """Append a valid checksum, so only the check under test can fire."""
+    return payload + hashlib.sha256(payload).digest()
+
+
+def _first_array_offset(blob: bytes) -> int:
+    """Offset of the standardizer mean, the first array after the header."""
+    return 4 + 4 + 8 + struct.unpack_from("<Q", blob, 8)[0]
+
+
+def test_version_1_file_rejected_by_name():
+    _, model = _train("nht", "grid", n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[4:8] = struct.pack("<I", 1)
+    with pytest.raises(DataError, match="unsupported model format version 1"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+def test_unknown_dtype_tag_rejected():
+    _, model = _train("nht", "grid", n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[_first_array_offset(blob)] = 7
+    with pytest.raises(DataError, match="dtype tag 7"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+def test_trailing_bytes_rejected():
+    _, model = _train("nht", "grid", n=120)
+    payload = serialize_model(model)[:-32] + b"\x00" * 3
+    with pytest.raises(DataError, match="3 trailing bytes"):
+        deserialize_model(_reseal(payload))
+
+
+def _kernel_grid_member():
+    _, model = _train("kht", "grid")
+    member = model.members[0]
+    assert member.model.offsets[-1] > 0  # at least one kernel cell
+    return model, member
+
+
+def test_grid_key_table_width_checked():
+    model, member = _kernel_grid_member()
+    member.partition.keys = member.partition.keys[:, :2]
+    with pytest.raises(DataError, match=r"key table .* not \(n_cells, 3\)"):
+        deserialize_model(serialize_model(model))
+
+
+def test_kernel_means_length_checked():
+    model, member = _kernel_grid_member()
+    member.model.means = member.model.means[:-1]
+    with pytest.raises(DataError, match="kernel means"):
+        deserialize_model(serialize_model(model))
+
+
+def test_kernel_offsets_must_start_at_zero():
+    model, member = _kernel_grid_member()
+    member.model.offsets = member.model.offsets.copy()
+    member.model.offsets[0] = 1
+    with pytest.raises(DataError, match="offsets"):
+        deserialize_model(serialize_model(model))
+
+
+def test_kernel_offsets_must_not_decrease():
+    model, member = _kernel_grid_member()
+    offsets = member.model.offsets.copy()
+    offsets[1] = offsets[-1] + 1  # start and end stay valid
+    member.model.offsets = offsets
+    with pytest.raises(DataError, match="offsets"):
+        deserialize_model(serialize_model(model))
+
+
+def test_kernel_offsets_must_end_at_coefficient_count():
+    model, member = _kernel_grid_member()
+    member.model.alpha = member.model.alpha[:-1]
+    with pytest.raises(DataError, match="offsets"):
+        deserialize_model(serialize_model(model))
+
+
+def test_kernel_support_width_checked():
+    model, member = _kernel_grid_member()
+    member.model.support = member.model.support[:, :2]
+    with pytest.raises(DataError, match=r"support .* not \(\d+, 3\)"):
+        deserialize_model(serialize_model(model))
