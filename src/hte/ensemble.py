@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Standardizer, default_scale, fit_standardizer
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .local_models import ConstantModel, KernelCellModel, fit_constant, fit_kernel_cell
 from .partition import AdaptiveTree, GridPartition, assign_many, build_adaptive, build_grid
 from .rng import STREAM_CANDIDATE0, STREAM_ROTATION, STREAM_SPLIT, member_generator
@@ -208,9 +208,7 @@ def _fit_cells(
         alpha=alpha,
         means=means,
         gamma=config.gamma,
-        lambda2=lambda2,
         clip_bound=clip_bound,
-        n_train=n_fit,
         fallback=fallback,
     )
 
@@ -333,8 +331,15 @@ def train_ensemble(
 
 
 def _member_matrix(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
-    """Per-member predictions in standardized target units, shape (T, q)."""
-    X_std = model.standardizer.transform(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    """Per-member predictions in standardized target units, shape (T, q).
+
+    Raises ``DataError`` naming the first query row with a NaN or inf.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"query row {int(np.argmin(finite))} has a non-finite feature")
+    X_std = model.standardizer.transform(X)
     return np.vstack([member_predict(m, X_std) for m in model.members])
 
 

@@ -1,9 +1,10 @@
 """Dense SPD solves and Gaussian Gram matrices for the kernel cells.
 
-Cells are kept small by the partitioning step (at most ``min_leaf`` points
-under adaptive splitting), so a dense Cholesky factorization per cell is the
-whole computational story.  Failed factorizations escalate a diagonal jitter
-proportional to the mean eigenvalue before giving up.
+Cells are kept small by the partitioning step (adaptive trees split every
+separable cell of more than ``min_samples_split`` points), so a dense
+Cholesky factorization per cell is the whole computational story.  Failed
+factorizations escalate a diagonal jitter proportional to the mean
+eigenvalue before giving up.
 """
 
 from __future__ import annotations

@@ -57,9 +57,7 @@ class KernelCellModel:
     alpha: np.ndarray
     means: np.ndarray
     gamma: float
-    lambda2: float
     clip_bound: float
-    n_train: int
     fallback: float = 0.0
 
     @property

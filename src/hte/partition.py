@@ -5,14 +5,16 @@ Two partition kinds:
 * GridPartition — the unit integer grid of a histogram transform, restricted
   to the bin keys observed in training.  Queries landing in an unseen bin
   get no cell (the model layer supplies a fallback).
-* AdaptiveTree — rotate the data, then recursively split the cell with the
-  largest-variance dimension at its median until every cell holds at most
-  ``min_leaf`` points.  Trees cover the whole rotated space, so every query
-  reaches a leaf.
+* AdaptiveTree — rotate the data, then repeatedly split a cell with more
+  than ``min_leaf`` points on its largest-variance dimension at the median.
+  The tree is full and stored breadth-first as two node arrays, from which
+  children and leaf ids follow.  Trees cover the whole rotated space, so
+  every query reaches a leaf.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,25 +61,48 @@ class GridPartition:
 
 @dataclass
 class AdaptiveTree:
-    """Binary space partition of the rotated input space.
+    """Full binary space partition of the rotated input space.
 
-    Nodes are stored in preorder; ``split_dim[i] == -1`` marks node i as a
-    leaf, in which case ``leaf_id[i]`` is its dense cell id.  Internal nodes
-    route coordinate < threshold to ``left`` and >= threshold to ``right``.
+    Nodes are in breadth-first order; ``split_dim[i] == -1`` marks node i as
+    a leaf, and leaves are the cells, numbered in node order.  The k-th
+    internal node routes coordinate < ``threshold`` to node 2k+1 and the
+    rest to node 2k+2.  Construction derives the child and leaf-id arrays
+    and raises ``ConfigError`` unless the arrays describe such a tree.
     """
 
     rotation: np.ndarray
     split_dim: np.ndarray = field(repr=False)
     threshold: np.ndarray = field(repr=False)
-    left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
-    leaf_id: np.ndarray = field(repr=False)
-    min_leaf: int
-    n_cells: int
+    _child: np.ndarray = field(init=False, repr=False)
+    _leaf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = self.split_dim
+        if dims.dtype != np.int64 or dims.ndim != 1:
+            raise ConfigError(f"tree split_dim must be an int64 vector, "
+                              f"got {dims.dtype} of shape {dims.shape}")
+        if self.threshold.shape != dims.shape:
+            raise ConfigError(f"tree thresholds of shape {self.threshold.shape} "
+                              f"for {len(dims)} nodes")
+        if not ((dims >= -1) & (dims < self.dim)).all():
+            raise ConfigError(f"tree split_dim outside [-1, {self.dim})")
+        internal = dims >= 0
+        if len(dims) != 2 * internal.sum() + 1:
+            raise ConfigError(f"{len(dims)} tree nodes with {internal.sum()} "
+                              f"internal ones is not a full binary tree")
+        self._child = 2 * np.cumsum(internal) - 1  # first child, at internal nodes
+        self._leaf = np.cumsum(~internal) - 1  # cell id, at leaves
+        # a child after its parent makes every walk step move forward
+        if (self._child <= np.arange(len(dims)))[internal].any():
+            raise ConfigError("a tree node is at or after its first child")
 
     @property
     def dim(self) -> int:
         return self.rotation.shape[0]
+
+    @property
+    def n_cells(self) -> int:
+        return (len(self.split_dim) + 1) // 2
 
 
 def build_grid(
@@ -127,29 +152,13 @@ def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> Adapti
 
     split_dim: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_id: list[int] = []
-    n_leaves = 0
-
-    # explicit DFS stack; pushing the right child last keeps node numbering
-    # in preorder (node, left subtree, right subtree)
-    all_rows = np.arange(len(X), dtype=np.int64)
-    stack: list[tuple[np.ndarray, int, bool]] = [(all_rows, _NO_CELL, False)]
-    while stack:
-        indices, parent, is_right = stack.pop()
-        node = len(split_dim)
+    # first in, first out: nodes are numbered breadth-first as they leave
+    # the queue, so a split node's children are the next two numbers free
+    queue = deque([np.arange(len(X), dtype=np.int64)])
+    while queue:
+        indices = queue.popleft()
         split_dim.append(_NO_CELL)
         threshold.append(np.nan)
-        left.append(_NO_CELL)
-        right.append(_NO_CELL)
-        leaf_id.append(_NO_CELL)
-        if parent != _NO_CELL:
-            if is_right:
-                right[parent] = node
-            else:
-                left[parent] = node
-        made_split = False
         if len(indices) > min_leaf:
             block = Z[indices]
             variances = block.var(axis=0)
@@ -158,26 +167,16 @@ def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> Adapti
             cut = float(np.median(col))
             go_left = col < cut
             if variances[dim] > 0.0 and go_left.any() and not go_left.all():
-                split_dim[node] = dim
-                threshold[node] = cut
-                stack.append((indices[~go_left], node, True))
-                stack.append((indices[go_left], node, False))
-                made_split = True
+                split_dim[-1], threshold[-1] = dim, cut
+                queue.append(indices[go_left])
+                queue.append(indices[~go_left])
             # otherwise the cell is degenerate: its median split cannot
             # reduce it, so it stays a terminal leaf whatever its size
-        if not made_split:
-            leaf_id[node] = n_leaves
-            n_leaves += 1
 
     return AdaptiveTree(
         rotation=rotation,
         split_dim=np.array(split_dim, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        leaf_id=np.array(leaf_id, dtype=np.int64),
-        min_leaf=min_leaf,
-        n_cells=n_leaves,
     )
 
 
@@ -205,13 +204,11 @@ def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.nd
     Z = _rotate(partition.rotation, X)
     node = np.zeros(len(X), dtype=np.int64)
     while True:
-        dims = partition.split_dim[node]
-        active = dims >= 0
-        if not active.any():
+        idx = np.flatnonzero(partition.split_dim[node] >= 0)
+        if len(idx) == 0:
             break
-        idx = np.flatnonzero(active)
         sub = node[idx]
         coords = Z[idx, partition.split_dim[sub]]
         goes_left = coords < partition.threshold[sub]
-        node[idx] = np.where(goes_left, partition.left[sub], partition.right[sub])
-    return partition.leaf_id[node]
+        node[idx] = partition._child[sub] + ~goes_left
+    return partition._leaf[node]

@@ -10,13 +10,15 @@ dimensions and raw C-order bytes, so the round trip is bit-exact.  The
 header carries the effective train config, enough to reproduce the model
 byte-for-byte from the same data.  Loading verifies magic, version and
 checksum before touching any payload, then checks the shapes of the grid
-key tables and the regressor arrays against ``d`` and the cell counts.
+key tables, tree arrays and regressor arrays against ``d`` and the cell
+counts; a payload the model classes reject is reported as corrupt too.
 
 A member is its partition block then its regressor block.  A grid block
 holds the transform and the ``(n_cells, d)`` key table; a tree block holds
-the rotation and the node arrays.  A constant block holds the cell values;
-a kernel block (format 2) holds ``gamma`` and the flat arrays ``offsets``,
-``support``, ``alpha`` and ``means`` of ``KernelCellModel``.
+the ``(d, d)`` rotation and the breadth-first node arrays ``split_dim`` and
+``threshold``.  A constant block holds the cell values; a kernel block holds
+``gamma``, ``clip_bound`` and ``fallback``, then the flat arrays
+``offsets``, ``support``, ``alpha`` and ``means`` of ``KernelCellModel``.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ import numpy as np
 
 from .data import Standardizer
 from .ensemble import EnsembleModel, Member, TrainConfig
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .local_models import ConstantModel, KernelCellModel
 from .partition import AdaptiveTree, GridPartition
 from .rng import NORMAL_METHOD, RNG_ALGORITHM
 from .transform import HistogramTransform
 
 MAGIC = b"HTEN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _CHECKSUM_BYTES = 32
 
 _DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64)}
@@ -141,13 +143,8 @@ def _write_partition(buf: io.BytesIO, part) -> None:
     else:
         _w_u8(buf, _PARTITION_TREE)
         _w_array(buf, part.rotation)
-        _w_u64(buf, part.min_leaf)
-        _w_u64(buf, part.n_cells)
         _w_array(buf, part.split_dim)
         _w_array(buf, part.threshold)
-        _w_array(buf, part.left)
-        _w_array(buf, part.right)
-        _w_array(buf, part.leaf_id)
 
 
 def _read_partition(r: _Reader, d: int):
@@ -168,16 +165,10 @@ def _read_partition(r: _Reader, d: int):
         return GridPartition(transform, keys)
     if kind != _PARTITION_TREE:
         raise DataError(f"unknown partition tag {kind}")
-    return AdaptiveTree(
-        rotation=r.array(),
-        min_leaf=r.u64(),
-        n_cells=r.u64(),
-        split_dim=r.array(),
-        threshold=r.array(),
-        left=r.array(),
-        right=r.array(),
-        leaf_id=r.array(),
-    )
+    rotation = r.array()
+    _require(rotation.shape == (d, d),
+             f"tree rotation of shape {rotation.shape} is not ({d}, {d})")
+    return AdaptiveTree(rotation, split_dim=r.array(), threshold=r.array())
 
 
 def _write_model(buf: io.BytesIO, model) -> None:
@@ -188,10 +179,8 @@ def _write_model(buf: io.BytesIO, model) -> None:
         return
     _w_u8(buf, _MODEL_KERNEL)
     _w_f64(buf, model.gamma)
-    _w_f64(buf, model.lambda2)
     _w_f64(buf, model.clip_bound)
     _w_f64(buf, model.fallback)
-    _w_u64(buf, model.n_train)
     for arr in (model.offsets, model.support, model.alpha, model.means):
         _w_array(buf, arr)
 
@@ -205,8 +194,7 @@ def _read_model(r: _Reader, d: int, n_cells: int):
         return model
     if kind != _MODEL_KERNEL:
         raise DataError(f"unknown model tag {kind}")
-    gamma, lambda2, clip_bound, fallback = r.f64(), r.f64(), r.f64(), r.f64()
-    n_train = r.u64()
+    gamma, clip_bound, fallback = r.f64(), r.f64(), r.f64()
     offsets, support, alpha, means = r.array(), r.array(), r.array(), r.array()
     _require(means.shape == (n_cells,),
              f"kernel means of shape {means.shape} for {n_cells} cells")
@@ -225,9 +213,7 @@ def _read_model(r: _Reader, d: int, n_cells: int):
         alpha=alpha,
         means=means,
         gamma=gamma,
-        lambda2=lambda2,
         clip_bound=clip_bound,
-        n_train=n_train,
         fallback=fallback,
     )
 
@@ -299,14 +285,17 @@ def read_metadata(path) -> dict:
 def deserialize_model(data: bytes) -> EnsembleModel:
     header = _verify(data)
     reader = _Reader(data[:-_CHECKSUM_BYTES], header.pop("_payload_offset"))
-    config = TrainConfig.from_dict(header["config"])
-    standardizer = _read_standardizer(reader)
     d = header["d"]
     members = []
-    for _ in range(header["n_transforms"]):
-        partition = _read_partition(reader, d)
-        model = _read_model(reader, d, partition.n_cells)
-        members.append(Member(partition, model))
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        standardizer = _read_standardizer(reader)
+        for _ in range(header["n_transforms"]):
+            partition = _read_partition(reader, d)
+            model = _read_model(reader, d, partition.n_cells)
+            members.append(Member(partition, model))
+    except ConfigError as exc:  # the config, a transform or a tree rejected the file
+        raise DataError(f"model file corrupt: {exc}") from exc
     _require(reader.pos == len(reader.data),
              f"{len(reader.data) - reader.pos} trailing bytes after the last member")
     return EnsembleModel(members, standardizer, config, header["clip_bound"])

@@ -8,7 +8,7 @@ from hte.cli import main
 from hte.data import gen_sin16, load_csv
 from hte.ensemble import predict as lib_predict
 from hte.evaluation import mse
-from hte.serialize import load_model, read_metadata
+from hte.serialize import load_model, read_metadata, save_model
 
 
 def _write_sin_csv(path, n=300, seed=4):
@@ -173,6 +173,24 @@ class TestPredict:
         code = main(["predict", "--model", str(model_path), "--data", str(bad)])
         assert code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_corrupt_payload_exits_2(self, tmp_path, sin_csv, capsys, partition):
+        out = tmp_path / "model.hte"
+        cfg = _write_config(tmp_path / "cfg.json", partition=partition, n_transforms=2,
+                            min_samples_split=40, target="y")
+        assert main(["train", "--config", cfg, "--data", sin_csv, "--out", str(out)]) == 0
+        model = load_model(out)
+        part = model.members[0].partition
+        if partition == "grid":  # bin widths outside the stored window
+            object.__setattr__(part.transform, "scales", part.transform.scales * 100.0)
+        else:  # a node whose first child slot is not after it
+            part.split_dim = part.split_dim.copy()
+            part.split_dim[0], part.split_dim[-1] = -1, 0
+        save_model(model, out)  # with a valid checksum
+        code = main(["predict", "--model", str(out), "--data", sin_csv])
+        assert code == 2
+        assert "model file corrupt" in capsys.readouterr().err
 
     def test_features_only_file_predicts_without_mse(self, tmp_path, sin_csv, capsys):
         model_path = self._trained(tmp_path, sin_csv)

@@ -118,6 +118,18 @@ class TestEnsemblePrediction:
         with pytest.raises(DataError):
             predict(model, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_non_finite_query_rejected(self, partition, bad):
+        ds = gen_counter3d(300, seed=9)
+        model = train_ensemble(ds, TrainConfig(partition=partition, n_transforms=2,
+                                               min_samples_split=40))
+        X = np.zeros((4, 3))
+        X[2, 1] = bad
+        for fn in (predict, predict_members):
+            with pytest.raises(DataError, match="query row 2 has a non-finite feature"):
+                fn(model, X)
+
     def test_unseen_cells_fall_back_to_zero(self):
         ds = gen_sin16(200, seed=7)
         model = train_ensemble(ds, TrainConfig(n_transforms=3, fallback="zero"))

@@ -28,8 +28,7 @@ def _kernel_model(cells, clip_bound=10.0, fallback=0.0, gamma=1.0):
         support=np.concatenate([s for s, _ in kernel]) if kernel else np.empty((0, d)),
         alpha=np.concatenate([a for _, a in kernel]) if kernel else np.empty(0),
         means=np.array([0.0 if isinstance(c, tuple) else c for c in cells]),
-        gamma=gamma, lambda2=1.0, clip_bound=clip_bound, n_train=1,
-        fallback=fallback,
+        gamma=gamma, clip_bound=clip_bound, fallback=fallback,
     )
 
 

@@ -168,11 +168,6 @@ class TestAssignAdaptive:
             rotation=np.eye(1),
             split_dim=np.array([0, -1, -1]),
             threshold=np.array([2.0, np.nan, np.nan]),
-            left=np.array([1, -1, -1]),
-            right=np.array([2, -1, -1]),
-            leaf_id=np.array([-1, 0, 1]),
-            min_leaf=1,
-            n_cells=2,
         )
 
     def test_walk_matches_threshold_comparisons(self):
@@ -181,6 +176,29 @@ class TestAssignAdaptive:
         assert assign(tree, np.array([2.0])) == 1  # right side takes >= threshold
         assert assign(tree, np.array([1e9])) == 1
         assert assign(tree, np.array([-1e9])) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 5), min_leaf=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rebuilt_tree_assigns_like_build_adaptive(self, data, d, min_leaf, seed):
+        n = data.draw(st.integers(1, 60))
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-5.0, 5.0)))
+        rotation = sample_rotation(d, philox_generator(seed))
+        tree = build_adaptive(rotation, X, min_leaf)
+        rebuilt = AdaptiveTree(rotation, tree.split_dim.copy(), tree.threshold.copy())
+        cells = assign_many(rebuilt, X)
+        np.testing.assert_array_equal(cells, assign_many(tree, X))
+        assert set(cells.tolist()) == set(range(rebuilt.n_cells))
+
+        # reference walk straight from the breadth-first layout
+        internal = (tree.split_dim >= 0).tolist()
+        Z = np.einsum("ij,nj->ni", rotation, X)  # the rotation build_adaptive uses
+        for z, cell in zip(Z, cells):
+            node = 0
+            while internal[node]:
+                right = z[tree.split_dim[node]] >= tree.threshold[node]
+                node = 2 * sum(internal[:node]) + 1 + int(right)
+            assert cell == node - sum(internal[:node])
 
     def test_queries_beyond_training_range_reach_a_leaf(self):
         rng = philox_generator(41)

@@ -51,20 +51,18 @@ def test_round_trip_is_lossless(mode, partition):
             assert (ta.h_lower, ta.h_upper) == (tb.h_lower, tb.h_upper)
         else:
             assert isinstance(b.partition, AdaptiveTree)
-            for field in ("rotation", "split_dim", "threshold", "left", "right",
-                          "leaf_id"):
-                assert getattr(a.partition, field).tobytes() == \
-                    getattr(b.partition, field).tobytes()
-            assert a.partition.min_leaf == b.partition.min_leaf
+            for field in ("rotation", "split_dim", "threshold"):
+                fa, fb = getattr(a.partition, field), getattr(b.partition, field)
+                assert (fa.dtype, fa.shape) == (fb.dtype, fb.shape)
+                assert fa.tobytes() == fb.tobytes()
+            assert a.partition.n_cells == b.partition.n_cells
         if isinstance(a.model, ConstantModel):
             assert a.model.values.tobytes() == b.model.values.tobytes()
             assert a.model.fallback == b.model.fallback
         else:
             assert isinstance(b.model, KernelCellModel)
-            assert (a.model.gamma, a.model.lambda2, a.model.clip_bound,
-                    a.model.n_train, a.model.fallback) == \
-                   (b.model.gamma, b.model.lambda2, b.model.clip_bound,
-                    b.model.n_train, b.model.fallback)
+            assert (a.model.gamma, a.model.clip_bound, a.model.fallback) == \
+                   (b.model.gamma, b.model.clip_bound, b.model.fallback)
             for field in ("offsets", "support", "alpha", "means"):
                 fa, fb = getattr(a.model, field), getattr(b.model, field)
                 assert (fa.dtype, fa.shape) == (fb.dtype, fb.shape)
@@ -214,4 +212,75 @@ def test_kernel_support_width_checked():
     model, member = _kernel_grid_member()
     member.model.support = member.model.support[:, :2]
     with pytest.raises(DataError, match=r"support .* not \(\d+, 3\)"):
+        deserialize_model(serialize_model(model))
+
+
+def test_version_2_file_rejected_by_name():
+    _, model = _train("nht", "adaptive", n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[4:8] = struct.pack("<I", 2)
+    with pytest.raises(DataError, match=r"unsupported model format version 2 "
+                                        r"\(this build reads version 3\)"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+def _tree_member():
+    _, model = _train("nht", "adaptive")
+    member = model.members[0]
+    assert (member.partition.split_dim >= 0).sum() >= 2
+    return model, member
+
+
+def test_tree_split_dim_range_checked():
+    model, member = _tree_member()
+    member.partition.split_dim = member.partition.split_dim.copy()
+    member.partition.split_dim[0] = 7
+    with pytest.raises(DataError, match=r"corrupt: tree split_dim outside \[-1, 3\)"):
+        deserialize_model(serialize_model(model))
+
+
+def test_tree_node_count_checked():
+    model, member = _tree_member()
+    member.partition.split_dim = member.partition.split_dim[:-1]
+    member.partition.threshold = member.partition.threshold[:-1]
+    with pytest.raises(DataError, match="corrupt: .* not a full binary tree"):
+        deserialize_model(serialize_model(model))
+
+
+def test_tree_node_before_its_children_checked():
+    model, member = _tree_member()
+    split_dim = member.partition.split_dim.copy()
+    split_dim[0], split_dim[-1] = -1, 0  # same node count, last node now internal
+    member.partition.split_dim = split_dim
+    with pytest.raises(DataError, match="corrupt: a tree node is at or after its first child"):
+        deserialize_model(serialize_model(model))
+
+
+def test_tree_threshold_length_checked():
+    model, member = _tree_member()
+    member.partition.threshold = member.partition.threshold[:-1]
+    with pytest.raises(DataError,
+                       match=r"corrupt: tree thresholds of shape \(\d+,\) for \d+ nodes"):
+        deserialize_model(serialize_model(model))
+
+
+def test_tree_rotation_shape_checked():
+    model, member = _tree_member()
+    member.partition.rotation = member.partition.rotation[:, :2]
+    with pytest.raises(DataError, match=r"corrupt: tree rotation .* not \(3, 3\)"):
+        deserialize_model(serialize_model(model))
+
+
+def test_grid_scales_outside_window_are_corrupt():
+    model, member = _kernel_grid_member()
+    t = member.partition.transform
+    object.__setattr__(t, "scales", t.scales * 100.0)
+    with pytest.raises(DataError, match="corrupt: bin widths escape"):
+        deserialize_model(serialize_model(model))
+
+
+def test_tree_split_dim_dtype_checked():
+    model, member = _tree_member()
+    member.partition.split_dim = member.partition.split_dim.astype(np.float64)
+    with pytest.raises(DataError, match="corrupt: tree split_dim must be an int64 vector"):
         deserialize_model(serialize_model(model))
