@@ -4,7 +4,12 @@ Two partition kinds:
 
 * GridPartition — the unit integer grid of a histogram transform, restricted
   to the bin keys observed in training.  Queries landing in an unseen bin
-  get no cell (the model layer supplies a fallback).
+  get no cell (the model layer supplies a fallback).  Lookups run on one
+  int64 code per key row: its mixed-radix position inside the per-axis box
+  of the training keys, so finding and matching keys is a 1-D sort and a
+  1-D binary search.  A box of 2**63 codes or more (high d or wide key
+  ranges) falls back to a structured row view, which sorts and compares
+  the same way, lexicographically.
 * AdaptiveTree — rotate the data, then repeatedly split a cell with more
   than ``min_leaf`` points on its largest-variance dimension at the median.
   The tree is full and stored breadth-first as two node arrays, from which
@@ -14,6 +19,7 @@ Two partition kinds:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -25,30 +31,57 @@ from .transform import HistogramTransform, bin_key
 _NO_CELL = -1
 
 
-def _pack(keys: np.ndarray) -> np.ndarray:
-    """View each int64 key row as one structured item, sortable and comparable."""
-    fields = [(f"k{i}", np.int64) for i in range(keys.shape[1])]
-    return np.ascontiguousarray(keys).view(fields).ravel()
+def _box(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-axis bounds of key rows and the mixed-radix strides of that box.
+
+    The last axis varies fastest, so codes sort like their key rows.  The
+    strides are None when the box holds 2**63 codes or more.
+    """
+    cols = np.ascontiguousarray(keys.T)  # reducing contiguous columns is ~5x faster
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]  # Python ints: no wrap
+    if math.prod(spans) >= 2**63:
+        return lo, hi, None
+    strides = [math.prod(spans[i + 1:]) for i in range(len(spans))]
+    return lo, hi, np.array(strides, dtype=np.int64)
+
+
+def _encode(keys: np.ndarray, lo: np.ndarray, strides: np.ndarray | None) -> np.ndarray:
+    """One sortable item per key row; every row must lie inside the box."""
+    if strides is None:  # wide box: each row as one structured item
+        fields = [(f"k{i}", np.int64) for i in range(keys.shape[1])]
+        return np.ascontiguousarray(keys).view(fields).ravel()
+    return (keys - lo) @ strides
 
 
 @dataclass
 class GridPartition:
     """Grid cells as a key table: row c of ``keys`` is the bin key of cell c.
 
-    Rows are in first-occurrence order over the training rows.  The sorted
-    lookup index used by ``assign_many`` is derived once, at construction.
+    Rows are in first-occurrence order over the training rows.  Construction
+    derives the lookup index used by ``assign_many`` from the table alone:
+    the per-axis box of the keys (the box of the training keys they came
+    from), each row's code inside it (see ``_box``), and the codes in
+    sorted order with their cell ids.  A table with a repeated row raises
+    ``ConfigError``, since a key must name one cell.
     """
 
     transform: HistogramTransform
     keys: np.ndarray
-    _sorted_keys: np.ndarray = field(init=False, repr=False)
+    _lo: np.ndarray = field(init=False, repr=False)
+    _hi: np.ndarray = field(init=False, repr=False)
+    _strides: np.ndarray | None = field(init=False, repr=False)
+    _sorted_codes: np.ndarray = field(init=False, repr=False)
     _sorted_cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.keys = np.ascontiguousarray(self.keys, dtype=np.int64)
-        packed = _pack(self.keys)
-        self._sorted_cells = np.argsort(packed)
-        self._sorted_keys = packed[self._sorted_cells]
+        self._lo, self._hi, self._strides = _box(self.keys)
+        codes = _encode(self.keys, self._lo, self._strides)
+        self._sorted_cells = np.argsort(codes)
+        self._sorted_codes = codes[self._sorted_cells]
+        if (self._sorted_codes[1:] == self._sorted_codes[:-1]).any():
+            raise ConfigError("grid key table repeats a key")
 
     @property
     def dim(self) -> int:
@@ -117,13 +150,14 @@ def build_grid(
     if X.ndim != 2 or X.shape[0] < 1:
         raise ConfigError("training matrix must be 2-d with at least one row")
     keys = bin_key(transform, X)
-    uniq, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
+    lo, _, strides = _box(keys)
+    _, first, inverse = np.unique(
+        _encode(keys, lo, strides), return_index=True, return_inverse=True
     )
-    order = np.argsort(first, kind="stable")
+    order = np.argsort(first)  # first indices are distinct: any sort is stable
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order), dtype=np.int64)
-    return GridPartition(transform, uniq[order]), rank[inverse.ravel()]
+    return GridPartition(transform, keys[first[order]]), rank[inverse]
 
 
 def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -195,12 +229,16 @@ def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.nd
     if X.ndim != 2 or X.shape[1] != partition.dim:
         raise ConfigError(f"expected points of dimension {partition.dim}")
     if isinstance(partition, GridPartition):
-        table = partition._sorted_keys
-        queries = _pack(bin_key(partition.transform, X))
-        pos = np.searchsorted(table, queries)
-        clipped = np.minimum(pos, len(table) - 1)
-        hit = (pos < len(table)) & (table[clipped] == queries)
-        return np.where(hit, partition._sorted_cells[clipped], _NO_CELL)
+        keys = bin_key(partition.transform, X)
+        # a key outside the training box is a miss; only in-box keys are
+        # encoded, since the code of an out-of-box key can wrap
+        inside = ((keys >= partition._lo) & (keys <= partition._hi)).all(axis=1)
+        codes = _encode(keys[inside], partition._lo, partition._strides)
+        table = partition._sorted_codes
+        pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+        cells = np.full(len(X), _NO_CELL, dtype=np.int64)
+        cells[inside] = np.where(table[pos] == codes, partition._sorted_cells[pos], _NO_CELL)
+        return cells
     Z = _rotate(partition.rotation, X)
     node = np.zeros(len(X), dtype=np.int64)
     while True:

@@ -9,9 +9,12 @@ Arrays are written as a dtype tag (0 = float64, 1 = int64), a u8 rank, u64
 dimensions and raw C-order bytes, so the round trip is bit-exact.  The
 header carries the effective train config, enough to reproduce the model
 byte-for-byte from the same data.  Loading verifies magic, version and
-checksum before touching any payload, then checks the shapes of the grid
-key tables, tree arrays and regressor arrays against ``d`` and the cell
-counts; a payload the model classes reject is reported as corrupt too.
+checksum before touching any payload, then that the header is a JSON
+object with integer ``d`` and ``n_transforms``, an object ``config`` and a
+numeric ``clip_bound``, then checks the shapes of the grid key tables, tree
+arrays and regressor arrays against ``d`` and the cell counts; a payload
+the model classes reject (a repeated grid key, say) is reported as corrupt
+too.
 
 A member is its partition block then its regressor block.  A grid block
 holds the transform and the ``(n_cells, d)`` key table; a tree block holds
@@ -45,6 +48,10 @@ _CHECKSUM_BYTES = 32
 
 _DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64)}
 _TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
+
+# header fields the loader reads, with the JSON types they must have
+_HEADER_FIELDS = {"d": (int,), "n_transforms": (int,), "config": (dict,),
+                  "clip_bound": (float, int)}
 
 _PARTITION_GRID = 0
 _PARTITION_TREE = 1
@@ -268,7 +275,17 @@ def _verify(data: bytes) -> dict:
         raise DataError("model file corrupt: checksum mismatch")
     header_len = struct.unpack_from("<Q", data, len(MAGIC) + 4)[0]
     start = len(MAGIC) + 4 + 8
-    header = json.loads(data[start : start + header_len].decode())
+    try:
+        header = json.loads(data[start : start + header_len].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"model file corrupt: header is not JSON ({exc})") from exc
+    _require(isinstance(header, dict), "header is not a JSON object")
+    for key, kinds in _HEADER_FIELDS.items():
+        value = header.get(key)
+        _require(isinstance(value, kinds) and not isinstance(value, bool),
+                 f"header field {key!r} is missing or not {kinds[0].__name__}")
+    _require(header["d"] >= 1 and header["n_transforms"] >= 1,
+             "header d and n_transforms must be >= 1")
     header["_payload_offset"] = start + header_len
     return header
 

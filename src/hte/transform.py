@@ -20,6 +20,7 @@ from .rng import standard_normal
 
 _ORTHO_TOL = 1e-10
 _BOUND_SLACK = 1e-9  # relative slack on 1/s_i vs the bin-width bounds
+_KEY_LIMIT = 2.0**62  # bin keys are clipped to +-this; exact in float64 and int64
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,13 @@ def apply_transform(transform: HistogramTransform, x: np.ndarray) -> np.ndarray:
 
 
 def bin_key(transform: HistogramTransform, x: np.ndarray) -> np.ndarray:
-    """Integer bin key: component-wise floor of H(x), rounding toward -inf."""
-    return np.floor(apply_transform(transform, x)).astype(np.int64)
+    """Integer bin key: component-wise floor of H(x), rounding toward -inf.
+
+    Components are clipped to +-2**62 before the int64 cast, so a huge but
+    finite input gets a defined key instead of a platform-dependent one.
+    """
+    floored = np.floor(apply_transform(transform, x))
+    return np.clip(floored, -_KEY_LIMIT, _KEY_LIMIT).astype(np.int64)
 
 
 def cell_volume(transform: HistogramTransform) -> float:

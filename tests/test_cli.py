@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +21,10 @@ def _write_sin_csv(path, n=300, seed=4):
         for xi, yi in zip(ds.X[:, 0], ds.y):
             writer.writerow([repr(float(xi)), repr(float(yi))])
     return ds
+
+
+def _dump(header: dict) -> bytes:
+    return json.dumps(header).encode()
 
 
 def _write_config(path, **kv):
@@ -191,6 +197,32 @@ class TestPredict:
         code = main(["predict", "--model", str(out), "--data", sin_csv])
         assert code == 2
         assert "model file corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(lambda h: b"{not json", "header is not JSON", id="not-json"),
+        pytest.param(lambda h: b"\xff\xfe", "header is not JSON", id="not-utf8"),
+        pytest.param(lambda h: b"[1, 2]", "header is not a JSON object", id="list"),
+        *[pytest.param(lambda h, k=key: _dump({f: v for f, v in h.items() if f != k}),
+                       f"header field '{key}' is missing", id=f"no-{key}")
+          for key in ("d", "n_transforms", "config", "clip_bound")],
+        *[pytest.param(lambda h, k=key, v=value: _dump({**h, k: v}),
+                       f"header field '{key}'", id=f"{key}={value!r}")
+          for key, value in (("d", "1"), ("d", True), ("n_transforms", 2.0),
+                             ("config", []), ("clip_bound", "big"))],
+        pytest.param(lambda h: _dump({**h, "n_transforms": 0}),
+                     "header d and n_transforms must be >= 1", id="n_transforms=0"),
+    ])
+    def test_bad_header_exits_2(self, tmp_path, sin_csv, capsys, edit, named):
+        path = self._trained(tmp_path, sin_csv)
+        blob = path.read_bytes()[:-32]
+        size = struct.unpack_from("<Q", blob, 8)[0]
+        header = edit(json.loads(blob[16:16 + size]))
+        payload = blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + size:]
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        capsys.readouterr()  # discard the train summary
+        code = main(["predict", "--model", str(path), "--data", sin_csv])
+        assert code == 2
+        assert f"model file corrupt: {named}" in capsys.readouterr().err
 
     def test_features_only_file_predicts_without_mse(self, tmp_path, sin_csv, capsys):
         model_path = self._trained(tmp_path, sin_csv)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestEnsemblePrediction:
         for fn in (predict, predict_members):
             with pytest.raises(DataError, match="query row 2 has a non-finite feature"):
                 fn(model, X)
+
+    def test_huge_finite_queries_get_the_fallback_without_warnings(self):
+        ds = gen_counter3d(300, seed=9)
+        model = train_ensemble(ds, TrainConfig(n_transforms=2, fallback="global_mean"))
+        X = np.array([[1e30, 1e30, 1e30], [-1e30, -1e30, -1e30], [1e30, 0.0, -1e30]])
+        fallbacks = np.array([[m.model.fallback] for m in model.members])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            per_member = predict_members(model, X)
+        np.testing.assert_array_equal(
+            per_member, np.repeat(model.standardizer.inverse_target(fallbacks), 3, axis=1))
 
     def test_unseen_cells_fall_back_to_zero(self):
         ds = gen_sin16(200, seed=7)

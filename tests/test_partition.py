@@ -21,6 +21,36 @@ def _identity_1d():
     return HistogramTransform(np.eye(1), np.ones(1), np.zeros(1), 1.0, 1.0)
 
 
+def _identity(d):
+    """A transform whose bin key of a row is its floor."""
+    return HistogramTransform(np.eye(d), np.ones(d), np.zeros(d), 1.0, 1.0)
+
+
+def _dict_cells(table, keys):
+    """Reference lookup: the cell id of each key row, or -1."""
+    cell_of = {tuple(key): cid for cid, key in enumerate(table.tolist())}
+    return [cell_of.get(tuple(key), -1) for key in keys.tolist()]
+
+
+# key tables whose box needs from 0 up to 480 bits: 12 axes of 2**40 each
+@st.composite
+def _key_rows(draw):
+    d = draw(st.integers(1, 12))
+    spans = np.array(draw(st.lists(st.sampled_from([1, 4, 2**6, 2**40]),
+                                   min_size=d, max_size=d)), dtype=np.int64)
+    lo = np.array(draw(st.lists(st.integers(-2**41, 2**41), min_size=d, max_size=d)),
+                  dtype=np.int64)
+    n = draw(st.integers(1, 30))
+    raw = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 2**40 - 1),
+                          fill=st.nothing()))
+    # repeat some rows, so shared keys occur at every span; the two corners
+    # make the box of the rows exactly lo + [0, spans)
+    repeats = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n - 1)))
+    corners = np.vstack([np.zeros(d, dtype=np.int64), spans - 1])
+    rows = np.vstack([raw, corners, raw[repeats]]) % spans
+    return lo + rows[draw(st.permutations(range(len(rows))))], lo, spans
+
+
 class TestBuildGrid:
     def test_single_row(self):
         grid, cells = build_grid(_identity_1d(), np.array([[0.4]]))
@@ -42,6 +72,19 @@ class TestBuildGrid:
         X = np.array([[2.5], [0.5], [2.7], [1.5]])
         _, cells = build_grid(_identity_1d(), X)
         np.testing.assert_array_equal(cells, [0, 1, 0, 2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_key_rows())
+    def test_numbering_matches_unique_rows_in_first_occurrence_order(self, rows):
+        keys, _, _ = rows
+        grid, cells = build_grid(_identity(keys.shape[1]), keys + 0.5)
+
+        uniq, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        rank = np.argsort(order)
+        np.testing.assert_array_equal(grid.keys, uniq[order])
+        np.testing.assert_array_equal(cells, rank[inverse.ravel()])
 
     def test_every_point_assigned_and_ids_dense(self):
         t = sample_transform(3, 0.2, 0.9, philox_generator(3))
@@ -84,6 +127,52 @@ class TestAssignGrid:
         expected = [table.get(tuple(key), -1) for key in bin_key(t, queries).tolist()]
         np.testing.assert_array_equal(assign_many(rebuilt, queries), expected)
         assert expected[-1] == -1
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_key_rows(), data=st.data())
+    def test_lookup_matches_a_dict_on_narrow_and_wide_boxes(self, rows, data):
+        keys, lo, spans = rows
+        d = keys.shape[1]
+        grid, _ = build_grid(_identity(d), keys + 0.5)
+        table = grid.keys
+        rebuilt = GridPartition(grid.transform, table.copy())  # the load path
+
+        # in-box keys, mostly misses; out-of-box keys one past either bound;
+        # keys at the +-2**62 limit of bin_key
+        raw = data.draw(hnp.arrays(np.int64, (10, d), elements=st.integers(0, 2**40 - 1),
+                                   fill=st.nothing()))
+        in_box = lo + raw % spans
+        axis = data.draw(st.integers(0, d - 1))
+        below, above = table.copy(), table.copy()
+        below[:, axis] = table[:, axis].min() - 1
+        above[:, axis] = table[:, axis].max() + 1
+        queries = np.vstack([table, in_box, below, above])
+        expected = _dict_cells(table, queries)
+        np.testing.assert_array_equal(assign_many(rebuilt, queries + 0.5), expected)
+        assert expected[:len(table)] == list(range(len(table)))
+        assert expected[-2 * len(table):] == [-1] * (2 * len(table))
+
+        huge = np.vstack([np.full(d, 1e30), np.full(d, -1e30)])
+        np.testing.assert_array_equal(assign_many(rebuilt, huge), [-1, -1])
+
+    @pytest.mark.parametrize("spans", [[2**6] * 12, [2**40, 2**40, 1]])
+    def test_wide_box_falls_back_to_row_items(self, spans):
+        d = len(spans)
+        raw = philox_generator(51).integers(0, 2**40, size=(200, d))
+        keys = raw % np.array(spans)
+        keys[0], keys[-1] = 0, np.array(spans) - 1  # the box spans every axis in full
+        grid, cells = build_grid(_identity(d), keys + 0.5)
+        assert grid._strides is None  # 2**72 and 2**80 codes: no int64 index
+        np.testing.assert_array_equal(cells, _dict_cells(grid.keys, keys))
+        misses = keys[:20].copy()
+        misses[:, 0] = (misses[:, 0] + 1) % spans[0]
+        queries = np.vstack([keys, misses])
+        np.testing.assert_array_equal(assign_many(grid, queries + 0.5),
+                                      _dict_cells(grid.keys, queries))
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="repeats a key"):
+            GridPartition(_identity(2), np.array([[0, 1], [2, 3], [0, 1]]))
 
     def test_sharing_iff_equal_keys(self):
         t = sample_transform(2, 0.25, 0.8, philox_generator(11))

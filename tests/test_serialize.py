@@ -177,6 +177,15 @@ def test_grid_key_table_width_checked():
         deserialize_model(serialize_model(model))
 
 
+def test_grid_repeated_key_is_corrupt():
+    model, member = _kernel_grid_member()
+    keys = member.partition.keys.copy()
+    keys[1] = keys[0]  # cell 1's bin would become a miss
+    member.partition.keys = keys
+    with pytest.raises(DataError, match="corrupt: grid key table repeats a key"):
+        deserialize_model(serialize_model(model))
+
+
 def test_kernel_means_length_checked():
     model, member = _kernel_grid_member()
     member.model.means = member.model.means[:-1]
