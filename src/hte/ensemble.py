@@ -23,7 +23,8 @@ import numpy as np
 
 from .data import Dataset, Standardizer, default_scale, fit_standardizer
 from .errors import ConfigError, DataError, TrainingError
-from .local_models import ConstantModel, KernelCellModel, fit_constant, fit_kernel_cell
+from .local_models import ConstantModel, KernelCellModel, fit_constant, fit_kernel_cells
+from .local_models import fit_kernel_cell  # noqa: F401  (benchmarks/perf.py traces it here)
 from .partition import AdaptiveTree, GridPartition, assign_many, build_adaptive, build_grid
 from .rng import STREAM_CANDIDATE0, STREAM_ROTATION, STREAM_SPLIT, member_generator
 from .transform import HistogramTransform, sample_rotation, sample_stretch
@@ -193,18 +194,17 @@ def _fit_cells(
     starts = np.concatenate(([0], np.cumsum(counts)))
     is_kernel = counts >= config.k_min
     offsets = np.concatenate(([0], np.cumsum(np.where(is_kernel, counts, 0))))
-    alpha = np.empty(offsets[-1], dtype=np.float64)
+    support_rows = order[np.repeat(is_kernel, counts)]
+    support = X[support_rows]
+    alpha = fit_kernel_cells(
+        support, y[support_rows], counts[is_kernel], config.gamma, lambda2, n_fit
+    )
     means = np.zeros(n_cells, dtype=np.float64)
-    for cid in range(n_cells):
-        rows = order[starts[cid] : starts[cid + 1]]
-        if is_kernel[cid]:
-            _, cell_alpha = fit_kernel_cell(X[rows], y[rows], config.gamma, lambda2, n_fit)
-            alpha[offsets[cid] : offsets[cid + 1]] = cell_alpha
-        else:
-            means[cid] = y[rows].mean()
+    for cid in np.flatnonzero(~is_kernel):
+        means[cid] = y[order[starts[cid] : starts[cid + 1]]].mean()
     return KernelCellModel(
         offsets=offsets,
-        support=X[order[np.repeat(is_kernel, counts)]],
+        support=support,
         alpha=alpha,
         means=means,
         gamma=config.gamma,
@@ -333,13 +333,17 @@ def train_ensemble(
 def _member_matrix(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """Per-member predictions in standardized target units, shape (T, q).
 
-    Raises ``DataError`` naming the first query row with a NaN or inf.
+    Raises ``DataError`` naming the first query row that has a NaN or inf
+    or overflows to inf when standardized.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise DataError(f"query row {int(np.argmin(finite))} has a non-finite feature")
-    X_std = model.standardizer.transform(X)
+    with np.errstate(over="ignore"):
+        X_std = model.standardizer.transform(X)
+    if not np.isfinite(X_std).all():  # NaN and inf stay non-finite when standardized
+        row = int(np.argmin(np.isfinite(X_std).all(axis=1)))
+        finite_input = np.isfinite(X[row]).all()
+        problem = "overflows when standardized" if finite_input else "has a non-finite feature"
+        raise DataError(f"query row {row} {problem}")
     return np.vstack([member_predict(m, X_std) for m in model.members])
 
 

@@ -1,8 +1,12 @@
 """Dense SPD solves and Gaussian Gram matrices for the kernel cells.
 
 Cells are kept small by the partitioning step (adaptive trees split every
-separable cell of more than ``min_samples_split`` points), so a dense
-Cholesky factorization per cell is the whole computational story.  Failed
+separable cell of more than ``min_samples_split`` points), so a kernel
+member is thousands of tiny systems whose cost is per-call overhead, not
+flops.  Equal-size systems are therefore built and solved as stacks
+(``gaussian_gram_stack``, ``cholesky_solve_stack``: LAPACK ``potrf``/``potrs``
+called directly, residuals checked in one batched product).  A system that
+needs more goes to ``solve_spd``, the one jitter ladder: failed
 factorizations escalate a diagonal jitter proportional to the mean
 eigenvalue before giving up.
 """
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, IllConditionedError
@@ -34,7 +39,25 @@ class SpdSolveReport:
 
 def gaussian_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix K[a, b] = exp(-||x_a - x_b||^2 / gamma^2)."""
-    return gaussian_cross(X, X, gamma)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return gaussian_gram_stack(X[None], gamma)[0]
+
+
+def gaussian_gram_stack(P: np.ndarray, gamma: float) -> np.ndarray:
+    """Gram matrices of a ``(g, m, d)`` stack of point sets, shape ``(g, m, m)``.
+
+    Squared distances sum the per-dimension squares in dimension order, as
+    ``cdist``'s ``sqeuclidean`` does, so each slice equals
+    ``gaussian_cross(X, X, gamma)`` bit for bit.
+    """
+    if gamma <= 0:
+        raise ConfigError("gamma must be positive")
+    g, m, d = P.shape
+    d2 = np.zeros((g, m, m))
+    for k in range(d):
+        diff = P[:, :, None, k] - P[:, None, :, k]
+        d2 += np.multiply(diff, diff, out=diff)
+    return np.exp(-d2 / gamma**2)
 
 
 def gaussian_cross(Xa: np.ndarray, Xb: np.ndarray, gamma: float) -> np.ndarray:
@@ -45,6 +68,35 @@ def gaussian_cross(Xa: np.ndarray, Xb: np.ndarray, gamma: float) -> np.ndarray:
     Xb = np.atleast_2d(np.asarray(Xb, dtype=np.float64))
     d2 = cdist(Xa, Xb, "sqeuclidean")
     return np.exp(-d2 / gamma**2)
+
+
+def cholesky_solve_stack(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain Cholesky solves of ``A[i] x = B[i]``, no jitter; returns ``(X, solved)``.
+
+    Where ``solved[i]`` holds, ``X[i]`` is bit-identical to
+    ``solve_spd(A[i], B[i]).solution``: the same LAPACK routines on the same
+    matrix, the same residual test.  Systems that are not finite, not
+    symmetric within 1e-10, not positive definite or miss the residual
+    tolerance are left unsolved for ``solve_spd`` and its jitter ladder.
+    """
+    # a system that overflows here is only "not solved"; solve_spd reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
+        solved &= np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2)) <= _SYM_TOL
+        X = np.zeros_like(B)
+        for i in np.flatnonzero(solved):
+            factor, info = dpotrf(A[i], lower=1, clean=0)
+            if info == 0:
+                X[i], info = dpotrs(factor, B[i], lower=1)
+            solved[i] = info == 0
+        # batched `A @ x` and `norm`: per slice, the same BLAS calls solve_spd makes
+        idx = np.flatnonzero(solved)
+        r = np.matmul(A[idx], X[idx, :, None])[:, :, 0] - B[idx]
+        residual = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+        b = B[idx]
+        b_norm = np.sqrt(np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0])
+    solved[idx] = residual <= _RESIDUAL_TOL * b_norm  # solve_spd's test; 0 <= 0 covers b = 0
+    return X, solved
 
 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:

@@ -8,6 +8,12 @@ own norm penalty, so the per-cell normal equations scale the ridge by the
 global count, not the cell count).  Predictions are clipped to
 ``[-clip_bound, clip_bound]``, which can never increase squared-error risk
 when the targets themselves lie in that interval.
+
+Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
+equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
+memory stays bounded however many cells share a size, and sends a cell the
+plain Cholesky solve rejects to ``solve_spd``'s jitter ladder.  Every cell
+gets the solution it would get fitted alone.
 """
 
 from __future__ import annotations
@@ -17,9 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import gaussian_cross, gaussian_gram, solve_spd
+from .linalg import cholesky_solve_stack, gaussian_cross, gaussian_gram_stack, solve_spd
+from .linalg import gaussian_gram  # noqa: F401  (benchmarks/perf.py traces it here)
 
 NO_CELL = -1
+
+# Most Gram-matrix entries built at once (8 MiB of float64).  A size group
+# with more is fit in chunks; a single larger cell is one chunk of its own.
+_STACK_ENTRIES = 2**20
 
 
 @dataclass
@@ -113,6 +124,43 @@ def fit_constant(
     return ConstantModel(values=values, fallback=fallback)
 
 
+def fit_kernel_cells(
+    support: np.ndarray, y_support: np.ndarray, sizes: np.ndarray,
+    gamma: float, lambda2: float, n_global: int,
+) -> np.ndarray:
+    """Solve every kernel cell's ridge system; returns alpha in row order.
+
+    The cells are consecutive runs of ``sizes[c]`` rows of ``support`` and
+    ``y_support``.  Cells of equal size m are stacked, at most
+    ``_STACK_ENTRIES`` Gram entries (and at least one cell) at a time: a
+    ``(g, m, m)`` Gram stack, ``n_global * lambda2`` added to each diagonal,
+    plain Cholesky solves.  A cell those reject goes to ``solve_spd`` with
+    the same matrix, so its result, escalations and errors are those of
+    ``fit_kernel_cell`` on that cell alone.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes < 1).any() or sizes.sum() != len(support) or len(support) != len(y_support):
+        raise ConfigError("cell sizes must be positive and cover the support rows")
+    starts = np.cumsum(sizes) - sizes
+    alpha = np.empty(len(y_support), dtype=np.float64)
+    by_size = np.argsort(sizes, kind="stable")
+    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        if len(group) == 0:  # no kernel cells at all
+            continue
+        m = int(sizes[group[0]])
+        step = max(1, _STACK_ENTRIES // (m * m))
+        for first in range(0, len(group), step):
+            rows = starts[group[first : first + step], None] + np.arange(m)
+            K = gaussian_gram_stack(support[rows], gamma)
+            K.reshape(len(rows), m * m)[:, :: m + 1] += n_global * lambda2
+            y = y_support[rows]
+            cell_alpha, solved = cholesky_solve_stack(K, y)
+            for i in np.flatnonzero(~solved):
+                cell_alpha[i] = solve_spd(K[i], y[i]).solution
+            alpha[rows] = cell_alpha
+    return alpha
+
+
 def fit_kernel_cell(
     X_cell: np.ndarray,
     y_cell: np.ndarray,
@@ -125,6 +173,7 @@ def fit_kernel_cell(
     alpha solves (K + n_global * lambda2 * I) alpha = y_cell with K the
     Gaussian Gram matrix of the cell's points, the representer-theorem
     minimizer of lambda2 * ||f||^2 + (1/n_global) * sum of squared errors.
+    It is ``fit_kernel_cells`` on a one-cell layout.
     """
     X_cell = np.atleast_2d(np.asarray(X_cell, dtype=np.float64))
     y_cell = np.asarray(y_cell, dtype=np.float64)
@@ -134,7 +183,5 @@ def fit_kernel_cell(
         raise ConfigError("gamma and lambda2 must be positive")
     if n_global < len(y_cell):
         raise ConfigError("global sample count smaller than the cell count")
-    K = gaussian_gram(X_cell, gamma)
-    K[np.diag_indices_from(K)] += n_global * lambda2
-    report = solve_spd(K, y_cell)
-    return X_cell.copy(), report.solution
+    alpha = fit_kernel_cells(X_cell, y_cell, [len(y_cell)], gamma, lambda2, n_global)
+    return X_cell.copy(), alpha

@@ -286,6 +286,7 @@ def _verify(data: bytes) -> dict:
                  f"header field {key!r} is missing or not {kinds[0].__name__}")
     _require(header["d"] >= 1 and header["n_transforms"] >= 1,
              "header d and n_transforms must be >= 1")
+    _require(isinstance(header.get("data", {}), dict), "header field 'data' is not an object")
     header["_payload_offset"] = start + header_len
     return header
 

@@ -208,7 +208,7 @@ class TestPredict:
         *[pytest.param(lambda h, k=key, v=value: _dump({**h, k: v}),
                        f"header field '{key}'", id=f"{key}={value!r}")
           for key, value in (("d", "1"), ("d", True), ("n_transforms", 2.0),
-                             ("config", []), ("clip_bound", "big"))],
+                             ("config", []), ("clip_bound", "big"), ("data", [1, 2]))],
         pytest.param(lambda h: _dump({**h, "n_transforms": 0}),
                      "header d and n_transforms must be >= 1", id="n_transforms=0"),
     ])

@@ -131,6 +131,20 @@ class TestEnsemblePrediction:
             with pytest.raises(DataError, match="query row 2 has a non-finite feature"):
                 fn(model, X)
 
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_query_overflowing_when_standardized_rejected(self, partition):
+        ds = gen_counter3d(500, seed=1)
+        model = train_ensemble(ds, TrainConfig(partition=partition, n_transforms=2,
+                                               min_samples_split=40))
+        assert (model.standardizer.std < 1.0).all()  # 1e308 / std overflows
+        X = np.zeros((3, 3))
+        X[1] = 1e308
+        for fn in (predict, predict_members):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="query row 1 overflows when standardized"):
+                    fn(model, X)
+
     def test_huge_finite_queries_get_the_fallback_without_warnings(self):
         ds = gen_counter3d(300, seed=9)
         model = train_ensemble(ds, TrainConfig(n_transforms=2, fallback="global_mean"))

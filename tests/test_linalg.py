@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hte.errors import ConfigError, IllConditionedError
-from hte.linalg import gaussian_cross, gaussian_gram, solve_spd
+from hte.linalg import (
+    cholesky_solve_stack,
+    gaussian_cross,
+    gaussian_gram,
+    gaussian_gram_stack,
+    solve_spd,
+)
 from hte.rng import philox_generator
 
 
@@ -37,6 +45,47 @@ class TestGaussianGram:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ConfigError):
             gaussian_gram(np.zeros((2, 1)), gamma=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=st.integers(1, 3), m=st.integers(1, 30), d=st.integers(1, 19),
+           gamma=st.floats(0.05, 20.0), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gram_equals_cross_kernel_bitwise(self, g, m, d, gamma, scale, seed):
+        P = philox_generator(seed).normal(size=(g, m, d)) * scale
+        stack = gaussian_gram_stack(P, gamma)
+        for X, K in zip(P, stack):
+            cross = gaussian_cross(X, X, gamma).tobytes()
+            assert K.tobytes() == cross
+            assert gaussian_gram(X, gamma).tobytes() == cross
+
+
+class TestCholeskySolveStack:
+    def test_solved_systems_equal_solve_spd_bitwise(self):
+        rng = philox_generator(8)
+        M = rng.normal(size=(6, 12, 12))
+        A = M @ M.transpose(0, 2, 1) + 12 * np.eye(12)
+        A = (A + A.transpose(0, 2, 1)) / 2.0
+        B = rng.normal(size=(6, 12))
+        X, solved = cholesky_solve_stack(A, B)
+        assert solved.all()
+        for i in range(6):
+            assert X[i].tobytes() == solve_spd(A[i], B[i]).solution.tobytes()
+
+    def test_systems_needing_the_ladder_are_left_unsolved(self):
+        A = np.stack([np.eye(2)] * 5)
+        A[1] = [[1.0, 1.0], [1.0, 1.0]]  # singular: not positive definite
+        A[2, 0, 1] = 1e-9  # not symmetric within 1e-10, though its residual would pass
+        A[3, 1, 1] = np.inf  # not finite
+        B = np.ones((5, 2))
+        B[4, 0] = np.nan  # non-finite right-hand side
+        X, solved = cholesky_solve_stack(A, B)
+        assert solved.tolist() == [True, False, False, False, False]
+        np.testing.assert_array_equal(X[0], [1.0, 1.0])
+
+    def test_zero_right_hand_side_is_solved(self):
+        X, solved = cholesky_solve_stack(np.stack([2.0 * np.eye(3)]), np.zeros((1, 3)))
+        assert solved.all()
+        np.testing.assert_array_equal(X, np.zeros((1, 3)))
 
 
 class TestSolveSpd:

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hte.errors import ConfigError
-from hte.linalg import gaussian_gram
+import hte.local_models
+from hte.errors import ConfigError, IllConditionedError
+from hte.linalg import gaussian_cross, gaussian_gram, solve_spd
 from hte.local_models import (
+    _STACK_ENTRIES,
     NO_CELL,
     ConstantModel,
     KernelCellModel,
     fit_constant,
     fit_kernel_cell,
+    fit_kernel_cells,
 )
 from hte.rng import philox_generator
 
@@ -116,6 +121,98 @@ class TestFitKernelCell:
             fit_kernel_cell(np.array([[0.0]]), np.array([1.0]), -1.0, 0.1, 1)
         with pytest.raises(ConfigError):
             fit_kernel_cell(np.array([[0.0]]), np.array([1.0]), 1.0, 0.1, 0)
+
+
+def _cells_one_by_one(support, y, sizes, gamma, lambda2, n_global):
+    """Per-cell reference: cross-kernel Gram, ridge on the diagonal, solve_spd."""
+    alphas, escalations, start = [], 0, 0
+    for m in sizes:
+        X, y_cell = support[start : start + m], y[start : start + m]
+        K = gaussian_cross(X, X, gamma)
+        K[np.diag_indices_from(K)] += n_global * lambda2
+        report = solve_spd(K, y_cell)
+        alphas.append(report.solution)
+        escalations += report.escalations
+        start += m
+    return np.concatenate(alphas), escalations
+
+
+def _layout(seed, sizes, d, duplicate_share=0.0):
+    """Cells of the given sizes; some rows repeat an earlier row of their cell."""
+    rng = philox_generator(seed)
+    support = rng.normal(size=(sum(sizes), d))
+    start = 0
+    for m in sizes:
+        for row in range(start + 1, start + m):
+            if rng.uniform() < duplicate_share:
+                support[row] = support[start + int(rng.integers(0, row - start))]
+        start += m
+    return support, rng.normal(size=len(support))
+
+
+class TestFitKernelCells:
+    @settings(max_examples=60, deadline=None)
+    @given(distinct=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           repeats=st.integers(1, 4), d=st.integers(1, 8), gamma=st.floats(0.2, 4.0),
+           log_lambda2=st.floats(-12.0, 0.0), duplicate_share=st.floats(0.0, 0.6),
+           extra=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    def test_matches_cells_fitted_one_by_one(self, distinct, repeats, d, gamma, log_lambda2,
+                                             duplicate_share, extra, seed):
+        sizes = philox_generator(seed).permutation(distinct * repeats).tolist()
+        support, y = _layout(seed, sizes, d, duplicate_share)
+        lambda2, n_global = 10.0**log_lambda2, len(y) + extra
+        try:
+            expected, _ = _cells_one_by_one(support, y, sizes, gamma, lambda2, n_global)
+        except IllConditionedError:
+            with pytest.raises(IllConditionedError):
+                fit_kernel_cells(support, y, sizes, gamma, lambda2, n_global)
+            return
+        alpha = fit_kernel_cells(support, y, sizes, gamma, lambda2, n_global)
+        assert alpha.tobytes() == expected.tobytes()
+
+    def test_cells_on_the_jitter_ladder_match(self):
+        sizes = [6, 9, 6, 9, 6]
+        support, y = _layout(11, sizes, 2, duplicate_share=0.5)
+        expected, escalations = _cells_one_by_one(support, y, sizes, 1.0, 1e-12, 36)
+        assert escalations > 0  # duplicated rows leave the ridge alone on a null space
+        alpha = fit_kernel_cells(support, y, sizes, 1.0, 1e-12, 36)
+        assert alpha.tobytes() == expected.tobytes()
+
+    def test_exhausted_ladder_raises(self):
+        # a negative ridge makes every system indefinite at every jitter step
+        support, y = _layout(12, [3, 5], 2)
+        with pytest.raises(IllConditionedError):
+            _cells_one_by_one(support, y, [3, 5], 0.1, -0.25, 8)
+        with pytest.raises(IllConditionedError):
+            fit_kernel_cells(support, y, [3, 5], 0.1, -0.25, 8)
+
+    @pytest.mark.parametrize("m", [32, 1025])
+    def test_size_group_beyond_the_stack_budget(self, monkeypatch, m):
+        n_cells = _STACK_ENTRIES // (m * m) + 3
+        sizes = [m] * n_cells
+        support, y = _layout(13, sizes, 2)
+        stacks, build = [], hte.local_models.gaussian_gram_stack
+
+        def recording(P, gamma):
+            stacks.append(P.shape[0])
+            return build(P, gamma)
+
+        monkeypatch.setattr(hte.local_models, "gaussian_gram_stack", recording)
+        alpha = fit_kernel_cells(support, y, sizes, 0.7, 1e-3, len(y))
+        assert len(stacks) > 1 and sum(stacks) == n_cells
+        assert max(stacks) * m * m <= max(_STACK_ENTRIES, m * m)
+        expected, _ = _cells_one_by_one(support, y, sizes, 0.7, 1e-3, len(y))
+        assert alpha.tobytes() == expected.tobytes()
+
+    def test_no_cells(self):
+        alpha = fit_kernel_cells(np.empty((0, 2)), np.empty(0), [], 1.0, 0.1, 5)
+        assert alpha.shape == (0,)
+
+    def test_rejects_inconsistent_layout(self):
+        with pytest.raises(ConfigError):
+            fit_kernel_cells(np.zeros((3, 1)), np.zeros(3), [2, 2], 1.0, 0.1, 3)
+        with pytest.raises(ConfigError):
+            fit_kernel_cells(np.zeros((3, 1)), np.zeros(3), [3, 0], 1.0, 0.1, 3)
 
 
 class TestPredict:
