@@ -8,7 +8,6 @@ Flag values override config-file keys, which override built-in defaults.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -173,16 +172,17 @@ def _cmd_predict(args) -> int:
             f"feature dimension mismatch: model expects d={model.d}, data has d={X.shape[1]}",
         )
 
-    preds = predict(model, X)
-    out_stream = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        writer = csv.writer(out_stream)
-        writer.writerow(["prediction"])
-        for value in preds:
-            writer.writerow([repr(float(value))])
-    finally:
-        if args.out:
-            out_stream.close()
+        preds = predict(model, X)
+    except DataError as exc:  # a query row that overflows when standardized or transformed
+        return _fail(EXIT_DATA, str(exc))
+    # what csv.writer writes: CRLF line ends, and a float repr never needs quoting
+    text = "\r\n".join(["prediction", *map(repr, preds.tolist())]) + "\r\n"
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     if y is not None:
         score = mse(preds, y)
         print(json.dumps({"mse": score}) if args.json else f"mse={score!r}")

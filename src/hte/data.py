@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -114,10 +115,58 @@ def read_matrix(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
     """Parse a numeric CSV into a float64 matrix and its header (if any).
 
     Blank lines are skipped.  Any cell that does not parse as a finite
-    decimal number is a hard error reported with its 1-based row and column.
+    decimal number is a hard error reported with its 1-based row and column;
+    so are text that is not UTF-8 and a cell longer than
+    ``csv.field_size_limit()``.
+
+    The file is read once.  Text with no ``"``, at least one data row and no
+    line longer than the field limit is first parsed by ``np.loadtxt``, and
+    that matrix is returned only if it has one row per non-empty line and
+    every value is finite: then it equals what the ``csv.reader`` loop
+    (``_parse_rows``) returns.  Anything else (a parse error, a ragged row,
+    a whitespace-only line, a quote, a non-finite value, ``1_0``) runs that
+    loop on the same text, which accepts or reports it as it always has.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    return _parse_fast(text, has_header) or _parse_rows(path, text, has_header)
+
+
+def _parse_fast(text: str, has_header: bool) -> tuple[np.ndarray, list[str] | None] | None:
+    """``np.loadtxt`` on quote-free text; None wherever ``_parse_rows`` might differ."""
+    if '"' in text:
+        return None
+    # without quotes a csv.reader row is one line split at commas, and its
+    # line ends are "\r\n", a lone "\r" and "\n"
+    lines = [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln]
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = None
+    if has_header:
+        header = [c.strip() for c in lines[0].split(",")]
+        lines = lines[1:]
+        if not lines:  # loadtxt warns on empty input
+            return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    # every non-empty line is a csv.reader row: a line loadtxt skipped would shift them
+    if len(values) != len(lines) or not np.isfinite(values).all():
+        return None
+    return values, header
+
+
+def _parse_rows(path, text: str, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
+    """The reference parser: ``csv.reader`` rows and one ``float()`` per cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     header: list[str] | None = None

@@ -9,6 +9,9 @@ called directly, residuals checked in one batched product).  A system that
 needs more goes to ``solve_spd``, the one jitter ladder: failed
 factorizations escalate a diagonal jitter proportional to the mean
 eigenvalue before giving up.
+
+SciPy is imported on first use, so that loading the package (and a
+prediction with per-cell means) does not pay for it.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, IllConditionedError
 
@@ -26,6 +26,16 @@ _SYM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
 _JITTER_START = 1e-12
 _JITTER_STOP = 1e-6
+
+
+def _cdist(XA, XB, metric):
+    """``scipy.spatial.distance.cdist``; the first call imports it and rebinds
+    this name to it, so the per-cell calls after it pay no import statement."""
+    global _cdist
+    from scipy.spatial.distance import cdist
+
+    _cdist = cdist
+    return cdist(XA, XB, metric)
 
 
 @dataclass
@@ -66,7 +76,7 @@ def gaussian_cross(Xa: np.ndarray, Xb: np.ndarray, gamma: float) -> np.ndarray:
         raise ConfigError("gamma must be positive")
     Xa = np.atleast_2d(np.asarray(Xa, dtype=np.float64))
     Xb = np.atleast_2d(np.asarray(Xb, dtype=np.float64))
-    d2 = cdist(Xa, Xb, "sqeuclidean")
+    d2 = _cdist(Xa, Xb, "sqeuclidean")
     return np.exp(-d2 / gamma**2)
 
 
@@ -79,6 +89,8 @@ def cholesky_solve_stack(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.n
     symmetric within 1e-10, not positive definite or miss the residual
     tolerance are left unsolved for ``solve_spd`` and its jitter ladder.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     # a system that overflows here is only "not solved"; solve_spd reports it
     with np.errstate(over="ignore", invalid="ignore"):
         solved = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
@@ -106,6 +118,8 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:
     eps * trace(A)/n to the diagonal with eps stepping 1e-12 -> 1e-6 by
     factors of 10.  Raises IllConditionedError once the ladder is exhausted.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n = A.shape[0]

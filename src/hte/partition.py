@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .transform import HistogramTransform, bin_key
+from .transform import HistogramTransform, bin_key, check_finite_image
 
 _NO_CELL = -1
 
@@ -161,9 +161,10 @@ def build_grid(
 
 
 def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # einsum raises no floating-point warning when a finite row overflows
     if X.ndim == 1:
-        return np.einsum("ij,j->i", rotation, X)
-    return np.einsum("ij,nj->ni", rotation, X)
+        return check_finite_image(np.einsum("ij,j->i", rotation, X))
+    return check_finite_image(np.einsum("ij,nj->ni", rotation, X))
 
 
 def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> AdaptiveTree:

@@ -14,7 +14,6 @@ recorded in serialized models ("philox4x64" / "inverse_cdf").
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 MASK64 = (1 << 64) - 1
 
@@ -72,5 +71,7 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     argument to ndtri is strictly inside (0, 1) and the output is always
     finite.
     """
+    from scipy.special import ndtri  # imported on first use: loading SciPy is slow
+
     u = (rng.integers(0, 1 << 53, size=size, dtype=np.int64) + 0.5) * 2.0**-53
     return ndtri(u)

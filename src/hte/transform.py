@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .rng import standard_normal
 
 _ORTHO_TOL = 1e-10
@@ -156,9 +156,24 @@ def bin_key(transform: HistogramTransform, x: np.ndarray) -> np.ndarray:
 
     Components are clipped to +-2**62 before the int64 cast, so a huge but
     finite input gets a defined key instead of a platform-dependent one.
+    An image that is not finite (a finite input can overflow in R S x) is a
+    ``DataError`` naming its row.
     """
-    floored = np.floor(apply_transform(transform, x))
-    return np.clip(floored, -_KEY_LIMIT, _KEY_LIMIT).astype(np.int64)
+    with np.errstate(over="ignore"):
+        image = check_finite_image(apply_transform(transform, x))
+    # in place: a second live (n, d) temporary costs fresh pages on every call
+    np.floor(image, out=image)
+    return np.clip(image, -_KEY_LIMIT, _KEY_LIMIT, out=image).astype(np.int64)
+
+
+def check_finite_image(image: np.ndarray) -> np.ndarray:
+    """A transformed or rotated batch as it is; ``DataError`` naming its first
+    row that is not finite."""
+    # min and max propagate NaN and allocate no (n, d) mask on the good path
+    if image.size and not (np.isfinite(image.min()) and np.isfinite(image.max())):
+        row = int(np.argmin(np.isfinite(np.atleast_2d(image)).all(axis=1)))
+        raise DataError(f"row {row} overflows in the histogram transform")
+    return image
 
 
 def cell_volume(transform: HistogramTransform) -> float:

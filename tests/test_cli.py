@@ -1,11 +1,17 @@
 import csv
 import hashlib
+import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hte.cli
 from hte.cli import main
 from hte.data import gen_sin16, load_csv
 from hte.ensemble import predict as lib_predict
@@ -224,6 +230,46 @@ class TestPredict:
         assert code == 2
         assert f"model file corrupt: {named}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_output_bytes_equal_csv_writer(self, tmp_path, sin_csv, capsysbinary,
+                                          monkeypatch, to_file):
+        model_path = self._trained(tmp_path, sin_csv)
+        values = [-1.5, 5e-324, -2.225e-310, 0.1 + 0.2, -123456.78901234567, 1e300, 0.0]
+        bare = tmp_path / "bare.csv"
+        bare.write_text("x\n" + "0.5\n" * len(values))
+        monkeypatch.setattr(hte.cli, "predict", lambda model, X: np.array(values))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["prediction"])
+        for value in values:
+            writer.writerow([repr(float(value))])
+        expected = expected.getvalue().encode()
+        assert b"\r\n5e-324\r\n" in expected and b"0.30000000000000004" in expected
+        capsysbinary.readouterr()  # discard the train summary
+        out = tmp_path / "preds.csv"
+        args = ["predict", "--model", str(model_path), "--data", str(bare)]
+        assert main(args + (["--out", str(out)] if to_file else [])) == 0
+        written = out.read_bytes() if to_file else capsysbinary.readouterr().out
+        assert written == expected
+
+    def test_quoted_crlf_file_predicts_like_the_plain_file(self, tmp_path, sin_csv):
+        model_path = self._trained(tmp_path, sin_csv)
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        plain.write_text("x\n0.25\n10\n0.5\n")
+        odd.write_bytes(b'"x"\r\n"0.25"\r\n1_0\r\n 0.5\r\n')
+        for path in (plain, odd):
+            assert main(["predict", "--model", str(model_path), "--data", str(path),
+                         "--out", str(path) + ".out"]) == 0
+        assert (tmp_path / "odd.csv.out").read_bytes() == (tmp_path / "plain.csv.out").read_bytes()
+
+    def test_query_overflowing_when_standardized_exits_2(self, tmp_path, sin_csv, capsys):
+        model_path = self._trained(tmp_path, sin_csv)
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x\n0.5\n1e308\n")
+        capsys.readouterr()  # discard the train summary
+        assert main(["predict", "--model", str(model_path), "--data", str(huge)]) == 2
+        assert capsys.readouterr().err == "error: query row 1 overflows when standardized\n"
+
     def test_features_only_file_predicts_without_mse(self, tmp_path, sin_csv, capsys):
         model_path = self._trained(tmp_path, sin_csv)
         bare = tmp_path / "bare.csv"
@@ -232,6 +278,74 @@ class TestPredict:
         assert main(["predict", "--model", str(model_path), "--data", str(bare)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("prediction") and "mse" not in out
+
+
+class TestUnreadableCsv:
+    @pytest.fixture()
+    def model_path(self, tmp_path, sin_csv):
+        out = tmp_path / "model.hte"
+        assert main(["train", "--data", sin_csv, "--target", "y", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("body,named", [
+        (b"x,y\n0.5,1\n\xff,2\n", "not UTF-8 text"),
+        (b"x,y\n0." + b"0" * 131_072 + b"1,2\n", "line 2: field larger than field limit"),
+    ], ids=["undecodable", "over-long"])
+    def test_exits_2_with_an_error_line(self, tmp_path, model_path, capsys, command,
+                                       body, named):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        capsys.readouterr()  # discard the train summary
+        if command == "train":
+            args = ["train", "--data", str(bad), "--target", "y",
+                    "--out", str(tmp_path / "m2.hte")]
+        else:
+            args = ["predict", "--model", str(model_path), "--data", str(bad)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and named in err
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this hte; return its stdout."""
+    src = str(Path(hte.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        assert _fresh_python(f"import sys, hte.cli; print({_SCIPY_LOADED})") == "[]\n"
+
+    def test_nht_predict_loads_no_scipy(self, tmp_path, sin_csv):
+        model = tmp_path / "model.hte"
+        assert main(["train", "--data", sin_csv, "--target", "y", "--out", str(model)]) == 0
+        out = tmp_path / "preds.csv"
+        args = ["predict", "--model", str(model), "--data", sin_csv, "--out", str(out)]
+        printed = _fresh_python(
+            f"import sys; from hte.cli import main; code = main({args!r}); "
+            f"print(code, {_SCIPY_LOADED})"
+        )
+        assert printed.splitlines()[-1] == "0 []"
+        assert out.read_bytes().startswith(b"prediction\r\n")
+
+    def test_kht_train_loads_scipy_on_first_use(self, tmp_path, sin_csv):
+        cfg = _write_config(tmp_path / "cfg.json", mode="kht", n_transforms=2, target="y")
+        model = tmp_path / "model.hte"
+        args = ["train", "--config", cfg, "--data", sin_csv, "--out", str(model)]
+        printed = _fresh_python(
+            f"import sys; from hte.cli import main; code = main({args!r}); "
+            f"print(code, 'scipy.linalg' in sys.modules)"
+        )
+        assert printed.splitlines()[-1] == "0 True"
+        assert load_model(model).members[0].model.alpha.size > 0
 
 
 class TestBenchAndStudy:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hte.data import (
     Dataset,
@@ -11,7 +13,10 @@ from hte.data import (
     fit_standardizer,
     gen_counter3d,
     gen_sin16,
+    _parse_fast,
+    _parse_rows,
     load_csv,
+    read_matrix,
     sin16_truth,
     split_dataset,
 )
@@ -92,6 +97,128 @@ class TestLoadCsv:
         path.write_text("1,2\n")
         with pytest.raises(ConfigError):
             load_csv(path, target="t", has_header=False)
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.6e}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["+.5", "-0", "1E5", "-1.5e+3", "5e-324", "1e-310", "0.1"]),
+)
+# spellings that csv.reader, float() or np.loadtxt each treat in their own way
+_ODD_CELLS = st.sampled_from([
+    "nan", "NaN", "inf", "-inf", "Infinity", "1e400", "1_0", "#", "#1", "1#2", "", "x", "1 2",
+    "\u0663", "0x10", "\ufeff1", "1\x0c2", "3\u20284", '"1"', '" 2.5 "', '"1,5"', '"a""b"', '1"',
+])
+# str.splitlines() breaks lines at the last three, csv.reader does not
+_PADS = st.sampled_from(["", " ", "\t", "\xa0", "  ", "\x0c", "\x85", "\u2028"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text and whether it has a header; some cells and lines are odd."""
+    width = draw(st.integers(1, 4))
+    odd_share = draw(st.sampled_from([0, 0, 0, 1, 5]))  # tenths of the cells
+    endings = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
+    has_header = draw(st.booleans())
+    lines = []
+    if has_header != (draw(st.integers(0, 9)) == 0):  # a header line, or one in ten not
+        lines.append(",".join(draw(st.sampled_from(["a", " b ", "#c", '"d"', "e,f"]))
+                              for _ in range(width)))
+    messy = draw(st.booleans())  # whitespace-only lines, ragged rows, trailing commas
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:  # blank, or whitespace-only
+            lines.append(draw(st.sampled_from(["", " ", "\t"] if messy else [""])))
+            continue
+        ragged = messy and draw(st.integers(0, 9)) == 0
+        cells = width + (draw(st.sampled_from([-1, 1])) if ragged else 0)
+        row = []
+        for _ in range(max(cells, 1)):
+            odd = draw(st.integers(0, 9)) < odd_share
+            row.append(draw(_PADS) + draw(_ODD_CELLS if odd else _NUMBERS) + draw(_PADS))
+        lines.append(",".join(row) + ("," if messy and draw(st.integers(0, 9)) == 0 else ""))
+    text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, has_header
+
+
+def _outcome(parse):
+    """Header, shape and value bytes of a parse, or its error message."""
+    try:
+        values, header = parse()
+    except DataError as exc:
+        return "error", str(exc)
+    return header, values.shape, values.tobytes()
+
+
+class TestReadMatrix:
+    """read_matrix equals the csv.reader loop (_parse_rows) on every input."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_csv_texts())
+    def test_equals_the_row_loop(self, tmp_path_factory, case):
+        text, has_header = case
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(lambda: _parse_rows(path, text, has_header))
+        assert _outcome(lambda: read_matrix(path, has_header)) == expected
+        fast = _parse_fast(text, has_header)
+        if fast is not None:
+            assert _outcome(lambda: fast) == expected
+
+    @pytest.mark.parametrize("text,has_header", [
+        ("a,b\n1,2\n-3.5e-310,  4\t\n", True),
+        ("a,b\r\n1,2\r\n\r\n3,4\r\n", True),
+        ("1,2\r3,4\r", False),
+        ("0.1\n\n2\n", False),
+        ("#x\n1e5", True),
+    ])
+    def test_plain_files_take_the_loadtxt_path(self, text, has_header):
+        fast = _parse_fast(text, has_header)
+        assert fast is not None
+        assert _outcome(lambda: fast) == _outcome(lambda: _parse_rows("f", text, has_header))
+
+    @pytest.mark.parametrize("text", [
+        'a,b\n"1",2\n',  # quoted
+        "a,b\n1,2\n \n3,4\n",  # whitespace-only line
+        "a,b\n1_0,2\n",  # float() reads it, loadtxt does not
+        "a,b\n1,2#3\n",  # loadtxt would read a comment here without comments=None
+        "a\n1\x0c2\n",  # one cell to csv.reader, two lines to str.splitlines()
+        "a,b\n1,nan\n",  # non-finite
+        "a,b\n1,2\n3\n",  # ragged
+        "a,b\n",  # no data row: loadtxt would warn
+        "",
+    ])
+    def test_odd_files_defer_to_the_row_loop(self, text):
+        assert _parse_fast(text, has_header=True) is None
+
+    def test_quoted_crlf_and_underscore_cells_still_parse(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(b'"a",b\r\n"1.5", 1_0\r\n2,"-3"\r\n')
+        values, header = read_matrix(path, has_header=True)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(values, [[1.5, 10.0], [2.0, -3.0]])
+
+    def test_undecodable_text_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x\n0.5\n\xff\n")
+        with pytest.raises(DataError, match=r"latin1.csv: not UTF-8 text: .*0xff"):
+            read_matrix(path, has_header=True)
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_cell_over_the_field_limit_is_a_data_error(self, tmp_path, quoted):
+        path = tmp_path / "long.csv"
+        cell = "0." + "0" * 131_072 + "1"
+        path.write_text("x\n" + (f'"{cell}"' if quoted else cell) + "\n")
+        with pytest.raises(DataError, match=r"line 2: field larger than field limit"):
+            read_matrix(path, has_header=True)
+
+    def test_cell_at_the_field_limit_parses(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("0." + "0" * 131_069 + "1\n")  # 131,072 characters
+        values, _ = read_matrix(path, has_header=False)
+        assert values.tolist() == [[0.0]]
 
 
 class TestStandardizer:

@@ -145,6 +145,34 @@ class TestEnsemblePrediction:
                 with pytest.raises(DataError, match="query row 1 overflows when standardized"):
                     fn(model, X)
 
+    @pytest.mark.parametrize("partition,query", [
+        ("grid", [1e308, -1e308, 1e308]),  # overflows in the stretch S x
+        ("adaptive", [1.7e308, -1.7e308, 1.7e308]),  # overflows in the rotation R x
+    ])
+    def test_query_overflowing_in_the_transform_rejected(self, partition, query):
+        ds = gen_counter3d(500, seed=1)
+        model = train_ensemble(ds, TrainConfig(partition=partition, n_transforms=2,
+                                               min_samples_split=40,
+                                               standardize_features=False))
+        X = np.array([[0.5, 0.5, 0.5], query])
+        if partition == "adaptive":  # einsum overflows without a floating-point warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                rotated = [m.partition.rotation @ X[1] for m in model.members]
+            assert not np.isfinite(rotated).all()
+        for fn in (predict, predict_members):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError,
+                                   match="row 1 overflows in the histogram transform"):
+                    fn(model, X)
+
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_empty_query_gives_empty_predictions(self, partition):
+        model = train_ensemble(gen_counter3d(300, seed=2),
+                               TrainConfig(partition=partition, n_transforms=2,
+                                           min_samples_split=40))
+        assert predict(model, np.empty((0, 3))).shape == (0,)
+
     def test_huge_finite_queries_get_the_fallback_without_warnings(self):
         ds = gen_counter3d(300, seed=9)
         model = train_ensemble(ds, TrainConfig(n_transforms=2, fallback="global_mean"))

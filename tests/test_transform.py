@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hte.errors import ConfigError
+from hte.errors import ConfigError, DataError
 from hte.rng import philox_generator
 from hte.transform import (
     HistogramTransform,
@@ -180,6 +180,12 @@ class TestBinKey:
             h_upper=0.5,
         )
         np.testing.assert_array_equal(bin_key(t, np.array([1.0, 0.0])), [0, 2])
+
+    def test_image_that_overflows_is_a_data_error(self):
+        t = HistogramTransform(np.eye(2), np.array([4.0, 4.0]), np.zeros(2), 0.25, 0.25)
+        X = np.array([[1.0, 2.0], [1e300, 1e300], [1e308, 0.0]])
+        with pytest.raises(DataError, match="row 2 overflows in the histogram transform"):
+            bin_key(t, X)
 
     def test_floor_rounds_toward_minus_infinity(self):
         t = _identity_transform(b=[0.5])
