@@ -1,8 +1,10 @@
 """Command-line interface: train, predict, bench, study, schedule, inspect.
 
 Diagnostics go to standard error; data and tables go to files or standard
-output.  Exit codes: 1 configuration error, 2 data error, 3 training error.
-Flag values override config-file keys, which override built-in defaults.
+output.  Exit codes: 1 configuration error, 2 data error, 3 training error,
+141 standard output closed early by its reader (``hte predict ... | head``;
+nothing is printed on standard error).  Flag values override config-file
+keys, which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool killed by it
 
 # config keys that address the CLI rather than TrainConfig
 _CLI_KEYS = {"target", "has_header", "threads"}
@@ -362,7 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed standard output early (`hte predict ... | head`);
+        # point it at devnull so that the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

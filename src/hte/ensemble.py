@@ -36,6 +36,10 @@ FALLBACK_RULES = ("zero", "global_mean")
 # Stretch-offset pairs used for best-scored candidates when none are given.
 DEFAULT_CANDIDATE_PAIRS = ((-1.0, 1.0), (0.0, 2.0), (1.0, 3.0), (2.0, 4.0), (3.0, 5.0))
 
+# numpy sums 8 or more values pairwise, so from this many rows a cell's
+# ``ndarray.mean`` may differ in the last bit from a running sum
+_PAIRWISE_MIN = 8
+
 
 @dataclass
 class TrainConfig:
@@ -199,8 +203,11 @@ def _fit_cells(
     alpha = fit_kernel_cells(
         support, y[support_rows], counts[is_kernel], config.gamma, lambda2, n_fit
     )
-    means = np.zeros(n_cells, dtype=np.float64)
-    for cid in np.flatnonzero(~is_kernel):
+    # bincount adds each cell's targets in row order, the order of ``order``;
+    # below _PAIRWISE_MIN rows ``ndarray.mean`` adds them the same way
+    sums = np.bincount(cells, weights=y, minlength=n_cells)
+    means = np.where(is_kernel, 0.0, sums / counts)
+    for cid in np.flatnonzero(~is_kernel & (counts >= _PAIRWISE_MIN)).tolist():
         means[cid] = y[order[starts[cid] : starts[cid + 1]]].mean()
     return KernelCellModel(
         offsets=offsets,
@@ -301,8 +308,21 @@ def _resolve_clip(config: TrainConfig, y_fit: np.ndarray) -> float:
 def train_ensemble(
     dataset: Dataset, config: TrainConfig, n_threads: int | None = None
 ) -> EnsembleModel:
-    """Train all members; output is independent of the worker thread count."""
+    """Train all members; output is independent of the worker thread count.
+
+    Raises ``DataError`` for a feature so large that a variance computed in
+    training would overflow.
+    """
     config.validate()
+    # a centred value is at most 2 max|x| and the rotation is orthogonal, so
+    # every variance that standardizing, default_scale and build_adaptive
+    # compute is below n * d * (2 max|x|)**2, finite while max|x| <= limit
+    X = dataset.X
+    n, d = X.shape
+    limit = math.sqrt(np.finfo(np.float64).max / max(n * d, 1)) / 2
+    if max(X.max(initial=0.0), -X.min(initial=0.0)) > limit:
+        column = int(np.argmax((np.abs(X) > limit).any(axis=0)))
+        raise DataError(f"training feature column {column} is too large: its variance overflows")
     if config.standardize_features:
         standardizer = fit_standardizer(dataset, scale_target=config.standardize_target)
     else:

@@ -5,9 +5,10 @@ separable cell of more than ``min_samples_split`` points), so a kernel
 member is thousands of tiny systems whose cost is per-call overhead, not
 flops.  Equal-size systems are therefore built and solved as stacks
 (``gaussian_gram_stack``, ``cholesky_solve_stack``: LAPACK ``potrf``/``potrs``
-called directly, residuals checked in one batched product).  A system that
-needs more goes to ``solve_spd``, the one jitter ladder: failed
-factorizations escalate a diagonal jitter proportional to the mean
+called directly, residuals checked in one batched product), and prediction
+builds the cross kernels of equal-shape cells as one ``gaussian_cross_stack``.
+A system that needs more goes to ``solve_spd``, the one jitter ladder:
+failed factorizations escalate a diagonal jitter proportional to the mean
 eigenvalue before giving up.
 
 SciPy is imported on first use, so that loading the package (and a
@@ -54,18 +55,23 @@ def gaussian_gram(X: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def gaussian_gram_stack(P: np.ndarray, gamma: float) -> np.ndarray:
-    """Gram matrices of a ``(g, m, d)`` stack of point sets, shape ``(g, m, m)``.
+    """Gram matrices of a ``(g, m, d)`` stack of point sets, shape ``(g, m, m)``."""
+    return gaussian_cross_stack(P, P, gamma)
+
+
+def gaussian_cross_stack(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """Cross kernels of a ``(g, q, d)`` and a ``(g, m, d)`` stack, shape ``(g, q, m)``.
 
     Squared distances sum the per-dimension squares in dimension order, as
     ``cdist``'s ``sqeuclidean`` does, so each slice equals
-    ``gaussian_cross(X, X, gamma)`` bit for bit.
+    ``gaussian_cross(A[i], B[i], gamma)`` bit for bit.
     """
     if gamma <= 0:
         raise ConfigError("gamma must be positive")
-    g, m, d = P.shape
-    d2 = np.zeros((g, m, m))
+    g, q, d = A.shape
+    d2 = np.zeros((g, q, B.shape[1]))
     for k in range(d):
-        diff = P[:, :, None, k] - P[:, None, :, k]
+        diff = A[:, :, None, k] - B[:, None, :, k]
         d2 += np.multiply(diff, diff, out=diff)
     return np.exp(-d2 / gamma**2)
 

@@ -13,7 +13,9 @@ Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
 memory stays bounded however many cells share a size, and sends a cell the
 plain Cholesky solve rejects to ``solve_spd``'s jitter ladder.  Every cell
-gets the solution it would get fitted alone.
+gets the solution it would get fitted alone.  Prediction batches the same
+way, by (queries, support size) shape, and every cell gets the values it
+would get predicted alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import cholesky_solve_stack, gaussian_cross, gaussian_gram_stack, solve_spd
+from .linalg import cholesky_solve_stack, gaussian_cross, gaussian_cross_stack
+from .linalg import gaussian_gram_stack, solve_spd
 from .linalg import gaussian_gram  # noqa: F401  (benchmarks/perf.py traces it here)
 
 NO_CELL = -1
@@ -31,6 +34,12 @@ NO_CELL = -1
 # Most Gram-matrix entries built at once (8 MiB of float64).  A size group
 # with more is fit in chunks; a single larger cell is one chunk of its own.
 _STACK_ENTRIES = 2**20
+
+# Largest q * m cross kernel (q queries against m support rows) of a cell
+# predicted in a stack with the other cells of its (q, m) shape.  Larger
+# cells, and shapes no other cell shares, call ``gaussian_cross`` (``cdist``)
+# one by one, which beats numpy's per-dimension loop there.
+_STACK_CELL_ENTRIES = 1024
 
 
 @dataclass
@@ -78,7 +87,14 @@ class KernelCellModel:
     def predict(
         self, cells: np.ndarray, X: np.ndarray, clipped: bool = True
     ) -> np.ndarray:
-        """Evaluate the local regressors; ``clipped=False`` exposes raw values."""
+        """Evaluate the local regressors; ``clipped=False`` exposes raw values.
+
+        Queried kernel cells of one (q queries, m support rows) shape with
+        ``q * m <= _STACK_CELL_ENTRIES`` are evaluated together, as stacks of
+        at most ``_STACK_ENTRIES`` kernel entries; the other cells one by one.
+        Either way each cell's values are those of
+        ``gaussian_cross(X[queries], support, gamma) @ alpha`` bit for bit.
+        """
         cells = np.asarray(cells, dtype=np.int64)
         X = np.asarray(X, dtype=np.float64)
         out = np.full(len(cells), self.fallback, dtype=np.float64)
@@ -87,14 +103,36 @@ class KernelCellModel:
         in_kernel = self.offsets[cells[seen] + 1] > self.offsets[cells[seen]]
         rows = seen[in_kernel]
         rows = rows[np.argsort(cells[rows], kind="stable")]
-        boundaries = np.flatnonzero(np.diff(cells[rows])) + 1
-        for group in np.split(rows, boundaries):
-            if len(group) == 0:  # no query falls in a kernel cell
-                continue
-            cid = cells[group[0]]
-            lo, hi = self.offsets[cid], self.offsets[cid + 1]
-            k = gaussian_cross(X[group], self.support[lo:hi], self.gamma)
-            out[group] = k @ self.alpha[lo:hi]
+        # per queried kernel cell: its first position in rows, its query
+        # count q, and the start lo and size m of its expansion
+        first = np.flatnonzero(np.diff(cells[rows], prepend=NO_CELL))
+        q = np.diff(first, append=len(rows))
+        queried = cells[rows[first]]
+        lo = self.offsets[queried]
+        m = self.offsets[queried + 1] - lo
+        shape_key = q * (m.max(initial=0) + 1) + m
+        by_shape = np.argsort(shape_key, kind="stable")
+        bounds = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
+        starts, ends = np.r_[0, bounds], np.r_[bounds, len(by_shape)]
+        stacked = ends - starts > 1
+        stacked[stacked] = (q * m)[by_shape[starts[stacked]]] <= _STACK_CELL_ENTRIES
+        for start, end in zip(starts[stacked].tolist(), ends[stacked].tolist()):
+            group = by_shape[start:end]
+            n_q, n_m = int(q[group[0]]), int(m[group[0]])
+            step = max(1, _STACK_ENTRIES // (n_q * n_m))
+            for at in range(0, len(group), step):
+                part = group[at : at + step]
+                query = rows[first[part, None] + np.arange(n_q)]
+                expansion = lo[part, None] + np.arange(n_m)
+                K = gaussian_cross_stack(X[query], self.support[expansion], self.gamma)
+                # per slice, the same BLAS gemv as one cell's ``K @ alpha``
+                out[query] = np.matmul(K, self.alpha[expansion][:, :, None])[:, :, 0]
+        alone = by_shape[np.repeat(~stacked, ends - starts)]
+        for at, n_q, base, n_m in zip(first[alone].tolist(), q[alone].tolist(),
+                                      lo[alone].tolist(), m[alone].tolist()):
+            query = rows[at : at + n_q]
+            k = gaussian_cross(X[query], self.support[base : base + n_m], self.gamma)
+            out[query] = k @ self.alpha[base : base + n_m]
         if clipped:
             np.clip(out, -self.clip_bound, self.clip_bound, out=out)
         return out

@@ -458,3 +458,24 @@ class TestThreadsEnv:
         monkeypatch.setenv("HTE_THREADS", "2")
         assert main(["train", "--data", sin_csv, "--target", "y",
                      "--out", str(tmp_path / "m.hte")]) == 0
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["predict", "inspect"])
+    def test_reader_closing_stdout_early_exits_quietly(self, tmp_path, sin_csv, command):
+        model = tmp_path / "model.hte"
+        assert main(["train", "--data", sin_csv, "--target", "y", "--out", str(model)]) == 0
+        if command == "predict":
+            args = ["predict", "--model", str(model), "--data", sin_csv]
+        else:
+            args = ["inspect", str(model)]
+        src = str(Path(hte.__file__).resolve().parents[1])
+        # buffered standard output, so that the pipe error can wait for a flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "hte.cli", *args],
+                                env={**env, "PYTHONPATH": src},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == hte.cli.EXIT_BROKEN_PIPE == 141

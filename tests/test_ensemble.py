@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from hte.data import Standardizer, default_scale, fit_standardizer, gen_counter3d, gen_sin16
+from hte.data import (
+    Dataset,
+    Standardizer,
+    default_scale,
+    fit_standardizer,
+    gen_counter3d,
+    gen_sin16,
+)
 from hte.ensemble import (
     EnsembleModel,
     Member,
@@ -166,6 +173,24 @@ class TestEnsemblePrediction:
                                    match="row 1 overflows in the histogram transform"):
                     fn(model, X)
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_training_feature_whose_variance_overflows_rejected(self, partition, standardize):
+        ds = gen_counter3d(300, seed=1)
+        cfg = TrainConfig(partition=partition, n_transforms=2, min_samples_split=40,
+                          standardize_features=standardize)
+        huge = ds.X.copy()
+        huge[0] = [1e308, -1e308, 1e308]
+        with pytest.raises(DataError, match="training feature column 0 is too large"):
+            train_ensemble(Dataset(huge, ds.y), cfg)
+        # n * d * (2 max|x|)**2 at the largest float: just below trains, just above not
+        limit = math.sqrt(np.finfo(np.float64).max / (300 * 3)) / 2
+        below, above = ds.X.copy(), ds.X.copy()
+        below[5, 1], above[5, 1] = 0.999 * limit, 1.001 * limit
+        assert train_ensemble(Dataset(below, ds.y), cfg).total_cells > 0
+        with pytest.raises(DataError, match="training feature column 1 is too large"):
+            train_ensemble(Dataset(above, ds.y), cfg)
+
     @pytest.mark.parametrize("partition", ["grid", "adaptive"])
     def test_empty_query_gives_empty_predictions(self, partition):
         model = train_ensemble(gen_counter3d(300, seed=2),
@@ -208,6 +233,21 @@ class TestEnsemblePrediction:
 
 
 class TestTrainMember:
+    @pytest.mark.parametrize("k_min", [1, 3, 12])
+    def test_kht_mean_cells_hold_their_target_mean(self, k_min):
+        ds = gen_counter3d(3000, seed=8)
+        model = train_ensemble(ds, TrainConfig(mode="kht", n_transforms=2, k_min=k_min,
+                                               master_seed=1))
+        X, y = model.standardizer.transform(ds.X), model.standardizer.transform_target(ds.y)
+        for member in model.members:
+            cells = assign_many(member.partition, X)
+            counts = np.bincount(cells, minlength=member.model.n_cells)
+            mean_cells = np.flatnonzero(counts < k_min)
+            if k_min == 12:  # numpy sums these pairwise: the per-cell mean path
+                assert (counts[mean_cells] >= 8).any()
+            expected = np.array([y[cells == c].mean() for c in mean_cells])
+            assert member.model.means[mean_cells].tobytes() == expected.tobytes()
+
     def test_member_independent_of_total_count(self):
         ds = gen_sin16(250, seed=11)
         small = train_ensemble(ds, TrainConfig(n_transforms=3, master_seed=12))

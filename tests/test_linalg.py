@@ -7,6 +7,7 @@ from hte.errors import ConfigError, IllConditionedError
 from hte.linalg import (
     cholesky_solve_stack,
     gaussian_cross,
+    gaussian_cross_stack,
     gaussian_gram,
     gaussian_gram_stack,
     solve_spd,
@@ -57,6 +58,18 @@ class TestGaussianGram:
             cross = gaussian_cross(X, X, gamma).tobytes()
             assert K.tobytes() == cross
             assert gaussian_gram(X, gamma).tobytes() == cross
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=st.integers(1, 3), q=st.integers(1, 20), m=st.integers(1, 30),
+           d=st.integers(1, 19), gamma=st.floats(0.05, 20.0),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_cross_stack_equals_cross_kernel_bitwise(self, g, q, m, d, gamma, scale, seed):
+        rng = philox_generator(seed)
+        A, B = rng.normal(size=(g, q, d)) * scale, rng.normal(size=(g, m, d)) * scale
+        stack = gaussian_cross_stack(A, B, gamma)
+        assert stack.shape == (g, q, m)
+        for Xa, Xb, K in zip(A, B, stack):
+            assert K.tobytes() == gaussian_cross(Xa, Xb, gamma).tobytes()
 
 
 class TestCholeskySolveStack:

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 import hte.local_models
 from hte.errors import ConfigError, IllConditionedError
+from hte.data import gen_counter3d
+from hte.ensemble import TrainConfig, train_ensemble
 from hte.linalg import gaussian_cross, gaussian_gram, solve_spd
 from hte.local_models import (
+    _STACK_CELL_ENTRIES,
     _STACK_ENTRIES,
     NO_CELL,
     ConstantModel,
@@ -15,6 +18,7 @@ from hte.local_models import (
     fit_kernel_cell,
     fit_kernel_cells,
 )
+from hte.partition import assign_many
 from hte.rng import philox_generator
 
 
@@ -287,3 +291,106 @@ class TestPredict:
             risk_raw = np.mean((raw - y) ** 2)
             risk_clipped = np.mean((clipped - y) ** 2)
             assert risk_clipped <= risk_raw + 1e-15
+
+
+def _predict_cell_by_cell(model, cells, X, clipped=True):
+    """Reference: each queried kernel cell's ``gaussian_cross(X[r], support) @ alpha``."""
+    out = np.full(len(cells), model.fallback)
+    for cid in np.unique(cells[cells != NO_CELL]).tolist():
+        r = np.flatnonzero(cells == cid)
+        lo, hi = model.offsets[cid], model.offsets[cid + 1]
+        if hi > lo:
+            out[r] = gaussian_cross(X[r], model.support[lo:hi], model.gamma) @ model.alpha[lo:hi]
+        else:
+            out[r] = model.means[cid]
+    return np.clip(out, -model.clip_bound, model.clip_bound) if clipped else out
+
+
+def _query_layout(seed, shapes, d, n_fallback=0):
+    """Kernel model with one cell per (q, m) shape (m = 0: a mean cell), and
+    queries in shuffled order: q rows per cell plus ``n_fallback`` unseen rows."""
+    rng = philox_generator(seed)
+    shapes = [shapes[i] for i in rng.permutation(len(shapes))]
+    model = _kernel_model(
+        [(rng.normal(size=(m, d)), rng.normal(size=m)) if m else float(rng.normal())
+         for _, m in shapes],
+        clip_bound=1.5, fallback=0.25, gamma=float(rng.uniform(0.3, 3.0)),
+    )
+    cells = np.repeat(np.arange(len(shapes)), [q for q, _ in shapes])
+    cells = rng.permutation(np.concatenate([cells, np.full(n_fallback, NO_CELL)]))
+    return model, cells, rng.normal(size=(len(cells), d))
+
+
+class TestBatchedKernelPredict:
+    @settings(max_examples=80, deadline=None)
+    @given(distinct=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                             min_size=1, max_size=5),
+           repeats=st.integers(1, 4), n_large=st.integers(0, 2),
+           n_fallback=st.integers(0, 5), d=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_cells_predicted_one_by_one(self, distinct, repeats, n_large, n_fallback,
+                                                d, seed):
+        # repeated shapes are stacked; lone shapes and cells of more than
+        # _STACK_CELL_ENTRIES kernel entries are predicted one by one
+        big = [(_STACK_CELL_ENTRIES // 31 + 1, 31)] * n_large
+        model, cells, X = _query_layout(seed, distinct * repeats + big, d, n_fallback)
+        for clipped in (True, False):
+            expected = _predict_cell_by_cell(model, cells, X, clipped)
+            assert model.predict(cells, X, clipped=clipped).tobytes() == expected.tobytes()
+
+    def test_empty_query(self):
+        model, _, _ = _query_layout(1, [(2, 3), (2, 3)], 2)
+        assert model.predict(np.empty(0, dtype=np.int64), np.empty((0, 2))).shape == (0,)
+
+    def test_stacks_only_shared_small_shapes(self, monkeypatch):
+        shapes = [(2, 3)] * 5 + [(3, 2)] + [(_STACK_CELL_ENTRIES // 31 + 1, 31)] * 2
+        model, cells, X = _query_layout(2, shapes, 3)
+        stacked, alone = [], []
+        cross_stack, cross = hte.local_models.gaussian_cross_stack, hte.local_models.gaussian_cross
+
+        def recording_stack(A, B, gamma):
+            stacked.append(A.shape[:2] + B.shape[1:2])
+            return cross_stack(A, B, gamma)
+
+        def recording_cross(Xa, Xb, gamma):
+            alone.append((len(Xa), len(Xb)))
+            return cross(Xa, Xb, gamma)
+
+        monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording_stack)
+        monkeypatch.setattr(hte.local_models, "gaussian_cross", recording_cross)
+        out = model.predict(cells, X)
+        assert stacked == [(5, 2, 3)]
+        assert sorted(alone) == sorted(shapes[5:])
+        assert out.tobytes() == _predict_cell_by_cell(model, cells, X).tobytes()
+
+    @pytest.mark.parametrize("q,m", [(3, 5), (16, 32)])
+    def test_shape_group_beyond_the_stack_budget(self, monkeypatch, q, m):
+        monkeypatch.setattr(hte.local_models, "_STACK_ENTRIES", 64)
+        n_cells = 64 // (q * m) * 3 + 4
+        model, cells, X = _query_layout(3, [(q, m)] * n_cells, 2)
+        stacks, build = [], hte.local_models.gaussian_cross_stack
+
+        def recording(A, B, gamma):
+            stacks.append(len(A))
+            return build(A, B, gamma)
+
+        monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording)
+        out = model.predict(cells, X)
+        assert len(stacks) > 1 and sum(stacks) == n_cells
+        assert max(stacks) * q * m <= max(64, q * m)
+        assert out.tobytes() == _predict_cell_by_cell(model, cells, X).tobytes()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(partition="adaptive", min_samples_split=100),
+        dict(partition="adaptive", min_samples_split=400),
+        dict(partition="grid", n_candidates=3),
+    ], ids=["adaptive-100", "adaptive-400", "grid-best-of-3"])
+    def test_ensemble_members_match_the_reference(self, overrides):
+        model = train_ensemble(gen_counter3d(3000, seed=21),
+                               TrainConfig(mode="kht", n_transforms=2, master_seed=4,
+                                           **overrides))
+        X = model.standardizer.transform(gen_counter3d(2000, seed=22).X)
+        for member in model.members:
+            cells = assign_many(member.partition, X)
+            expected = _predict_cell_by_cell(member.model, cells, X)
+            assert member.model.predict(cells, X).tobytes() == expected.tobytes()

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hte.data import gen_counter3d, gen_sin16
 from hte.ensemble import TrainConfig, predict, train_ensemble
@@ -26,17 +28,30 @@ def _train(mode, partition, n=250, seed=42, **overrides):
     return ds, train_ensemble(ds, cfg)
 
 
-@pytest.mark.parametrize("mode,partition", [
-    ("nht", "grid"), ("nht", "adaptive"), ("kht", "grid"), ("kht", "adaptive"),
-])
-def test_round_trip_is_lossless(mode, partition):
-    ds, model = _train(mode, partition)
+@settings(max_examples=20, deadline=None)
+@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
+       k_min=st.integers(1, 12), n_candidates=st.integers(1, 3),
+       standardize_features=st.booleans(), standardize_target=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example("nht", "grid", 3, 1, True, False, 42)
+@example("nht", "adaptive", 3, 1, True, False, 42)
+@example("kht", "grid", 3, 1, True, False, 42)
+@example("kht", "adaptive", 3, 1, True, False, 42)
+def test_round_trip_is_lossless(mode, partition, k_min, n_candidates, standardize_features,
+                                standardize_target, seed):
+    if partition == "adaptive":
+        n_candidates = 1  # best-scored candidates need grid partitions
+    ds, model = _train(mode, partition, seed=seed, k_min=k_min, n_candidates=n_candidates,
+                       standardize_features=standardize_features,
+                       standardize_target=standardize_target)
     again = deserialize_model(serialize_model(model))
 
     assert again.config == model.config
     assert again.clip_bound == model.clip_bound
     np.testing.assert_array_equal(again.standardizer.mean, model.standardizer.mean)
     np.testing.assert_array_equal(again.standardizer.std, model.standardizer.std)
+    assert (again.standardizer.target_mean, again.standardizer.target_std) == \
+           (model.standardizer.target_mean, model.standardizer.target_std)
 
     for a, b in zip(model.members, again.members):
         if isinstance(a.partition, GridPartition):
