@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hte.data import gen_counter3d, gen_sin16
@@ -28,22 +28,7 @@ def _train(mode, partition, n=250, seed=42, **overrides):
     return ds, train_ensemble(ds, cfg)
 
 
-@settings(max_examples=20, deadline=None)
-@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
-       k_min=st.integers(1, 12), n_candidates=st.integers(1, 3),
-       standardize_features=st.booleans(), standardize_target=st.booleans(),
-       seed=st.integers(0, 2**16))
-@example("nht", "grid", 3, 1, True, False, 42)
-@example("nht", "adaptive", 3, 1, True, False, 42)
-@example("kht", "grid", 3, 1, True, False, 42)
-@example("kht", "adaptive", 3, 1, True, False, 42)
-def test_round_trip_is_lossless(mode, partition, k_min, n_candidates, standardize_features,
-                                standardize_target, seed):
-    if partition == "adaptive":
-        n_candidates = 1  # best-scored candidates need grid partitions
-    ds, model = _train(mode, partition, seed=seed, k_min=k_min, n_candidates=n_candidates,
-                       standardize_features=standardize_features,
-                       standardize_target=standardize_target)
+def _assert_round_trip_lossless(model):
     again = deserialize_model(serialize_model(model))
 
     assert again.config == model.config
@@ -85,6 +70,30 @@ def test_round_trip_is_lossless(mode, partition, k_min, n_candidates, standardiz
 
     queries = gen_counter3d(100, seed=7).X
     np.testing.assert_array_equal(predict(model, queries), predict(again, queries))
+
+
+@pytest.mark.parametrize("mode,partition", [
+    ("nht", "grid"), ("nht", "adaptive"), ("kht", "grid"), ("kht", "adaptive"),
+])
+def test_round_trip_is_lossless(mode, partition):
+    _, model = _train(mode, partition)
+    _assert_round_trip_lossless(model)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
+       k_min=st.integers(1, 12), n_candidates=st.integers(1, 3),
+       standardize_features=st.booleans(), standardize_target=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_round_trip_is_lossless_over_drawn_configs(mode, partition, k_min, n_candidates,
+                                                   standardize_features, standardize_target,
+                                                   seed):
+    if partition == "adaptive":
+        n_candidates = 1  # best-scored candidates need grid partitions
+    _, model = _train(mode, partition, seed=seed, k_min=k_min, n_candidates=n_candidates,
+                      standardize_features=standardize_features,
+                      standardize_target=standardize_target)
+    _assert_round_trip_lossless(model)
 
 
 def test_reserialization_is_byte_stable():
