@@ -6,10 +6,14 @@ Two partition kinds:
   to the bin keys observed in training.  Queries landing in an unseen bin
   get no cell (the model layer supplies a fallback).  Lookups run on one
   int64 code per key row: its mixed-radix position inside the per-axis box
-  of the training keys, so finding and matching keys is a 1-D sort and a
-  1-D binary search.  A box of 2**63 codes or more (high d or wide key
-  ranges) falls back to a structured row view, which sorts and compares
-  the same way, lexicographically.
+  of the training keys, widened by one guard layer on each side.  A query
+  key is clipped into that box, so a key outside it lands on a guard layer,
+  where no cell is.  A box of at most a few codes per key row has a
+  direct-address table, code to cell id, so a lookup is one index.  A
+  larger box keeps the codes sorted and looks them up by binary search; a
+  box of 2**63 codes or more (high d or wide key ranges) falls back to a
+  structured row view, which sorts and compares the same way,
+  lexicographically.
 * AdaptiveTree — rotate the data, then repeatedly split a cell with more
   than ``min_leaf`` points on its largest-variance dimension at the median.
   The tree is full and stored breadth-first as two node arrays, from which
@@ -26,24 +30,39 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .transform import HistogramTransform, bin_key, check_finite_image
+from .transform import _KEY_LIMIT, HistogramTransform, bin_key, check_finite_image
 
 _NO_CELL = -1
 
 
-def _box(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Per-axis bounds of key rows and the mixed-radix strides of that box.
+def _table_fits(size: int, rows: int) -> bool:
+    """Whether a box of ``size`` codes gets a direct-address table for
+    ``rows`` key rows: at most 8 int64 entries a row (64 bytes), plus 4096
+    so that a small grid always gets one."""
+    return size <= 8 * rows + 4096
+
+
+def _box(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """Per-axis bounds of key rows, widened by one guard layer on each side,
+    the mixed-radix strides of that box and its number of codes.
 
     The last axis varies fastest, so codes sort like their key rows.  The
-    strides are None when the box holds 2**63 codes or more.
+    strides are None when the box holds 2**63 codes or more.  A key outside
+    bin_key's range [-2**62, 2**62] raises ``ConfigError``: the guard layers
+    of such a key could wrap.
     """
     cols = np.ascontiguousarray(keys.T)  # reducing contiguous columns is ~5x faster
-    lo, hi = cols.min(axis=1), cols.max(axis=1)
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]  # Python ints: no wrap
-    if math.prod(spans) >= 2**63:
-        return lo, hi, None
-    strides = [math.prod(spans[i + 1:]) for i in range(len(spans))]
-    return lo, hi, np.array(strides, dtype=np.int64)
+    lo, hi = cols.min(axis=1).tolist(), cols.max(axis=1).tolist()  # Python ints: no wrap
+    if min(lo) < -_KEY_LIMIT or max(hi) > _KEY_LIMIT:
+        raise ConfigError("grid key outside [-2**62, 2**62]")
+    spans = [h - l + 3 for l, h in zip(lo, hi)]  # with a guard layer either side
+    size = math.prod(spans)
+    strides = None
+    if size < 2**63:
+        strides = np.array([math.prod(spans[i + 1:]) for i in range(len(spans))],
+                           dtype=np.int64)
+    lo, hi = np.array(lo, dtype=np.int64) - 1, np.array(hi, dtype=np.int64) + 1
+    return lo, hi, strides, size
 
 
 def _encode(keys: np.ndarray, lo: np.ndarray, strides: np.ndarray | None) -> np.ndarray:
@@ -60,10 +79,13 @@ class GridPartition:
 
     Rows are in first-occurrence order over the training rows.  Construction
     derives the lookup index used by ``assign_many`` from the table alone:
-    the per-axis box of the keys (the box of the training keys they came
-    from), each row's code inside it (see ``_box``), and the codes in
-    sorted order with their cell ids.  A table with a repeated row raises
-    ``ConfigError``, since a key must name one cell.
+    the guarded per-axis box of the keys (the box of the training keys they
+    came from) and each row's code inside it (see ``_box``).  When the box
+    has few codes per row (``_table_fits``) the index is a direct-address
+    table, ``_table[code]`` = cell id or -1; otherwise it is the codes in
+    sorted order with their cell ids.  The index is never serialized.  A
+    table with a repeated row raises ``ConfigError``, since a key must name
+    one cell, and so does a key outside [-2**62, 2**62].
     """
 
     transform: HistogramTransform
@@ -71,16 +93,25 @@ class GridPartition:
     _lo: np.ndarray = field(init=False, repr=False)
     _hi: np.ndarray = field(init=False, repr=False)
     _strides: np.ndarray | None = field(init=False, repr=False)
-    _sorted_codes: np.ndarray = field(init=False, repr=False)
-    _sorted_cells: np.ndarray = field(init=False, repr=False)
+    _table: np.ndarray | None = field(init=False, repr=False)
+    _sorted_codes: np.ndarray | None = field(init=False, repr=False)
+    _sorted_cells: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         self.keys = np.ascontiguousarray(self.keys, dtype=np.int64)
-        self._lo, self._hi, self._strides = _box(self.keys)
+        self._lo, self._hi, self._strides, size = _box(self.keys)
         codes = _encode(self.keys, self._lo, self._strides)
-        self._sorted_cells = np.argsort(codes)
-        self._sorted_codes = codes[self._sorted_cells]
-        if (self._sorted_codes[1:] == self._sorted_codes[:-1]).any():
+        cells = np.arange(len(codes), dtype=np.int64)
+        self._table = self._sorted_codes = self._sorted_cells = None
+        if _table_fits(size, len(codes)):
+            self._table = np.full(size, _NO_CELL, dtype=np.int64)
+            self._table[codes] = cells
+            repeated = (self._table[codes] != cells).any()  # a shared code kept one id
+        else:
+            self._sorted_cells = np.argsort(codes)
+            self._sorted_codes = codes[self._sorted_cells]
+            repeated = (self._sorted_codes[1:] == self._sorted_codes[:-1]).any()
+        if repeated:
             raise ConfigError("grid key table repeats a key")
 
     @property
@@ -90,6 +121,20 @@ class GridPartition:
     @property
     def n_cells(self) -> int:
         return len(self.keys)
+
+
+def _lookup(grid: GridPartition, keys: np.ndarray) -> np.ndarray:
+    """Cell ids of bin key rows, -1 for a key no cell has; clips ``keys``."""
+    for j, (lo, hi) in enumerate(zip(grid._lo.tolist(), grid._hi.tolist())):
+        # a key outside the box lands on a guard layer, where no cell is;
+        # column by column, since broadcasting over a short row is slow
+        np.clip(keys[:, j], lo, hi, out=keys[:, j])
+    codes = _encode(keys, grid._lo, grid._strides)
+    if grid._table is not None:
+        return grid._table[codes]
+    table = grid._sorted_codes
+    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    return np.where(table[pos] == codes, grid._sorted_cells[pos], _NO_CELL)
 
 
 @dataclass
@@ -150,10 +195,15 @@ def build_grid(
     if X.ndim != 2 or X.shape[0] < 1:
         raise ConfigError("training matrix must be 2-d with at least one row")
     keys = bin_key(transform, X)
-    lo, _, strides = _box(keys)
-    _, first, inverse = np.unique(
-        _encode(keys, lo, strides), return_index=True, return_inverse=True
-    )
+    lo, _, strides, size = _box(keys)
+    codes = _encode(keys, lo, strides)
+    n = len(keys)
+    if _table_fits(size, n):  # each code's first row, from one box-sized pass
+        first = np.full(size, n, dtype=np.int64)
+        np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+        grid = GridPartition(transform, keys[np.sort(first[first < n])])
+        return grid, _lookup(grid, keys)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first)  # first indices are distinct: any sort is stable
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order), dtype=np.int64)
@@ -230,16 +280,7 @@ def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.nd
     if X.ndim != 2 or X.shape[1] != partition.dim:
         raise ConfigError(f"expected points of dimension {partition.dim}")
     if isinstance(partition, GridPartition):
-        keys = bin_key(partition.transform, X)
-        # a key outside the training box is a miss; only in-box keys are
-        # encoded, since the code of an out-of-box key can wrap
-        inside = ((keys >= partition._lo) & (keys <= partition._hi)).all(axis=1)
-        codes = _encode(keys[inside], partition._lo, partition._strides)
-        table = partition._sorted_codes
-        pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
-        cells = np.full(len(X), _NO_CELL, dtype=np.int64)
-        cells[inside] = np.where(table[pos] == codes, partition._sorted_cells[pos], _NO_CELL)
-        return cells
+        return _lookup(partition, bin_key(partition.transform, X))
     Z = _rotate(partition.rotation, X)
     node = np.zeros(len(X), dtype=np.int64)
     while True:

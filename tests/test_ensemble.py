@@ -1,8 +1,11 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hte.data import (
     Dataset,
@@ -30,6 +33,12 @@ from hte.partition import GridPartition, assign_many, build_grid
 from hte.rng import STREAM_CANDIDATE0, STREAM_ROTATION, STREAM_SPLIT, member_generator
 from hte.serialize import serialize_model
 from hte.transform import HistogramTransform, sample_rotation, sample_stretch
+
+
+def _member_bytes(model: EnsembleModel, index: int, config: TrainConfig) -> bytes:
+    """Member ``index`` as file bytes: a one-member model under a fixed config."""
+    return serialize_model(EnsembleModel([model.members[index]], model.standardizer,
+                                         config, model.clip_bound))
 
 
 def _constant_member(value: float) -> Member:
@@ -248,15 +257,22 @@ class TestTrainMember:
             expected = np.array([y[cells == c].mean() for c in mean_cells])
             assert member.model.means[mean_cells].tobytes() == expected.tobytes()
 
-    def test_member_independent_of_total_count(self):
-        ds = gen_sin16(250, seed=11)
-        small = train_ensemble(ds, TrainConfig(n_transforms=3, master_seed=12))
-        large = train_ensemble(ds, TrainConfig(n_transforms=8, master_seed=12))
-        for t in range(3):
-            a, b = small.members[t], large.members[t]
-            assert a.partition.transform.scales.tobytes() == \
-                b.partition.transform.scales.tobytes()
-            np.testing.assert_array_equal(a.model.values, b.model.values)
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 3),
+           extra=st.integers(1, 5), mode=st.sampled_from(["nht", "kht"]),
+           partition=st.sampled_from(["grid", "adaptive"]),
+           generator=st.sampled_from([gen_sin16, gen_counter3d]))
+    @example(seed=12, index=2, extra=5, mode="nht", partition="grid",
+             generator=gen_sin16)  # T=3 against T=8
+    def test_member_independent_of_total_count(self, seed, index, extra, mode, partition,
+                                               generator):
+        ds = generator(250, seed=11)
+        cfg = TrainConfig(mode=mode, partition=partition, n_transforms=index + 1,
+                          min_samples_split=30, master_seed=seed)
+        small = train_ensemble(ds, cfg, n_threads=1)
+        large = train_ensemble(ds, replace(cfg, n_transforms=index + 1 + extra), n_threads=1)
+        for t in range(index + 1):
+            assert _member_bytes(small, t, cfg) == _member_bytes(large, t, cfg)
 
     def test_kernel_cells_are_flat_slices_of_training_rows(self):
         ds = gen_counter3d(300, seed=17)
@@ -361,12 +377,17 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode,partition", [
         ("nht", "grid"), ("kht", "adaptive"),
     ])
-    def test_thread_count_never_changes_bytes(self, mode, partition):
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_transforms=st.integers(2, 6),
+           n_threads=st.integers(2, 4))
+    @example(seed=24, n_transforms=4, n_threads=4)
+    def test_thread_count_never_changes_bytes(self, mode, partition, seed, n_transforms,
+                                              n_threads):
         ds = gen_counter3d(300, seed=23)
-        cfg = TrainConfig(mode=mode, partition=partition, n_transforms=4,
-                          min_samples_split=50, master_seed=24)
+        cfg = TrainConfig(mode=mode, partition=partition, n_transforms=n_transforms,
+                          min_samples_split=50, master_seed=seed)
         one = serialize_model(train_ensemble(ds, cfg, n_threads=1))
-        many = serialize_model(train_ensemble(ds, cfg, n_threads=4))
+        many = serialize_model(train_ensemble(ds, cfg, n_threads=n_threads))
         assert one == many
 
 

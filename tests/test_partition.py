@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hte import partition
+from hte.data import Dataset, gen_counter3d
+from hte.ensemble import TrainConfig, train_ensemble
 from hte.errors import ConfigError
 from hte.partition import (
     AdaptiveTree,
@@ -24,6 +27,16 @@ def _identity_1d():
 def _identity(d):
     """A transform whose bin key of a row is its floor."""
     return HistogramTransform(np.eye(d), np.ones(d), np.zeros(d), 1.0, 1.0)
+
+
+def _each_index():
+    """Run a loop body once per lookup index: first with a direct-address
+    table for every box of up to 2**16 codes (more than the default rule
+    allows), then with sorted codes for every box."""
+    for rule in (lambda size, rows: size <= 2**16, lambda size, rows: False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_table_fits", rule)
+            yield
 
 
 def _dict_cells(table, keys):
@@ -117,43 +130,49 @@ class TestAssignGrid:
         X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(-5.0, 5.0)))
         Q = data.draw(hnp.arrays(np.float64, (20, d), elements=st.floats(-8.0, 8.0)))
         t = sample_transform(d, 0.3, 1.0, philox_generator(seed))
-        grid, cells = build_grid(t, X)
-        rebuilt = GridPartition(t, grid.keys.copy())  # the load path
-        np.testing.assert_array_equal(assign_many(rebuilt, X), cells)
+        for _ in _each_index():
+            grid, cells = build_grid(t, X)
+            rebuilt = GridPartition(t, grid.keys.copy())  # the load path
+            np.testing.assert_array_equal(assign_many(rebuilt, X), cells)
 
-        table = {tuple(key): cid for cid, key in enumerate(grid.keys.tolist())}
-        far = np.full((1, d), 1e6)
-        queries = np.vstack([Q, far])
-        expected = [table.get(tuple(key), -1) for key in bin_key(t, queries).tolist()]
-        np.testing.assert_array_equal(assign_many(rebuilt, queries), expected)
-        assert expected[-1] == -1
+            table = {tuple(key): cid for cid, key in enumerate(grid.keys.tolist())}
+            far = np.full((1, d), 1e6)
+            queries = np.vstack([Q, far])
+            expected = [table.get(tuple(key), -1) for key in bin_key(t, queries).tolist()]
+            np.testing.assert_array_equal(assign_many(rebuilt, queries), expected)
+            assert expected[-1] == -1
 
     @settings(max_examples=80, deadline=None)
     @given(rows=_key_rows(), data=st.data())
     def test_lookup_matches_a_dict_on_narrow_and_wide_boxes(self, rows, data):
         keys, lo, spans = rows
         d = keys.shape[1]
-        grid, _ = build_grid(_identity(d), keys + 0.5)
-        table = grid.keys
-        rebuilt = GridPartition(grid.transform, table.copy())  # the load path
-
-        # in-box keys, mostly misses; out-of-box keys one past either bound;
-        # keys at the +-2**62 limit of bin_key
+        # in-box keys, mostly misses; out-of-box keys one and two past
+        # either bound (the guard layer and beyond it); keys at the +-2**62
+        # limit of bin_key
         raw = data.draw(hnp.arrays(np.int64, (10, d), elements=st.integers(0, 2**40 - 1),
                                    fill=st.nothing()))
         in_box = lo + raw % spans
         axis = data.draw(st.integers(0, d - 1))
-        below, above = table.copy(), table.copy()
-        below[:, axis] = table[:, axis].min() - 1
-        above[:, axis] = table[:, axis].max() + 1
-        queries = np.vstack([table, in_box, below, above])
-        expected = _dict_cells(table, queries)
-        np.testing.assert_array_equal(assign_many(rebuilt, queries + 0.5), expected)
-        assert expected[:len(table)] == list(range(len(table)))
-        assert expected[-2 * len(table):] == [-1] * (2 * len(table))
+        for _ in _each_index():
+            grid, _ = build_grid(_identity(d), keys + 0.5)
+            table = grid.keys
+            rebuilt = GridPartition(grid.transform, table.copy())  # the load path
 
-        huge = np.vstack([np.full(d, 1e30), np.full(d, -1e30)])
-        np.testing.assert_array_equal(assign_many(rebuilt, huge), [-1, -1])
+            outside = []
+            for step in (-2, -1, 1, 2):
+                row = table.copy()
+                edge = table[:, axis].min() if step < 0 else table[:, axis].max()
+                row[:, axis] = edge + step
+                outside.append(row)
+            queries = np.vstack([table, in_box, *outside])
+            expected = _dict_cells(table, queries)
+            np.testing.assert_array_equal(assign_many(rebuilt, queries + 0.5), expected)
+            assert expected[:len(table)] == list(range(len(table)))
+            assert expected[-4 * len(table):] == [-1] * (4 * len(table))
+
+            huge = np.vstack([np.full(d, 1e30), np.full(d, -1e30)])
+            np.testing.assert_array_equal(assign_many(rebuilt, huge), [-1, -1])
 
     @pytest.mark.parametrize("spans", [[2**6] * 12, [2**40, 2**40, 1]])
     def test_wide_box_falls_back_to_row_items(self, spans):
@@ -171,8 +190,71 @@ class TestAssignGrid:
                                       _dict_cells(grid.keys, queries))
 
     def test_repeated_key_rejected(self):
-        with pytest.raises(ConfigError, match="repeats a key"):
-            GridPartition(_identity(2), np.array([[0, 1], [2, 3], [0, 1]]))
+        for _ in _each_index():
+            with pytest.raises(ConfigError, match="repeats a key"):
+                GridPartition(_identity(2), np.array([[0, 1], [2, 3], [0, 1]]))
+            with pytest.raises(ConfigError, match="repeats a key"):
+                GridPartition(_identity(1), np.array([[5], [-4], [7], [-4]]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_key_rows())
+    def test_build_grid_is_byte_equal_on_both_indexes(self, rows):
+        keys, _, _ = rows
+        X = keys + 0.5
+        built = []
+        for _ in _each_index():
+            grid, cells = build_grid(_identity(keys.shape[1]), X)
+            built.append((grid.keys.tobytes(), cells.dtype, cells.tobytes()))
+        assert grid._table is None  # the last pass ran on sorted codes
+        assert built[0] == built[1]
+
+    def test_default_rule_gives_small_grids_a_table_and_wide_ones_none(self):
+        ds = gen_counter3d(2000, seed=61)
+        model = train_ensemble(ds, TrainConfig(n_transforms=3, master_seed=62))
+        for member in model.members:  # boxes of a few codes per cell
+            grid = member.partition
+            assert grid._table is not None
+            assert len(grid._table) <= 8 * grid.n_cells + 4096
+        X = philox_generator(63).normal(size=(2000, 12))
+        wide = train_ensemble(Dataset(X, X.sum(axis=1)),
+                              TrainConfig(n_transforms=3, master_seed=64))
+        for member in wide.members:  # a 12-d box has far more codes than rows
+            assert member.partition._table is None
+            assert member.partition._strides is not None
+
+    def test_table_stays_within_its_bound(self):
+        # one key per row: 8 entries a row plus 4096, guard layers included
+        fits = GridPartition(_identity(1), np.array([[0], [4109]]))
+        assert len(fits._table) == 8 * 2 + 4096
+        assert GridPartition(_identity(1), np.array([[0], [4110]]))._table is None
+        # a few far-apart keys cannot force a large allocation
+        far = GridPartition(_identity(3), np.array([[0, 0, 0], [2**40, 0, 0],
+                                                    [0, -2**40, 2**40]]))
+        assert far._table is None
+        np.testing.assert_array_equal(
+            assign_many(far, np.array([[0.5, 0.5, 0.5], [2.0**40, 0.5, 0.5], [1.5, 0.5, 0.5]])),
+            [0, 1, -1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=_key_rows())
+    def test_drawn_tables_stay_within_the_bound(self, rows):
+        keys, _, _ = rows
+        grid, _ = build_grid(_identity(keys.shape[1]), keys + 0.5)
+        if grid._table is not None:
+            assert len(grid._table) <= 8 * grid.n_cells + 4096
+
+    @pytest.mark.parametrize("key", [-2**62 - 1, 2**62 + 1, np.iinfo(np.int64).min,
+                                     np.iinfo(np.int64).max])
+    def test_key_outside_bin_key_range_rejected(self, key):
+        with pytest.raises(ConfigError, match=r"outside \[-2\*\*62, 2\*\*62\]"):
+            GridPartition(_identity(2), np.array([[0, 0], [key, 1]]))
+
+    def test_keys_at_bin_key_limits_accepted(self):
+        grid = GridPartition(_identity(2), np.array([[2**62, -2**62], [-2**62, 2**62]]))
+        # bin_key clips a huge coordinate to the limit, so it finds those cells
+        np.testing.assert_array_equal(
+            assign_many(grid, np.array([[1e30, -1e30], [-1e30, 1e30], [1e30, 1e30]])),
+            [0, 1, -1])
 
     def test_sharing_iff_equal_keys(self):
         t = sample_transform(2, 0.25, 0.8, philox_generator(11))

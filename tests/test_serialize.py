@@ -210,6 +210,20 @@ def test_grid_repeated_key_is_corrupt():
         deserialize_model(serialize_model(model))
 
 
+@pytest.mark.parametrize("key", [np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+def test_grid_key_outside_bin_key_range_is_corrupt(key):
+    # the guard layers around such a key would wrap, so it must not load
+    _, model = _train("nht", "grid", n=120)
+    keys = model.members[0].partition.keys
+    blob = bytearray(serialize_model(model)[:-32])
+    at = bytes(blob).index(keys.tobytes())
+    bad = keys.copy()
+    bad[-1, 0] = key
+    blob[at:at + keys.nbytes] = bad.tobytes()
+    with pytest.raises(DataError, match=r"corrupt: grid key outside \[-2\*\*62, 2\*\*62\]"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
 def test_kernel_means_length_checked():
     model, member = _kernel_grid_member()
     member.model.means = member.model.means[:-1]
