@@ -201,13 +201,11 @@ def build_grid(
     if _table_fits(size, n):  # each code's first row, from one box-sized pass
         first = np.full(size, n, dtype=np.int64)
         np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
-        grid = GridPartition(transform, keys[np.sort(first[first < n])])
-        return grid, _lookup(grid, keys)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # first indices are distinct: any sort is stable
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    return GridPartition(transform, keys[first[order]]), rank[inverse]
+        first = first[first < n]
+    else:
+        _, first = np.unique(codes, return_index=True)
+    grid = GridPartition(transform, keys[np.sort(first)])
+    return grid, _lookup(grid, keys)
 
 
 def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:

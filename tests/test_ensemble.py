@@ -261,16 +261,18 @@ class TestTrainMember:
     @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 3),
            extra=st.integers(1, 5), mode=st.sampled_from(["nht", "kht"]),
            partition=st.sampled_from(["grid", "adaptive"]),
-           generator=st.sampled_from([gen_sin16, gen_counter3d]))
+           generator=st.sampled_from([gen_sin16, gen_counter3d]),
+           threads=st.tuples(st.integers(1, 4), st.integers(1, 4)))
     @example(seed=12, index=2, extra=5, mode="nht", partition="grid",
-             generator=gen_sin16)  # T=3 against T=8
+             generator=gen_sin16, threads=(None, None))  # T=3 against T=8, default threads
     def test_member_independent_of_total_count(self, seed, index, extra, mode, partition,
-                                               generator):
+                                               generator, threads):
         ds = generator(250, seed=11)
         cfg = TrainConfig(mode=mode, partition=partition, n_transforms=index + 1,
                           min_samples_split=30, master_seed=seed)
-        small = train_ensemble(ds, cfg, n_threads=1)
-        large = train_ensemble(ds, replace(cfg, n_transforms=index + 1 + extra), n_threads=1)
+        small = train_ensemble(ds, cfg, n_threads=threads[0])
+        large = train_ensemble(ds, replace(cfg, n_transforms=index + 1 + extra),
+                               n_threads=threads[1])
         for t in range(index + 1):
             assert _member_bytes(small, t, cfg) == _member_bytes(large, t, cfg)
 
