@@ -259,14 +259,17 @@ def train_member(
         h_hat, _ = default_scale(X_std)
     pairs = config.resolved_pairs()
 
-    if config.n_candidates == 1:
-        h_lower, h_upper = _window(h_hat, pairs[0])
-        rng = member_generator(config.master_seed, member_index, STREAM_CANDIDATE0)
+    def grid_candidate(i: int, X: np.ndarray, y: np.ndarray) -> Member:
+        """Candidate i: its window, stretch draw and grid, fit on (X, y)."""
+        h_lower, h_upper = _window(h_hat, pairs[i])
+        rng = member_generator(config.master_seed, member_index, STREAM_CANDIDATE0 + i)
         scales, translation = sample_stretch(d, h_lower, h_upper, rng)
         transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)
-        grid, cells = build_grid(transform, X_std)
-        model = _fit_cells(X_std, y_fit, cells, grid.n_cells, config, clip_bound)
-        return Member(grid, model)
+        grid, cells = build_grid(transform, X)
+        return Member(grid, _fit_cells(X, y, cells, grid.n_cells, config, clip_bound))
+
+    if config.n_candidates == 1:
+        return grid_candidate(0, X_std, y_fit)
 
     # best-scored: shared rotation, per-candidate stretch/translation,
     # scored on a member-local validation split
@@ -283,14 +286,8 @@ def train_member(
 
     best: Member | None = None
     best_score = math.inf
-    for i, pair in enumerate(pairs):
-        h_lower, h_upper = _window(h_hat, pair)
-        rng = member_generator(config.master_seed, member_index, STREAM_CANDIDATE0 + i)
-        scales, translation = sample_stretch(d, h_lower, h_upper, rng)
-        transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)
-        grid, cells = build_grid(transform, X_fit)
-        model = _fit_cells(X_fit, y_fit_rows, cells, grid.n_cells, config, clip_bound)
-        candidate = Member(grid, model)
+    for i in range(len(pairs)):
+        candidate = grid_candidate(i, X_fit, y_fit_rows)
         residual = member_predict(candidate, X_val) - y_val
         score = float(residual @ residual) / len(val_rows)
         if score < best_score:  # strict: ties keep the lowest candidate index

@@ -3,13 +3,14 @@
 Cells are kept small by the partitioning step (adaptive trees split every
 separable cell of more than ``min_samples_split`` points), so a kernel
 member is thousands of tiny systems whose cost is per-call overhead, not
-flops.  Equal-size systems are therefore built and solved as stacks
-(``gaussian_gram_stack``, ``cholesky_solve_stack``: LAPACK ``potrf``/``potrs``
-called directly, residuals checked in one batched product), and prediction
+flops.  Equal-size systems are therefore built and solved as stacks: a Gram
+stack is ``gaussian_cross_stack(P, P, gamma)``, and ``solve_spd_stack``
+solves it with LAPACK ``potrf``/``potrs`` called directly and residuals
+checked in one batched product.  Only the systems that this plain rung
+rejects climb the jitter ladder, as a sub-stack: failed factorizations
+escalate a diagonal jitter proportional to the mean eigenvalue before
+giving up.  ``solve_spd`` is the same solver on one system.  Prediction
 builds the cross kernels of equal-shape cells as one ``gaussian_cross_stack``.
-A system that needs more goes to ``solve_spd``, the one jitter ladder:
-failed factorizations escalate a diagonal jitter proportional to the mean
-eigenvalue before giving up.
 
 SciPy is imported on first use, so that loading the package (and a
 prediction with per-cell means) does not pay for it.
@@ -50,13 +51,8 @@ class SpdSolveReport:
 
 def gaussian_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix K[a, b] = exp(-||x_a - x_b||^2 / gamma^2)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return gaussian_gram_stack(X[None], gamma)[0]
-
-
-def gaussian_gram_stack(P: np.ndarray, gamma: float) -> np.ndarray:
-    """Gram matrices of a ``(g, m, d)`` stack of point sets, shape ``(g, m, m)``."""
-    return gaussian_cross_stack(P, P, gamma)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))[None]
+    return gaussian_cross_stack(X, X, gamma)[0]
 
 
 def gaussian_cross_stack(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -86,75 +82,82 @@ def gaussian_cross(Xa: np.ndarray, Xb: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-d2 / gamma**2)
 
 
-def cholesky_solve_stack(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Cholesky solves of ``A[i] x = B[i]``, no jitter; returns ``(X, solved)``.
+def _cholesky_rung(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain Cholesky solves of a finite stack, no jitter; returns ``(X, solved)``.
 
-    Where ``solved[i]`` holds, ``X[i]`` is bit-identical to
-    ``solve_spd(A[i], B[i]).solution``: the same LAPACK routines on the same
-    matrix, the same residual test.  Systems that are not finite, not
-    symmetric within 1e-10, not positive definite or miss the residual
-    tolerance are left unsolved for ``solve_spd`` and its jitter ladder.
+    A system is solved when ``potrf`` and ``potrs`` succeed and its residual
+    is within ``_RESIDUAL_TOL`` of ``||b||`` (``0 <= 0`` covers ``b = 0``).
     """
     from scipy.linalg.lapack import dpotrf, dpotrs
 
-    # a system that overflows here is only "not solved"; solve_spd reports it
+    X = np.zeros_like(B)
+    solved = np.zeros(len(B), dtype=bool)
+    # a solution that overflows here is only "not solved"
     with np.errstate(over="ignore", invalid="ignore"):
-        solved = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
-        solved &= np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2)) <= _SYM_TOL
-        X = np.zeros_like(B)
-        for i in np.flatnonzero(solved):
+        for i in range(len(B)):
             factor, info = dpotrf(A[i], lower=1, clean=0)
             if info == 0:
                 X[i], info = dpotrs(factor, B[i], lower=1)
             solved[i] = info == 0
-        # batched `A @ x` and `norm`: per slice, the same BLAS calls solve_spd makes
+        # batched `A @ x` and `norm`: per slice, the same BLAS gemv and dot as one system
         idx = np.flatnonzero(solved)
         r = np.matmul(A[idx], X[idx, :, None])[:, :, 0] - B[idx]
         residual = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
         b = B[idx]
         b_norm = np.sqrt(np.matmul(b[:, None, :], b[:, :, None])[:, 0, 0])
-    solved[idx] = residual <= _RESIDUAL_TOL * b_norm  # solve_spd's test; 0 <= 0 covers b = 0
+    solved[idx] = residual <= _RESIDUAL_TOL * b_norm
     return X, solved
 
 
-def solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:
-    """Solve A x = b by Cholesky with escalating diagonal jitter.
+def solve_spd_stack(
+    A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve every ``A[i] x = B[i]`` by Cholesky; returns ``(X, jitter_used, escalations)``.
 
-    On factorization failure (or a residual above 1e-8 relative), adds
-    eps * trace(A)/n to the diagonal with eps stepping 1e-12 -> 1e-6 by
-    factors of 10.  Raises IllConditionedError once the ladder is exhausted.
+    The plain rung solves the whole stack.  The systems it rejects (not
+    positive definite, or a residual above 1e-8 relative) climb the ladder
+    together: eps * trace(A[i])/n is added to the diagonal, eps stepping
+    1e-12 -> 1e-6 by factors of 10.  Each system gets exactly the result it
+    would get solved alone.  Raises ``ConfigError`` for a matrix not
+    symmetric within 1e-10, and ``IllConditionedError`` for a system that is
+    not finite or still fails at the top of the ladder.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ConfigError("matrix must be square")
-    if b.shape != (n,):
-        raise ConfigError("right-hand side length mismatch")
-    if n and np.abs(A - A.T).max() > _SYM_TOL:
-        raise ConfigError("matrix not symmetric within 1e-10")
-
-    scale = float(np.trace(A)) / n if n else 0.0
-    b_norm = float(np.linalg.norm(b))
+    B = np.asarray(B, dtype=np.float64)
+    if B.ndim != 2 or A.shape != B.shape + B.shape[1:]:
+        raise ConfigError("need (g, n, n) matrices and (g, n) right-hand sides")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: not asymmetric
+        if (np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > _SYM_TOL).any():
+            raise ConfigError("matrix not symmetric within 1e-10")
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
+    if not finite.all():
+        raise IllConditionedError(f"SPD system {int(np.argmin(finite))} is not finite")
+    X, solved = _cholesky_rung(A, B)
+    jitter = np.zeros(len(B))
+    escalations = np.zeros(len(B), dtype=np.int64)
+    if solved.all():  # the common case pays for no trace and no ladder
+        return X, jitter, escalations
+    missed = np.flatnonzero(~solved)
+    n = B.shape[1]
     eps = _JITTER_START
-    jitter = 0.0
-    escalations = 0
-    while True:
-        regularized = A if jitter == 0.0 else A + jitter * np.eye(n)
-        try:
-            factor = cho_factor(regularized, lower=True)
-            x = cho_solve(factor, b)
-            residual = float(np.linalg.norm(regularized @ x - b))
-            if residual <= _RESIDUAL_TOL * b_norm or (b_norm == 0.0 and residual == 0.0):
-                return SpdSolveReport(x, jitter, escalations)
-        except np.linalg.LinAlgError:
-            pass
-        if eps > _JITTER_STOP:
-            raise IllConditionedError(
-                f"Cholesky failed after jitter escalation to {jitter:.3e}"
-            )
-        jitter = eps * scale
-        eps *= 10.0
-        escalations += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a trace that overflows fails every step
+        scale = np.array([np.trace(A[i]) for i in missed]) / n
+        while len(missed):
+            if eps > _JITTER_STOP:
+                raise IllConditionedError(
+                    f"Cholesky failed after jitter escalation to {jitter[missed[0]]:.3e}"
+                )
+            jitter[missed] = eps * scale
+            escalations[missed] += 1
+            regularized = A[missed] + jitter[missed, None, None] * np.eye(n)
+            X_up, ok = _cholesky_rung(regularized, B[missed])
+            X[missed[ok]] = X_up[ok]
+            missed, scale = missed[~ok], scale[~ok]
+            eps *= 10.0
+    return X, jitter, escalations
+
+
+def solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:
+    """Solve one SPD system A x = b: ``solve_spd_stack`` on a stack of one."""
+    X, jitter, escalations = solve_spd_stack(np.asarray(A)[None], np.asarray(b)[None])
+    return SpdSolveReport(X[0], float(jitter[0]), int(escalations[0]))

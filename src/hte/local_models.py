@@ -11,11 +11,10 @@ when the targets themselves lie in that interval.
 
 Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
-memory stays bounded however many cells share a size, and sends a cell the
-plain Cholesky solve rejects to ``solve_spd``'s jitter ladder.  Every cell
-gets the solution it would get fitted alone.  Prediction batches the same
-way, by (queries, support size) shape, and every cell gets the values it
-would get predicted alone.
+memory stays bounded however many cells share a size, and solves each
+stack with one ``solve_spd_stack``.  Every cell gets the solution it would
+get fitted alone.  Prediction batches the same way, by (queries, support
+size) shape, and every cell gets the values it would get predicted alone.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import cholesky_solve_stack, gaussian_cross, gaussian_cross_stack
-from .linalg import gaussian_gram_stack, solve_spd
-from .linalg import gaussian_gram  # noqa: F401  (benchmarks/perf.py traces it here)
+from .linalg import gaussian_cross, gaussian_cross_stack, solve_spd_stack
+from .linalg import gaussian_gram, solve_spd  # noqa: F401  (benchmarks/perf.py traces them here)
 
 NO_CELL = -1
 
@@ -172,9 +170,8 @@ def fit_kernel_cells(
     ``y_support``.  Cells of equal size m are stacked, at most
     ``_STACK_ENTRIES`` Gram entries (and at least one cell) at a time: a
     ``(g, m, m)`` Gram stack, ``n_global * lambda2`` added to each diagonal,
-    plain Cholesky solves.  A cell those reject goes to ``solve_spd`` with
-    the same matrix, so its result, escalations and errors are those of
-    ``fit_kernel_cell`` on that cell alone.
+    one ``solve_spd_stack``.  It solves each system as if alone, so a cell's
+    result, jitter and errors are those of ``fit_kernel_cell`` on that cell.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if (sizes < 1).any() or sizes.sum() != len(support) or len(support) != len(y_support):
@@ -189,13 +186,10 @@ def fit_kernel_cells(
         step = max(1, _STACK_ENTRIES // (m * m))
         for first in range(0, len(group), step):
             rows = starts[group[first : first + step], None] + np.arange(m)
-            K = gaussian_gram_stack(support[rows], gamma)
+            P = support[rows]
+            K = gaussian_cross_stack(P, P, gamma)
             K.reshape(len(rows), m * m)[:, :: m + 1] += n_global * lambda2
-            y = y_support[rows]
-            cell_alpha, solved = cholesky_solve_stack(K, y)
-            for i in np.flatnonzero(~solved):
-                cell_alpha[i] = solve_spd(K[i], y[i]).solution
-            alpha[rows] = cell_alpha
+            alpha[rows] = solve_spd_stack(K, y_support[rows])[0]
     return alpha
 
 

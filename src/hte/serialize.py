@@ -12,9 +12,10 @@ byte-for-byte from the same data.  Loading verifies magic, version and
 checksum before touching any payload, then that the header is a JSON
 object with integer ``d`` and ``n_transforms``, an object ``config`` and a
 numeric ``clip_bound``, then checks the shapes of the grid key tables, tree
-arrays and regressor arrays against ``d`` and the cell counts; a payload
-the model classes reject (a repeated grid key, say) is reported as corrupt
-too.
+arrays and regressor arrays against ``d`` and the cell counts, and that
+every value prediction reads is finite (with std, ``gamma`` and
+``clip_bound`` positive); a payload the model classes reject (a repeated
+grid key, say) is reported as corrupt too.
 
 A member is its partition block then its regressor block.  A grid block
 holds the transform and the ``(n_cells, d)`` key table; a tree block holds
@@ -120,6 +121,10 @@ def _require(ok: bool, problem: str) -> None:
         raise DataError(f"model file corrupt: {problem}")
 
 
+def _require_finite(what: str, *values) -> None:
+    _require(all(np.isfinite(v).all() for v in values), f"{what} not finite")
+
+
 def _write_standardizer(buf: io.BytesIO, stz: Standardizer) -> None:
     _w_array(buf, np.asarray(stz.mean, dtype=np.float64))
     _w_array(buf, np.asarray(stz.std, dtype=np.float64))
@@ -130,11 +135,14 @@ def _write_standardizer(buf: io.BytesIO, stz: Standardizer) -> None:
 
 
 def _read_standardizer(r: _Reader) -> Standardizer:
-    mean = r.array()
-    std = r.array()
+    stz = Standardizer(r.array(), r.array())
     if r.u8():
-        return Standardizer(mean, std, r.f64(), r.f64())
-    return Standardizer(mean, std)
+        stz.target_mean, stz.target_std = r.f64(), r.f64()
+        _require_finite("standardizer target statistics", stz.target_mean, stz.target_std)
+        _require(stz.target_std > 0, "standardizer target std is not positive")
+    _require_finite("standardizer mean or std", stz.mean, stz.std)
+    _require((stz.std > 0).all(), "standardizer std is not positive")
+    return stz
 
 
 def _write_partition(buf: io.BytesIO, part) -> None:
@@ -163,6 +171,7 @@ def _read_partition(r: _Reader, d: int):
         h_lower = r.f64()
         h_upper = r.f64()
         keys = r.array()
+        _require_finite("grid transform", rotation, scales, translation, h_lower, h_upper)
         _require(
             keys.dtype == np.int64 and keys.ndim == 2 and keys.shape[1] == d
             and len(keys) > 0,
@@ -175,7 +184,10 @@ def _read_partition(r: _Reader, d: int):
     rotation = r.array()
     _require(rotation.shape == (d, d),
              f"tree rotation of shape {rotation.shape} is not ({d}, {d})")
-    return AdaptiveTree(rotation, split_dim=r.array(), threshold=r.array())
+    tree = AdaptiveTree(rotation, split_dim=r.array(), threshold=r.array())
+    _require_finite("tree rotation or internal threshold",
+                    rotation, tree.threshold[tree.split_dim >= 0])
+    return tree
 
 
 def _write_model(buf: io.BytesIO, model) -> None:
@@ -198,6 +210,7 @@ def _read_model(r: _Reader, d: int, n_cells: int):
         model = ConstantModel(values=r.array(), fallback=r.f64())
         _require(model.values.shape == (n_cells,),
                  f"cell values of shape {model.values.shape} for {n_cells} cells")
+        _require_finite("cell values or fallback", model.values, model.fallback)
         return model
     if kind != _MODEL_KERNEL:
         raise DataError(f"unknown model tag {kind}")
@@ -214,6 +227,9 @@ def _read_model(r: _Reader, d: int, n_cells: int):
     )
     _require(support.shape == (len(alpha), d),
              f"kernel support of shape {support.shape} is not ({len(alpha)}, {d})")
+    _require(0 < gamma < math.inf and 0 < clip_bound < math.inf,
+             "kernel gamma and clip_bound must be finite and positive")
+    _require_finite("kernel fallback, support, alpha or means", fallback, support, alpha, means)
     return KernelCellModel(
         offsets=offsets,
         support=support,

@@ -13,7 +13,7 @@ import pytest
 
 import hte.cli
 from hte.cli import main
-from hte.data import gen_sin16, load_csv
+from hte.data import gen_counter3d, gen_sin16, load_csv
 from hte.ensemble import predict as lib_predict
 from hte.evaluation import mse
 from hte.serialize import load_model, read_metadata, save_model
@@ -103,6 +103,19 @@ class TestTrain:
                      "--out", str(tmp_path / "m.hte")])
         assert code == 3
         assert "empty" in capsys.readouterr().err
+
+    def test_ridge_that_overflows_exits_3_without_a_warning(self, tmp_path, capsys):
+        # n * lambda2 is inf, so every kernel system is not finite; warnings are errors here
+        ds = gen_counter3d(500, seed=3)
+        data = tmp_path / "c3.csv"
+        np.savetxt(data, np.column_stack([ds.X, ds.y]), delimiter=",",
+                   header="x1,x2,x3,y", comments="")
+        cfg = _write_config(tmp_path / "cfg.json", mode="kht", lambda2=1e308, target="y")
+        code = main(["train", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path / "m.hte")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
 
     def test_same_seed_gives_byte_identical_model_files(self, tmp_path, sin_csv):
         cfg = _write_config(tmp_path / "cfg.json", n_transforms=3, master_seed=11,
@@ -269,6 +282,17 @@ class TestPredict:
         capsys.readouterr()  # discard the train summary
         assert main(["predict", "--model", str(model_path), "--data", str(huge)]) == 2
         assert capsys.readouterr().err == "error: query row 1 overflows when standardized\n"
+
+    def test_model_with_a_zero_feature_std_exits_2(self, tmp_path, sin_csv, capsys):
+        # it used to load and then report an overflow, with a RuntimeWarning
+        model_path = self._trained(tmp_path, sin_csv)
+        model = load_model(model_path)
+        model.standardizer.std = np.zeros_like(model.standardizer.std)
+        save_model(model, model_path)
+        capsys.readouterr()  # discard the train summary
+        assert main(["predict", "--model", str(model_path), "--data", sin_csv]) == 2
+        assert capsys.readouterr().err == \
+            "error: model file corrupt: standardizer std is not positive\n"
 
     def test_features_only_file_predicts_without_mse(self, tmp_path, sin_csv, capsys):
         model_path = self._trained(tmp_path, sin_csv)

@@ -5,14 +5,49 @@ from hypothesis import strategies as st
 
 from hte.errors import ConfigError, IllConditionedError
 from hte.linalg import (
-    cholesky_solve_stack,
+    _JITTER_START,
+    _JITTER_STOP,
+    _RESIDUAL_TOL,
+    _SYM_TOL,
+    SpdSolveReport,
     gaussian_cross,
     gaussian_cross_stack,
     gaussian_gram,
-    gaussian_gram_stack,
     solve_spd,
+    solve_spd_stack,
 )
 from hte.rng import philox_generator
+
+
+def _reference_solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:
+    """One system through SciPy's ``cho_factor``/``cho_solve`` and the same ladder."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    n = A.shape[0]
+    if n and np.abs(A - A.T).max() > _SYM_TOL:
+        raise ConfigError("matrix not symmetric within 1e-10")
+    scale = float(np.trace(A)) / n if n else 0.0
+    b_norm = float(np.linalg.norm(b))
+    eps = _JITTER_START
+    jitter = 0.0
+    escalations = 0
+    while True:
+        regularized = A if jitter == 0.0 else A + jitter * np.eye(n)
+        try:
+            factor = cho_factor(regularized, lower=True)
+            x = cho_solve(factor, b)
+            residual = float(np.linalg.norm(regularized @ x - b))
+            if residual <= _RESIDUAL_TOL * b_norm or (b_norm == 0.0 and residual == 0.0):
+                return SpdSolveReport(x, jitter, escalations)
+        except np.linalg.LinAlgError:
+            pass
+        if eps > _JITTER_STOP:
+            raise IllConditionedError(
+                f"Cholesky failed after jitter escalation to {jitter:.3e}"
+            )
+        jitter = eps * scale
+        eps *= 10.0
+        escalations += 1
 
 
 class TestGaussianGram:
@@ -53,7 +88,7 @@ class TestGaussianGram:
            seed=st.integers(0, 2**32 - 1))
     def test_gram_equals_cross_kernel_bitwise(self, g, m, d, gamma, scale, seed):
         P = philox_generator(seed).normal(size=(g, m, d)) * scale
-        stack = gaussian_gram_stack(P, gamma)
+        stack = gaussian_cross_stack(P, P, gamma)
         for X, K in zip(P, stack):
             cross = gaussian_cross(X, X, gamma).tobytes()
             assert K.tobytes() == cross
@@ -72,33 +107,97 @@ class TestGaussianGram:
             assert K.tobytes() == gaussian_cross(Xa, Xb, gamma).tobytes()
 
 
-class TestCholeskySolveStack:
+def _ridge_stack(seed, ridges, m, d, duplicate_share):
+    """Gram matrices of drawn points plus ``ridges[i]`` on each diagonal.
+
+    Rows repeated within a system leave only the ridge on a null space, so
+    a ridge of 1e-12 sends that system up the jitter ladder, and a negative
+    one makes it indefinite at every step.
+    """
+    rng = philox_generator(seed)
+    P = rng.normal(size=(len(ridges), m, d))
+    for row in range(1, m):
+        repeat = rng.uniform(size=len(ridges)) < duplicate_share
+        P[repeat, row] = P[repeat, int(rng.integers(0, row))]
+    K = gaussian_cross_stack(P, P, 1.0)
+    K.reshape(len(ridges), m * m)[:, :: m + 1] += np.asarray(ridges)[:, None]
+    return K, rng.normal(size=(len(ridges), m))
+
+
+class TestSolveSpdStack:
     def test_solved_systems_equal_solve_spd_bitwise(self):
         rng = philox_generator(8)
         M = rng.normal(size=(6, 12, 12))
         A = M @ M.transpose(0, 2, 1) + 12 * np.eye(12)
         A = (A + A.transpose(0, 2, 1)) / 2.0
         B = rng.normal(size=(6, 12))
-        X, solved = cholesky_solve_stack(A, B)
-        assert solved.all()
+        X, jitter, escalations = solve_spd_stack(A, B)
+        assert not jitter.any() and not escalations.any()
         for i in range(6):
             assert X[i].tobytes() == solve_spd(A[i], B[i]).solution.tobytes()
+            assert X[i].tobytes() == _reference_solve_spd(A[i], B[i]).solution.tobytes()
 
-    def test_systems_needing_the_ladder_are_left_unsolved(self):
-        A = np.stack([np.eye(2)] * 5)
-        A[1] = [[1.0, 1.0], [1.0, 1.0]]  # singular: not positive definite
-        A[2, 0, 1] = 1e-9  # not symmetric within 1e-10, though its residual would pass
-        A[3, 1, 1] = np.inf  # not finite
-        B = np.ones((5, 2))
-        B[4, 0] = np.nan  # non-finite right-hand side
-        X, solved = cholesky_solve_stack(A, B)
-        assert solved.tolist() == [True, False, False, False, False]
+    def test_systems_the_plain_rung_rejects(self):
+        # singular, not positive definite: climbs the ladder like the reference
+        A, B = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]]), np.ones((2, 2))
+        X, jitter, escalations = solve_spd_stack(A, B)
         np.testing.assert_array_equal(X[0], [1.0, 1.0])
+        assert jitter[0] == 0.0 and escalations[0] == 0
+        expected = _reference_solve_spd(A[1], B[1])
+        assert escalations[1] == expected.escalations > 0
+        assert jitter[1] == expected.jitter_used
+        assert X[1].tobytes() == expected.solution.tobytes()
+        # not symmetric within 1e-10, though its residual would pass
+        A = np.stack([np.eye(2), np.eye(2)])
+        A[1, 0, 1] = 1e-9
+        with pytest.raises(ConfigError, match="not symmetric"):
+            solve_spd_stack(A, np.ones((2, 2)))
+        # a matrix or a right-hand side that is not finite is never solved
+        A = np.stack([np.eye(2), np.eye(2)])
+        A[1, 1, 1] = np.inf
+        with pytest.raises(IllConditionedError, match="system 1 is not finite"):
+            solve_spd_stack(A, np.ones((2, 2)))
+        B = np.ones((2, 2))
+        B[1, 0] = np.nan
+        with pytest.raises(IllConditionedError, match="system 1 is not finite"):
+            solve_spd_stack(np.stack([np.eye(2), np.eye(2)]), B)
 
     def test_zero_right_hand_side_is_solved(self):
-        X, solved = cholesky_solve_stack(np.stack([2.0 * np.eye(3)]), np.zeros((1, 3)))
-        assert solved.all()
+        X, jitter, escalations = solve_spd_stack(np.stack([2.0 * np.eye(3)]), np.zeros((1, 3)))
         np.testing.assert_array_equal(X, np.zeros((1, 3)))
+        assert jitter.tolist() == [0.0] and escalations.tolist() == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ridges=st.lists(st.sampled_from([1.0, 1e-3, 1e-12]), min_size=1, max_size=6),
+           exhausted=st.booleans(), m=st.integers(1, 12), d=st.integers(1, 4),
+           duplicate_share=st.floats(0.0, 0.7), seed=st.integers(0, 2**32 - 1))
+    def test_each_system_solves_as_the_reference_alone(self, ridges, exhausted, m, d,
+                                                       duplicate_share, seed):
+        if exhausted:  # indefinite at every jitter step
+            ridges = ridges + [-0.25]
+        A, B = _ridge_stack(seed, ridges, m, d, duplicate_share)
+        try:
+            expected = [_reference_solve_spd(a, b) for a, b in zip(A, B)]
+        except IllConditionedError:
+            with pytest.raises(IllConditionedError):
+                solve_spd_stack(A, B)
+            return
+        X, jitter, escalations = solve_spd_stack(A, B)
+        for i, report in enumerate(expected):
+            assert X[i].tobytes() == report.solution.tobytes()
+            assert jitter[i] == report.jitter_used
+            assert escalations[i] == report.escalations
+
+    def test_drawn_stacks_reach_the_ladder(self):
+        # drawn stacks reach the ladder, and only the systems that need it escalate
+        A, B = _ridge_stack(3, [1.0, 1e-12, 1.0, 1e-12], 8, 2, 0.5)
+        _, _, escalations = solve_spd_stack(A, B)
+        assert escalations[[0, 2]].tolist() == [0, 0] and escalations[[1, 3]].all()
+
+    def test_trace_that_overflows_exhausts_the_ladder_without_a_warning(self):
+        # finite and singular, so the ladder starts, but its jitter is inf
+        with pytest.raises(IllConditionedError, match="escalation to inf"):
+            solve_spd_stack(np.full((1, 2, 2), 1e308), np.ones((1, 2)))
 
 
 class TestSolveSpd:

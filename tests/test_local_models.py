@@ -195,13 +195,13 @@ class TestFitKernelCells:
         n_cells = _STACK_ENTRIES // (m * m) + 3
         sizes = [m] * n_cells
         support, y = _layout(13, sizes, 2)
-        stacks, build = [], hte.local_models.gaussian_gram_stack
+        stacks, build = [], hte.local_models.gaussian_cross_stack
 
-        def recording(P, gamma):
-            stacks.append(P.shape[0])
-            return build(P, gamma)
+        def recording(A, B, gamma):
+            stacks.append(A.shape[0])
+            return build(A, B, gamma)
 
-        monkeypatch.setattr(hte.local_models, "gaussian_gram_stack", recording)
+        monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording)
         alpha = fit_kernel_cells(support, y, sizes, 0.7, 1e-3, len(y))
         assert len(stacks) > 1 and sum(stacks) == n_cells
         assert max(stacks) * m * m <= max(_STACK_ENTRIES, m * m)

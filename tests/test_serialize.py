@@ -331,3 +331,92 @@ def test_tree_split_dim_dtype_checked():
     member.partition.split_dim = member.partition.split_dim.astype(np.float64)
     with pytest.raises(DataError, match="corrupt: tree split_dim must be an int64 vector"):
         deserialize_model(serialize_model(model))
+
+
+# Values that predict reads must be finite (and gamma, clip_bound, std
+# positive): a file that holds anything else is corrupt, whatever its checksum.
+
+@pytest.mark.parametrize("field", ["values", "fallback"])
+def test_constant_cell_value_not_finite_is_corrupt(field):
+    _, model = _train("nht", "grid", n=120)
+    member = model.members[0]
+    if field == "values":
+        member.model.values = member.model.values.copy()
+        member.model.values[0] = np.nan
+    else:
+        member.model.fallback = np.nan
+    with pytest.raises(DataError, match="corrupt: cell values or fallback not finite"):
+        deserialize_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("field", ["alpha", "means", "support", "fallback"])
+def test_kernel_value_not_finite_is_corrupt(field):
+    model, member = _kernel_grid_member()
+    if field == "fallback":
+        member.model.fallback = np.inf
+    else:
+        values = getattr(member.model, field).copy()
+        values.flat[-1] = np.nan
+        setattr(member.model, field, values)
+    with pytest.raises(DataError,
+                       match="corrupt: kernel fallback, support, alpha or means not finite"):
+        deserialize_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("field,value", [("gamma", -1.0), ("gamma", np.nan),
+                                         ("clip_bound", 0.0), ("clip_bound", np.inf)])
+def test_kernel_gamma_and_clip_bound_must_be_positive(field, value):
+    model, member = _kernel_grid_member()
+    setattr(member.model, field, value)
+    with pytest.raises(DataError,
+                       match="corrupt: kernel gamma and clip_bound must be finite and positive"):
+        deserialize_model(serialize_model(model))
+
+
+def test_tree_internal_threshold_not_finite_is_corrupt():
+    model, member = _tree_member()
+    threshold = member.partition.threshold.copy()
+    assert np.isnan(threshold[member.partition.split_dim < 0]).all()  # leaves load as NaN
+    threshold[0] = np.nan  # the root: every row would be routed right
+    member.partition.threshold = threshold
+    with pytest.raises(DataError, match="corrupt: tree rotation or internal threshold not finite"):
+        deserialize_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("field", ["rotation", "scales", "translation"])
+def test_grid_transform_not_finite_is_corrupt(field):
+    model, member = _kernel_grid_member()
+    t = member.partition.transform
+    values = getattr(t, field).copy()
+    values.flat[0] = np.nan  # passes the transform's own range checks
+    object.__setattr__(t, field, values)
+    with pytest.raises(DataError, match="corrupt: grid transform not finite"):
+        deserialize_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("field,value", [("mean", np.nan), ("std", np.inf)])
+def test_standardizer_not_finite_is_corrupt(field, value):
+    _, model = _train("nht", "adaptive", n=120)
+    values = getattr(model.standardizer, field).copy()
+    values[0] = value
+    setattr(model.standardizer, field, values)
+    with pytest.raises(DataError, match="corrupt: standardizer mean or std not finite"):
+        deserialize_model(serialize_model(model))
+
+
+def test_standardizer_std_of_zero_is_corrupt():
+    _, model = _train("nht", "adaptive", n=120)
+    model.standardizer.std = np.zeros_like(model.standardizer.std)
+    with pytest.raises(DataError, match="corrupt: standardizer std is not positive"):
+        deserialize_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("target_mean,target_std,problem", [
+    (np.nan, 1.0, "standardizer target statistics not finite"),
+    (0.0, 0.0, "standardizer target std is not positive"),
+])
+def test_standardizer_target_statistics_checked(target_mean, target_std, problem):
+    _, model = _train("nht", "grid", n=120, standardize_target=True)
+    model.standardizer.target_mean, model.standardizer.target_std = target_mean, target_std
+    with pytest.raises(DataError, match=f"corrupt: {problem}"):
+        deserialize_model(serialize_model(model))
