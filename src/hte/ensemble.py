@@ -92,6 +92,8 @@ class TrainConfig:
                     f"{len(self.candidate_pairs)} != n_candidates {self.n_candidates}"
                 )
             for lo, hi in self.candidate_pairs:
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ConfigError("each candidate pair needs finite offsets")
                 if not lo < hi:
                     raise ConfigError("each candidate pair needs s_min < s_max")
         elif self.n_candidates > len(DEFAULT_CANDIDATE_PAIRS):
@@ -99,16 +101,19 @@ class TrainConfig:
                 "n_candidates exceeds the default candidate grid; "
                 "supply candidate_pairs explicitly"
             )
+        if not (math.isfinite(self.s_min) and math.isfinite(self.s_max)):
+            raise ConfigError("s_min and s_max must be finite")
         if not self.s_min < self.s_max:
             raise ConfigError("s_min must be strictly less than s_max")
         if self.min_samples_split < 1:
             raise ConfigError("min_samples_split must be >= 1")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.lambda2 is not None and self.lambda2 <= 0:
-            raise ConfigError("lambda2 must be positive")
-        if self.clip_bound is not None and self.clip_bound <= 0:
-            raise ConfigError("clip_bound must be positive")
+        # NaN fails every comparison, so "not 0 < v < inf" rejects it too
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError("gamma must be positive and finite")
+        if self.lambda2 is not None and not 0 < self.lambda2 < math.inf:
+            raise ConfigError("lambda2 must be positive and finite")
+        if self.clip_bound is not None and not 0 < self.clip_bound < math.inf:
+            raise ConfigError("clip_bound must be positive and finite")
         if self.fallback not in FALLBACK_RULES:
             raise ConfigError(f"fallback must be one of {FALLBACK_RULES}")
         if self.k_min < 1:
@@ -190,6 +195,9 @@ def _fit_cells(
         return fit_constant(cells, y, n_cells, fallback=fallback, clip_bound=clip_bound)
     n_fit = len(y)
     lambda2 = config.lambda2 if config.lambda2 is not None else 1.0 / n_fit
+    if not math.isfinite(n_fit * lambda2):
+        raise ConfigError(f"lambda2 {lambda2!r} is too large: the ridge "
+                          f"{n_fit} * lambda2 overflows")
     counts = np.bincount(cells, minlength=n_cells)
     if (counts == 0).any():
         empty = int(np.flatnonzero(counts == 0)[0])
@@ -347,8 +355,8 @@ def train_ensemble(
     return EnsembleModel(members, standardizer, config, clip_bound)
 
 
-def _member_matrix(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
-    """Per-member predictions in standardized target units, shape (T, q).
+def _standardize_queries(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
+    """Query rows standardized for the members.
 
     Raises ``DataError`` naming the first query row that has a NaN or inf
     or overflows to inf when standardized.
@@ -361,18 +369,27 @@ def _member_matrix(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
         finite_input = np.isfinite(X[row]).all()
         problem = "overflows when standardized" if finite_input else "has a non-finite feature"
         raise DataError(f"query row {row} {problem}")
-    return np.vstack([member_predict(m, X_std) for m in model.members])
+    return X_std
 
 
 def predict_members(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     """Per-member predictions in original target units, shape (T, q)."""
-    return model.standardizer.inverse_target(_member_matrix(model, X))
+    X_std = _standardize_queries(model, X)
+    M = np.vstack([member_predict(m, X_std) for m in model.members])
+    return model.standardizer.inverse_target(M)
 
 
 def predict(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
-    """Ensemble prediction: the member average, de-standardized."""
-    M = _member_matrix(model, X)
-    return model.standardizer.inverse_target(M.sum(axis=0) / len(model.members))
+    """Ensemble prediction: the member average, de-standardized.
+
+    Members are added in order into one running sum, so a row's prediction
+    does not depend on the other rows of its batch.
+    """
+    X_std = _standardize_queries(model, X)
+    total = member_predict(model.members[0], X_std)  # a new array, safe to add into
+    for member in model.members[1:]:
+        total += member_predict(member, X_std)
+    return model.standardizer.inverse_target(total / len(model.members))
 
 
 SMOOTHNESS_CLASSES = ("c0a", "c1a", "cka")

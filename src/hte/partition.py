@@ -17,8 +17,12 @@ Two partition kinds:
 * AdaptiveTree — rotate the data, then repeatedly split a cell with more
   than ``min_leaf`` points on its largest-variance dimension at the median.
   The tree is full and stored breadth-first as two node arrays, from which
-  children and leaf ids follow.  Trees cover the whole rotated space, so
-  every query reaches a leaf.
+  children, leaf ids and the number of full levels above the shallowest
+  leaf follow.  Trees cover the whole rotated space, so every query reaches
+  a leaf.  A batch walks the tree one level at a time: through the full
+  levels every row steps with no leaf test, then only the rows not yet at a
+  leaf step on.  Each step reads a row's split coordinate from the raveled
+  rotated batch by one flat index.
 """
 
 from __future__ import annotations
@@ -145,7 +149,9 @@ class AdaptiveTree:
     a leaf, and leaves are the cells, numbered in node order.  The k-th
     internal node routes coordinate < ``threshold`` to node 2k+1 and the
     rest to node 2k+2.  Construction derives the child and leaf-id arrays
-    and raises ``ConfigError`` unless the arrays describe such a tree.
+    and ``_full_levels``, the number of levels from the root that hold no
+    leaf, and raises ``ConfigError`` unless the arrays describe such a
+    tree.  None of the derived values is serialized.
     """
 
     rotation: np.ndarray
@@ -153,6 +159,7 @@ class AdaptiveTree:
     threshold: np.ndarray = field(repr=False)
     _child: np.ndarray = field(init=False, repr=False)
     _leaf: np.ndarray = field(init=False, repr=False)
+    _full_levels: int = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.split_dim
@@ -173,6 +180,10 @@ class AdaptiveTree:
         # a child after its parent makes every walk step move forward
         if (self._child <= np.arange(len(dims)))[internal].any():
             raise ConfigError("a tree node is at or after its first child")
+        # levels 0..k-1 hold nodes 0..2**k-2, so they are all internal
+        # exactly when the first leaf comes at or after node 2**k-1
+        first_leaf = int(np.argmin(internal))  # a full tree has a leaf
+        self._full_levels = (first_leaf + 1).bit_length() - 1
 
     @property
     def dim(self) -> int:
@@ -273,20 +284,28 @@ def assign(partition: GridPartition | AdaptiveTree, x: np.ndarray) -> int | None
 
 
 def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.ndarray:
-    """Vectorized cell ids for a batch of points; -1 marks unseen grid keys."""
+    """Vectorized cell ids for a batch of points; -1 marks unseen grid keys.
+
+    A tree walks the batch level by level.  Through the tree's full levels
+    every row steps with no leaf test; after them, each level steps only
+    the rows not yet at a leaf.  A row's coordinate on a node's split
+    dimension is read from the raveled rotated batch at row * d + dim.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != partition.dim:
         raise ConfigError(f"expected points of dimension {partition.dim}")
     if isinstance(partition, GridPartition):
         return _lookup(partition, bin_key(partition.transform, X))
-    Z = _rotate(partition.rotation, X)
+    split_dim, threshold, child = partition.split_dim, partition.threshold, partition._child
+    flat = _rotate(partition.rotation, X).ravel()
+    base = np.arange(0, flat.size, partition.dim, dtype=np.int64)
     node = np.zeros(len(X), dtype=np.int64)
-    while True:
-        idx = np.flatnonzero(partition.split_dim[node] >= 0)
-        if len(idx) == 0:
-            break
-        sub = node[idx]
-        coords = Z[idx, partition.split_dim[sub]]
-        goes_left = coords < partition.threshold[sub]
-        node[idx] = partition._child[sub] + ~goes_left
+    for _ in range(partition._full_levels):
+        node = child[node] + ~(flat[base + split_dim[node]] < threshold[node])
+    idx = np.flatnonzero(split_dim[node] >= 0)
+    while len(idx):
+        at = node[idx]
+        at = child[at] + ~(flat[base[idx] + split_dim[at]] < threshold[at])
+        node[idx] = at
+        idx = idx[split_dim[at] >= 0]
     return partition._leaf[node]

@@ -104,18 +104,28 @@ class TestTrain:
         assert code == 3
         assert "empty" in capsys.readouterr().err
 
-    def test_ridge_that_overflows_exits_3_without_a_warning(self, tmp_path, capsys):
-        # n * lambda2 is inf, so every kernel system is not finite; warnings are errors here
+    @pytest.mark.parametrize("name, config", [
+        # trained a model predicting NaN, which the loader then called corrupt
+        ("clip_bound", {"clip_bound": float("nan")}),
+        # trained and saved a file that could not be loaded
+        ("gamma", {"mode": "kht", "gamma": float("inf")}),
+        # finite, but the ridge n * lambda2 is inf, so every kernel system was not finite
+        ("lambda2", {"mode": "kht", "lambda2": 1e308}),
+    ], ids=["clip_bound", "gamma", "lambda2"])
+    def test_value_that_is_not_finite_exits_1_naming_it(self, tmp_path, capsys, name,
+                                                        config):
+        # warnings are errors here, so this also checks that none is raised
         ds = gen_counter3d(500, seed=3)
         data = tmp_path / "c3.csv"
         np.savetxt(data, np.column_stack([ds.X, ds.y]), delimiter=",",
                    header="x1,x2,x3,y", comments="")
-        cfg = _write_config(tmp_path / "cfg.json", mode="kht", lambda2=1e308, target="y")
-        code = main(["train", "--config", cfg, "--data", str(data),
-                     "--out", str(tmp_path / "m.hte")])
-        assert code == 3
+        cfg = _write_config(tmp_path / "cfg.json", target="y", **config)
+        out = tmp_path / "m.hte"
+        code = main(["train", "--config", cfg, "--data", str(data), "--out", str(out)])
+        assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        assert not out.exists()
 
     def test_same_seed_gives_byte_identical_model_files(self, tmp_path, sin_csv):
         cfg = _write_config(tmp_path / "cfg.json", n_transforms=3, master_seed=11,

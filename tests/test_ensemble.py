@@ -66,6 +66,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(s_min=2.0, s_max=1.0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("lambda2", math.nan),
+        ("lambda2", math.inf), ("clip_bound", math.nan), ("clip_bound", math.inf),
+        ("s_min", -math.inf), ("s_max", math.inf),
+    ])
+    def test_rejects_non_finite_value(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_rejects_non_finite_candidate_pair(self):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(n_candidates=2, candidate_pairs=[(0.0, 1.0), (0.0, math.inf)]).validate()
+
     def test_rejects_candidate_pair_count_mismatch(self):
         with pytest.raises(ConfigError):
             TrainConfig(n_candidates=2, candidate_pairs=[(0.0, 1.0)]).validate()
@@ -128,6 +141,28 @@ class TestEnsemblePrediction:
         ensemble_sq = (predict(model, test.X) - test.y) ** 2
         member_sq = (predict_members(model, test.X) - test.y) ** 2
         assert (ensemble_sq <= member_sq.mean(axis=0) + 1e-12).all()
+
+    @pytest.mark.parametrize("mode", ["nht", "kht"])
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_running_sum_equals_summing_the_member_matrix(self, mode, partition):
+        train = gen_counter3d(600, seed=50)
+        query = gen_counter3d(40, seed=51).X
+        cfg = TrainConfig(mode=mode, partition=partition, n_transforms=12,
+                          min_samples_split=60, standardize_target=True, master_seed=52)
+        full = train_ensemble(train, cfg, n_threads=1)
+        X_std = full.standardizer.transform(query)
+        M = np.vstack([member_predict(m, X_std) for m in full.members])
+        for T in range(1, 13):
+            model = replace(full, members=full.members[:T])
+            expected = full.standardizer.inverse_target(M[:T].sum(axis=0) / T)
+            batch = predict(model, query)
+            np.testing.assert_array_equal(batch, expected)
+            if mode == "nht":
+                # members are added in one order for every row, so a row's
+                # prediction does not depend on the rest of its batch (a kht
+                # member's own rows still do: cells are stacked by query count)
+                alone = np.concatenate([predict(model, query[i:i + 1]) for i in range(8)])
+                np.testing.assert_array_equal(alone, batch[:8])
 
     def test_predict_dimension_mismatch(self):
         ds = gen_sin16(100, seed=6)

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,52 @@ def _key_rows(draw):
     corners = np.vstack([np.zeros(d, dtype=np.int64), spans - 1])
     rows = np.vstack([raw, corners, raw[repeats]]) % spans
     return lo + rows[draw(st.permutations(range(len(rows))))], lo, spans
+
+
+def _reference_walk(tree, X):
+    """Cell ids of rows of X, one row and one node at a time, from the
+    breadth-first layout alone."""
+    internal = (tree.split_dim >= 0).tolist()
+    cells = []
+    for z in np.einsum("ij,nj->ni", tree.rotation, X):  # the rotation build_adaptive uses
+        node = 0
+        while internal[node]:
+            right = z[tree.split_dim[node]] >= tree.threshold[node]
+            node = 2 * sum(internal[:node]) + 1 + int(right)
+        cells.append(node - sum(internal[:node]))
+    return np.array(cells, dtype=np.int64)
+
+
+@st.composite
+def _drawn_trees(draw):
+    """A valid AdaptiveTree of one kind (a root leaf, a complete tree, a
+    left or right chain, or a random full tree), with its kind and depth."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["leaf", "complete", "left_chain", "right_chain", "random"]))
+    depth = draw(st.integers(1, 6))
+    internal = []
+    queue = deque([(0, "root")])  # numbered breadth-first, as they leave the queue
+    while queue:
+        level, side = queue.popleft()
+        if kind == "random":
+            split = level < 7 and draw(st.booleans())
+        else:
+            split = kind != "leaf" and level < depth and side != {
+                "left_chain": "right", "right_chain": "left"}.get(kind)
+        internal.append(split)
+        if split:
+            queue.extend([(level + 1, "left"), (level + 1, "right")])
+    internal = np.array(internal)
+    n = len(internal)
+    dims = draw(hnp.arrays(np.int64, n, elements=st.integers(0, d - 1)))
+    cuts = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+                           | st.floats(-2.0, 2.0)))
+    rotation = np.eye(d)
+    if draw(st.booleans()):
+        rotation = sample_rotation(d, philox_generator(draw(st.integers(0, 2**32 - 1))))
+    tree = AdaptiveTree(rotation, np.where(internal, dims, -1),
+                        np.where(internal, cuts, np.nan))
+    return tree, kind, depth
 
 
 class TestBuildGrid:
@@ -351,15 +399,31 @@ class TestAssignAdaptive:
         np.testing.assert_array_equal(cells, assign_many(tree, X))
         assert set(cells.tolist()) == set(range(rebuilt.n_cells))
 
-        # reference walk straight from the breadth-first layout
+        np.testing.assert_array_equal(cells, _reference_walk(tree, X))
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_drawn_trees(), data=st.data())
+    def test_walk_matches_reference_on_drawn_trees(self, drawn, data):
+        tree, kind, depth = drawn
+        d = tree.dim
         internal = (tree.split_dim >= 0).tolist()
-        Z = np.einsum("ij,nj->ni", rotation, X)  # the rotation build_adaptive uses
-        for z, cell in zip(Z, cells):
-            node = 0
-            while internal[node]:
-                right = z[tree.split_dim[node]] >= tree.threshold[node]
-                node = 2 * sum(internal[:node]) + 1 + int(right)
-            assert cell == node - sum(internal[:node])
+        if kind == "leaf":
+            assert tree._full_levels == 0
+        elif kind == "complete":
+            assert tree._full_levels == depth
+        elif kind.endswith("chain"):
+            assert tree._full_levels == 1
+        full = 0  # the levels 0..k-1 are nodes 0..2**k-2
+        while 2 ** (full + 1) - 1 <= len(internal) and all(internal[: 2 ** (full + 1) - 1]):
+            full += 1
+        assert tree._full_levels == full
+
+        # exact thresholds, other values, far points and the origin
+        cuts = tree.threshold[np.isfinite(tree.threshold)].tolist()
+        values = st.sampled_from(cuts + [0.0, 1e300, -1e300]) | st.floats(-3.0, 3.0)
+        n = data.draw(st.integers(0, 40))
+        Q = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
+        np.testing.assert_array_equal(assign_many(tree, Q), _reference_walk(tree, Q))
 
     def test_queries_beyond_training_range_reach_a_leaf(self):
         rng = philox_generator(41)
