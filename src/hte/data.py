@@ -17,14 +17,18 @@ NOISE_STD = 0.1  # observation noise of both synthetic generators
 
 @dataclass
 class Dataset:
-    """Columnar numeric data: features X (n, d) and target y (n,)."""
+    """Columnar numeric data: features X (n, d) and target y (n,).
+
+    X is stored C-contiguous, so a model trained on it does not depend on
+    the layout the caller passed.
+    """
 
     X: np.ndarray
     y: np.ndarray
     feature_names: list[str] | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
             raise DataError("X must be (n, d) and y (n,) with matching n")

@@ -356,12 +356,13 @@ def train_ensemble(
 
 
 def _standardize_queries(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
-    """Query rows standardized for the members.
+    """Query rows standardized for the members, C-contiguous whatever the
+    layout of X, so that a prediction does not depend on it.
 
     Raises ``DataError`` naming the first query row that has a NaN or inf
     or overflows to inf when standardized.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
     with np.errstate(over="ignore"):
         X_std = model.standardizer.transform(X)
     if not np.isfinite(X_std).all():  # NaN and inf stay non-finite when standardized

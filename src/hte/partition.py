@@ -16,6 +16,10 @@ Two partition kinds:
   lexicographically.
 * AdaptiveTree — rotate the data, then repeatedly split a cell with more
   than ``min_leaf`` points on its largest-variance dimension at the median.
+  The tree grows one breadth-first level at a time on a column-major copy
+  of the rotated rows: a level's nodes are consecutive spans of one
+  row-index array, and its splittable nodes of one size are split together
+  as one block, with the same bits as splitting each node alone.
   The tree is full and stored breadth-first as two node arrays, from which
   children, leaf ids and the number of full levels above the shallowest
   leaf follow.  Trees cover the whole rotated space, so every query reaches
@@ -28,7 +32,6 @@ Two partition kinds:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +229,68 @@ def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:
     return check_finite_image(np.einsum("ij,nj->ni", rotation, X))
 
 
+def _variances(block: np.ndarray) -> np.ndarray:
+    """Variances along the last axis of a (d, g, m) block of g nodes,
+    bit-equal to ``ndarray.var(axis=0)`` on each node's (m, d) rows: sum,
+    divide, square the deviations in place, sum, divide, with each sum
+    taken in numpy's order (see ``build_adaptive``)."""
+    d, _, m = block.shape
+    buf = np.empty_like(block)  # serves both folds
+
+    def fold(a: np.ndarray) -> np.ndarray:
+        if d == 1:
+            return np.add.reduce(a, axis=-1)
+        return np.add.accumulate(a, axis=-1, out=buf)[..., -1]
+
+    mean = fold(block) / m
+    np.subtract(block, mean[..., None], out=buf)
+    np.square(buf, out=buf)
+    return fold(buf) / m
+
+
+def _split_level(
+    columns: np.ndarray, rows: np.ndarray, sizes: np.ndarray, min_leaf: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split the nodes of one breadth-first level.
+
+    ``columns`` is the rotated data as a (d, n) array.  The level's nodes
+    are consecutive spans of ``rows``, which is reordered in place, with
+    ``sizes`` rows each.  Returns the nodes' split dimensions (-1 at a leaf)
+    and cuts (NaN at a leaf), then the next level's rows and sizes: each
+    split node's left child, then its right child, each with the node's
+    rows in their order.
+    """
+    starts = np.cumsum(sizes) - sizes
+    dims = np.full(len(sizes), _NO_CELL, dtype=np.int64)
+    cuts = np.full(len(sizes), np.nan)
+    left = np.zeros(len(sizes), dtype=np.int64)  # rows sent left
+    for m in np.unique(sizes[sizes > min_leaf]).tolist():
+        nodes = np.flatnonzero(sizes == m)
+        span = starts[nodes, None] + np.arange(m)
+        members = rows[span]
+        block = np.take(columns, members, axis=1)  # (d, g, m)
+        variances = _variances(block)
+        dim = np.argmax(variances, axis=0)  # ties resolve to the lowest index
+        at = np.arange(len(nodes))
+        col = block[dim, at]
+        del block
+        h = m // 2
+        part = np.partition(col, [h - 1, h] if m % 2 == 0 else h, axis=-1)
+        cut = np.mean(part[:, h - 1 + m % 2:h + 1], axis=-1)  # np.median's middle
+        del part
+        go_left = col < cut[:, None]
+        k = np.count_nonzero(go_left, axis=1)
+        # a node whose median split cannot reduce it stays a leaf, whatever its size
+        split = (variances[dim, at] > 0.0) & (k > 0) & (k < m)
+        nodes, span, members, go_left = nodes[split], span[split], members[split], go_left[split]
+        dims[nodes], cuts[nodes], left[nodes] = dim[split], cut[split], k[split]
+        order = np.argsort(~go_left, axis=1, kind="stable")  # stable: rows keep their order
+        rows[span] = np.take_along_axis(members, order, axis=1)
+    internal = dims >= 0
+    children = np.column_stack([left, sizes - left])[internal].ravel()
+    return dims, cuts, rows[np.repeat(internal, sizes)], children
+
+
 def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> AdaptiveTree:
     """Grow an adaptive tree over the rotated rows of X.
 
@@ -235,6 +300,24 @@ def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> Adapti
     values >= threshold).  A cell whose median split would leave one side
     empty — in particular one whose points are all identical — becomes a
     terminal leaf regardless of size.
+
+    The tree grows one breadth-first level at a time.  The rotated rows are
+    kept once as a C-contiguous (d, n) array, and a level's nodes as
+    consecutive spans of one row-index array; all splittable nodes of one
+    size m are taken together as one (d, g, m) block.  Every value is
+    bit-equal to splitting each node alone on its rotated rows
+    ``Z[rows]``, an (m, d) block, with ``var(axis=0)`` and ``np.median``:
+
+    * numpy folds the block's axis 0 one row at a time, so for d >= 2 each
+      sum of a variance (of the values, then of the squared deviations) is
+      the last running sum, ``np.add.accumulate`` along the last axis;
+    * for d = 1 the column is contiguous and numpy sums it pairwise, as
+      ``np.add.reduce`` does along the last axis;
+    * the split dimension is the first argmax of the variances;
+    * the cut is the median: ``np.partition`` at the middle one or two
+      positions, then the mean of those values;
+    * the children take the node's rows in row order (a stable sort), the
+      left child first.
     """
     if min_leaf < 1:
         raise ConfigError("min_leaf must be >= 1")
@@ -242,35 +325,23 @@ def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> Adapti
     if X.ndim != 2 or X.shape[0] < 1:
         raise ConfigError("training matrix must be 2-d with at least one row")
     rotation = np.asarray(rotation, dtype=np.float64)
-    Z = _rotate(rotation, X)
+    # one row per rotated coordinate: the per-level gathers and folds run
+    # along contiguous memory
+    columns = np.ascontiguousarray(_rotate(rotation, X).T)
 
-    split_dim: list[int] = []
-    threshold: list[float] = []
-    # first in, first out: nodes are numbered breadth-first as they leave
-    # the queue, so a split node's children are the next two numbers free
-    queue = deque([np.arange(len(X), dtype=np.int64)])
-    while queue:
-        indices = queue.popleft()
-        split_dim.append(_NO_CELL)
-        threshold.append(np.nan)
-        if len(indices) > min_leaf:
-            block = Z[indices]
-            variances = block.var(axis=0)
-            dim = int(np.argmax(variances))  # ties resolve to the lowest index
-            col = block[:, dim]
-            cut = float(np.median(col))
-            go_left = col < cut
-            if variances[dim] > 0.0 and go_left.any() and not go_left.all():
-                split_dim[-1], threshold[-1] = dim, cut
-                queue.append(indices[go_left])
-                queue.append(indices[~go_left])
-            # otherwise the cell is degenerate: its median split cannot
-            # reduce it, so it stays a terminal leaf whatever its size
+    split_dim: list[np.ndarray] = []
+    threshold: list[np.ndarray] = []
+    rows = np.arange(len(X), dtype=np.int64)
+    sizes = np.array([len(X)], dtype=np.int64)
+    while len(sizes):
+        dims, cuts, rows, sizes = _split_level(columns, rows, sizes, min_leaf)
+        split_dim.append(dims)
+        threshold.append(cuts)
 
     return AdaptiveTree(
         rotation=rotation,
-        split_dim=np.array(split_dim, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
+        split_dim=np.concatenate(split_dim),
+        threshold=np.concatenate(threshold),
     )
 
 

@@ -189,6 +189,24 @@ class TestPredict:
         written = np.array([float(r[0]) for r in rows[1:]])
         np.testing.assert_array_equal(written, lib_predict(model, ds.X))
 
+    def test_adaptive_predictions_equal_the_library_on_c_ordered_features(self, tmp_path):
+        # the feature columns of a file with a target are read F-ordered
+        ds = gen_counter3d(4000, seed=3)
+        data = tmp_path / "counter.csv"
+        np.savetxt(data, np.column_stack([ds.X[:2000], ds.y[:2000]]), delimiter=",",
+                   header="x1,x2,x3,y", comments="")
+        cfg = _write_config(tmp_path / "cfg.json", partition="adaptive", min_samples_split=50,
+                            n_transforms=10, target="y")
+        model_path, preds_path = tmp_path / "model.hte", tmp_path / "preds.csv"
+        assert main(["train", "--config", cfg, "--data", str(data),
+                     "--out", str(model_path)]) == 0
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(preds_path)]) == 0
+
+        X = np.ascontiguousarray(load_csv(data, target="y").X)
+        np.testing.assert_array_equal(np.loadtxt(preds_path, skiprows=1),
+                                      lib_predict(load_model(model_path), X))
+
     def test_dimension_mismatch_exits_2(self, tmp_path, sin_csv, capsys):
         model_path = self._trained(tmp_path, sin_csv)
         wide = tmp_path / "wide.csv"

@@ -164,6 +164,20 @@ class TestEnsemblePrediction:
                 alone = np.concatenate([predict(model, query[i:i + 1]) for i in range(8)])
                 np.testing.assert_array_equal(alone, batch[:8])
 
+    @pytest.mark.parametrize("mode", ["nht", "kht"])
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_prediction_does_not_depend_on_the_batch_layout(self, mode, partition):
+        ds = gen_counter3d(4000, seed=3)
+        X, y = ds.X[:2000], ds.y[:2000]
+        cfg = TrainConfig(mode=mode, partition=partition, n_transforms=10,
+                          min_samples_split=50)
+        model = train_ensemble(Dataset(X, y), cfg)
+        # the training rows lie on the medians of an adaptive tree, where the
+        # last bit of a rotated value picks the child
+        F = np.asfortranarray(X)
+        np.testing.assert_array_equal(predict(model, F), predict(model, X))
+        np.testing.assert_array_equal(predict_members(model, F), predict_members(model, X))
+
     def test_predict_dimension_mismatch(self):
         ds = gen_sin16(100, seed=6)
         model = train_ensemble(ds, TrainConfig(n_transforms=1))

@@ -80,6 +80,74 @@ def _reference_walk(tree, X):
     return np.array(cells, dtype=np.int64)
 
 
+def _reference_split(block, min_leaf):
+    """One node's split dimension, cut and left-going rows from its (m, d)
+    rotated rows, or (-1, NaN, None) when it is a leaf."""
+    if len(block) > min_leaf:
+        variances = block.var(axis=0)
+        dim = int(np.argmax(variances))
+        col = block[:, dim]
+        cut = float(np.median(col))
+        go_left = col < cut
+        if variances[dim] > 0.0 and go_left.any() and not go_left.all():
+            return dim, cut, go_left
+    return -1, np.nan, None
+
+
+def _reference_build_adaptive(rotation, X, min_leaf):
+    """The node-at-a-time build that the level-wise one replaced: nodes
+    leave a FIFO queue in breadth-first order, and each node's rows are
+    split with ``ndarray.var`` and ``np.median`` on their own."""
+    X = np.asarray(X, dtype=np.float64)
+    rotation = np.asarray(rotation, dtype=np.float64)
+    Z = partition._rotate(rotation, X)
+    split_dim, threshold = [], []
+    queue = deque([np.arange(len(X), dtype=np.int64)])
+    while queue:
+        indices = queue.popleft()
+        dim, cut, go_left = _reference_split(Z[indices], min_leaf)
+        split_dim.append(dim)
+        threshold.append(cut)
+        if dim >= 0:
+            queue.append(indices[go_left])
+            queue.append(indices[~go_left])
+    return AdaptiveTree(rotation, np.array(split_dim, dtype=np.int64),
+                        np.array(threshold, dtype=np.float64))
+
+
+def _assert_builds_like_reference(rotation, X, min_leaf):
+    tree = build_adaptive(rotation, X, min_leaf)
+    expected = _reference_build_adaptive(rotation, X, min_leaf)
+    assert tree.split_dim.tobytes() == expected.split_dim.tobytes()
+    assert tree.threshold.tobytes() == expected.threshold.tobytes()
+    return tree
+
+
+@st.composite
+def _build_inputs(draw):
+    """Rows for build_adaptive, tie-heavy: values rounded to 0 or 1
+    decimals, maybe a constant column and repeated rows, under the identity
+    or a sampled rotation, C- or F-ordered; and a min_leaf."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3000))
+    rng = philox_generator(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1.0, 3.0, 1e-3]))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = draw(st.sampled_from([0.0, 0.1, -2.5]))
+    if draw(st.booleans()):
+        X[rng.integers(0, n, size=n // 3)] = X[draw(st.integers(0, n - 1))]
+    rotation = np.eye(d)
+    if draw(st.booleans()):
+        rotation = sample_rotation(d, philox_generator(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    min_leaf = draw(st.integers(1, min(n, 8)) | st.integers(1, n))
+    return rotation, X, min_leaf
+
+
 @st.composite
 def _drawn_trees(draw):
     """A valid AdaptiveTree of one kind (a root leaf, a complete tree, a
@@ -369,6 +437,90 @@ class TestBuildAdaptive:
         sizes_a = sorted(np.bincount(assign_many(tree_a, X)).tolist())
         sizes_b = sorted(np.bincount(assign_many(tree_b, X)).tolist())
         assert sizes_a == sizes_b
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=_build_inputs())
+    def test_equals_the_node_at_a_time_build(self, inputs):
+        _assert_builds_like_reference(*inputs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 8), g=st.integers(1, 5), m=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_variances_equal_ndarray_var_on_each_node(self, data, d, g, m, seed):
+        block = philox_generator(seed).normal(size=(d, g, m))
+        block = np.round(block * data.draw(st.sampled_from([1.0, 1e3, 1e-3])),
+                         data.draw(st.sampled_from([1, 3, 17])))
+        variances = partition._variances(block)
+        for i in range(g):
+            rows = np.ascontiguousarray(block[:, i].T)  # a node's (m, d) rows, as Z[rows]
+            assert variances[:, i].tobytes() == rows.var(axis=0).tobytes()
+
+    # one value that a row-by-row fold rounds away fifteen times, but that
+    # a pairwise sum keeps
+    _SUMMED_APART = np.array([1.0] + [1e-16] * 15)
+
+    def test_one_dimensional_node_is_summed_pairwise(self):
+        col = self._SUMMED_APART
+        fold = np.add.accumulate((col - np.add.accumulate(col)[-1] / 16) ** 2)[-1] / 16
+        assert col.var() != fold  # the two sums give different variances
+        variances = partition._variances(col.reshape(1, 1, -1))
+        assert variances.tobytes() == col[:, None].var(axis=0).tobytes()
+        _assert_builds_like_reference(np.eye(1), col[:, None], 2)
+
+    def test_wider_node_is_summed_row_by_row(self):
+        rows = np.column_stack([np.arange(16.0), self._SUMMED_APART])
+        pairwise = self._SUMMED_APART.var()
+        assert rows.var(axis=0)[1] != pairwise  # the two sums give different variances
+        variances = partition._variances(np.ascontiguousarray(rows.T)[:, None, :])
+        assert variances[:, 0].tobytes() == rows.var(axis=0).tobytes()
+
+    def test_level_with_nodes_of_several_sizes(self):
+        X = np.round(philox_generator(71).normal(size=(1001, 3)), 1)  # ties: uneven splits
+        rotation = sample_rotation(3, philox_generator(72))
+        columns = np.ascontiguousarray(partition._rotate(rotation, X).T)
+        rows, sizes = np.arange(1001), np.array([1001])
+        most = 0
+        while len(sizes):
+            most = max(most, len(np.unique(sizes[sizes > 3])))
+            _, _, rows, sizes = partition._split_level(columns, rows, sizes, 3)
+        assert most >= 3  # some level splits nodes of three sizes or more
+        _assert_builds_like_reference(rotation, X, 3)
+
+    def test_variance_tie_at_every_node(self):
+        a = np.round(philox_generator(73).normal(size=500) * 4)
+        X = np.column_stack([a, -a, a])  # the same variance, bit for bit, on every dimension
+        tree = _assert_builds_like_reference(np.eye(3), X, 5)
+        assert set(tree.split_dim.tolist()) == {-1, 0}
+
+    def test_variance_that_underflows_to_zero_keeps_a_leaf(self):
+        X = np.array([[0.0], [0.0], [1e-200], [1e-200]])
+        assert X.var() == 0.0  # though the median splits the rows 2 | 2
+        tree = _assert_builds_like_reference(np.eye(1), X, 1)
+        assert tree.n_cells == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 400),
+           min_leaf=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_split_level_splits_each_node_alone(self, data, d, n, min_leaf, seed):
+        rng = philox_generator(seed)
+        columns = np.round(rng.normal(size=(d, n)), data.draw(st.sampled_from([0, 1, 17])))
+        rows = rng.permutation(n)  # children keep this order, not the row order
+        bounds = sorted(set(data.draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=6))))
+        spans = np.split(rows, [b for b in bounds if b < n])
+        sizes = np.array([len(span) for span in spans])
+
+        dims, cuts, next_rows, next_sizes = partition._split_level(
+            columns, rows.copy(), sizes, min_leaf)
+        expected_rows, expected_sizes = [], []
+        for i, span in enumerate(spans):
+            dim, cut, go_left = _reference_split(np.ascontiguousarray(columns[:, span].T),
+                                                 min_leaf)
+            assert (int(dims[i]), cuts[i].tobytes()) == (dim, np.float64(cut).tobytes())
+            if dim >= 0:
+                expected_rows += [span[go_left], span[~go_left]]
+                expected_sizes += [int(go_left.sum()), int((~go_left).sum())]
+        np.testing.assert_array_equal(next_rows, np.concatenate([[], *expected_rows]))
+        assert next_sizes.tolist() == expected_sizes
 
 
 class TestAssignAdaptive:

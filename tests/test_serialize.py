@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hte.data import gen_counter3d, gen_sin16
+from hte.data import Dataset, gen_counter3d, gen_sin16
 from hte.ensemble import TrainConfig, predict, train_ensemble
 from hte.errors import DataError
 from hte.local_models import ConstantModel, KernelCellModel
@@ -94,6 +94,15 @@ def test_round_trip_is_lossless_over_drawn_configs(mode, partition, k_min, n_can
                       standardize_features=standardize_features,
                       standardize_target=standardize_target)
     _assert_round_trip_lossless(model)
+
+
+@pytest.mark.parametrize("partition", ["grid", "adaptive"])
+def test_model_bytes_do_not_depend_on_the_feature_layout(partition):
+    ds = gen_counter3d(2000, seed=3)
+    cfg = TrainConfig(partition=partition, n_transforms=4, min_samples_split=50)
+    c_ordered = serialize_model(train_ensemble(ds, cfg))
+    f_ordered = Dataset(np.asfortranarray(ds.X), ds.y)
+    assert serialize_model(train_ensemble(f_ordered, cfg)) == c_ordered
 
 
 def test_reserialization_is_byte_stable():
