@@ -88,14 +88,14 @@ class TrainConfig:
         if self.candidate_pairs is not None:
             if len(self.candidate_pairs) != self.n_candidates:
                 raise ConfigError(
-                    "candidate_interval count "
+                    "candidate_pairs count "
                     f"{len(self.candidate_pairs)} != n_candidates {self.n_candidates}"
                 )
             for lo, hi in self.candidate_pairs:
                 if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise ConfigError("each candidate pair needs finite offsets")
+                    raise ConfigError("each of candidate_pairs needs finite offsets")
                 if not lo < hi:
-                    raise ConfigError("each candidate pair needs s_min < s_max")
+                    raise ConfigError("each of candidate_pairs needs s_min < s_max")
         elif self.n_candidates > len(DEFAULT_CANDIDATE_PAIRS):
             raise ConfigError(
                 "n_candidates exceeds the default candidate grid; "

@@ -146,7 +146,7 @@ def fit_constant(
     """Cell means over the training targets.
 
     Every cell id in 0..n_cells-1 must occur at least once.  When a clip
-    bound is given the stored constants are clamped to it.
+    bound is given the stored constants and the fallback are clamped to it.
     """
     cell_ids = np.asarray(cell_ids, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
@@ -157,6 +157,7 @@ def fit_constant(
     values = sums / counts
     if clip_bound is not None:
         values = np.clip(values, -clip_bound, clip_bound)
+        fallback = float(np.clip(fallback, -clip_bound, clip_bound))
     return ConstantModel(values=values, fallback=fallback)
 
 

@@ -6,14 +6,15 @@ Two partition kinds:
   to the bin keys observed in training.  Queries landing in an unseen bin
   get no cell (the model layer supplies a fallback).  Lookups run on one
   int64 code per key row: its mixed-radix position inside the per-axis box
-  of the training keys, widened by one guard layer on each side.  A query
-  key is clipped into that box, so a key outside it lands on a guard layer,
-  where no cell is.  A box of at most a few codes per key row has a
-  direct-address table, code to cell id, so a lookup is one index.  A
-  larger box keeps the codes sorted and looks them up by binary search; a
-  box of 2**63 codes or more (high d or wide key ranges) falls back to a
-  structured row view, which sorts and compares the same way,
-  lexicographically.
+  of the training keys, widened by one guard layer on each side, summed
+  column by column.  Training encodes each row's key once and numbers the
+  rows from those codes.  A query key is clipped into that box, so a key
+  outside it lands on a guard layer, where no cell is.  A box of at most a
+  few codes per key row has a direct-address table, code to cell id, so a
+  lookup is one index.  A larger box keeps the codes sorted and looks them
+  up by binary search; a box of 2**63 codes or more (high d or wide key
+  ranges) falls back to a structured row view, which sorts and compares
+  the same way, lexicographically.
 * AdaptiveTree — rotate the data, then repeatedly split a cell with more
   than ``min_leaf`` points on its largest-variance dimension at the median.
   The tree grows one breadth-first level at a time on a column-major copy
@@ -77,7 +78,12 @@ def _encode(keys: np.ndarray, lo: np.ndarray, strides: np.ndarray | None) -> np.
     if strides is None:  # wide box: each row as one structured item
         fields = [(f"k{i}", np.int64) for i in range(keys.shape[1])]
         return np.ascontiguousarray(keys).view(fields).ravel()
-    return (keys - lo) @ strides
+    # column by column in int64: numpy's integer matmul has no BLAS path.
+    # Each partial sum is at most the final code, below 2**63, so none wraps.
+    codes = (keys[:, 0] - lo[0]) * strides[0]
+    for j in range(1, keys.shape[1]):
+        codes += (keys[:, j] - lo[j]) * strides[j]
+    return codes
 
 
 @dataclass
@@ -136,7 +142,11 @@ def _lookup(grid: GridPartition, keys: np.ndarray) -> np.ndarray:
         # a key outside the box lands on a guard layer, where no cell is;
         # column by column, since broadcasting over a short row is slow
         np.clip(keys[:, j], lo, hi, out=keys[:, j])
-    codes = _encode(keys, grid._lo, grid._strides)
+    return _cells(grid, _encode(keys, grid._lo, grid._strides))
+
+
+def _cells(grid: GridPartition, codes: np.ndarray) -> np.ndarray:
+    """Cell ids of codes in the grid's box, -1 for a code no cell has."""
     if grid._table is not None:
         return grid._table[codes]
     table = grid._sorted_codes
@@ -203,7 +213,9 @@ def build_grid(
     """Assign every training row to a grid cell.
 
     Returns the partition plus the per-row cell ids.  Ids are dense,
-    0..n_cells-1, numbered by first occurrence over the row index.
+    0..n_cells-1, numbered by first occurrence over the row index.  Each
+    row's key is encoded once: the codes that find each cell's first row
+    also look up every row's cell in the grid's index, with no clip.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -219,7 +231,10 @@ def build_grid(
     else:
         _, first = np.unique(codes, return_index=True)
     grid = GridPartition(transform, keys[np.sort(first)])
-    return grid, _lookup(grid, keys)
+    # every training key is some cell's key, so each column's min and max,
+    # and with them the grid's box and strides, are those of all training
+    # keys: the codes above are the grid's own, and number the rows as is
+    return grid, _cells(grid, codes)
 
 
 def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -148,7 +148,8 @@ def apply_transform(transform: HistogramTransform, x: np.ndarray) -> np.ndarray:
         out = np.einsum("ij,j->i", transform.rotation, stretched)
     else:
         out = np.einsum("ij,nj->ni", transform.rotation, stretched)
-    return out + transform.translation
+    out += transform.translation
+    return out
 
 
 def bin_key(transform: HistogramTransform, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from hte.data import (
     gen_sin16,
 )
 from hte.ensemble import (
+    DEFAULT_CANDIDATE_PAIRS,
     EnsembleModel,
     Member,
     TrainConfig,
@@ -82,6 +83,23 @@ class TestConfigValidation:
     def test_rejects_candidate_pair_count_mismatch(self):
         with pytest.raises(ConfigError):
             TrainConfig(n_candidates=2, candidate_pairs=[(0.0, 1.0)]).validate()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_candidates": 0}, "n_candidates must be"),
+        ({"n_candidates": 2, "validation_fraction": 1.0}, "validation_fraction"),
+        ({"n_candidates": 2, "candidate_pairs": [(0.0, 1.0), (1.0, 1.0)]},
+         "candidate_pairs needs s_min < s_max"),
+        ({"n_candidates": len(DEFAULT_CANDIDATE_PAIRS) + 1},
+         "n_candidates exceeds the default candidate grid"),
+        ({"min_samples_split": 0}, "min_samples_split"),
+        ({"fallback": "median"}, "fallback"),
+        ({"k_min": 0}, "k_min"),
+        ({"master_seed": -1}, "master_seed"),
+    ], ids=["n_candidates", "validation_fraction", "candidate_pairs", "default_grid",
+            "min_samples_split", "fallback", "k_min", "master_seed"])
+    def test_rejection_names_its_field(self, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**changes).validate()
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown config keys: bogus"):
@@ -280,6 +298,17 @@ class TestEnsemblePrediction:
         np.testing.assert_allclose(
             predict(model, np.array([[1e6]])), [ds.y.mean()], rtol=1e-15
         )
+
+    @pytest.mark.parametrize("mode", ["nht", "kht"])
+    def test_global_mean_fallback_respects_clip_bound(self, mode):
+        ds = gen_counter3d(1500, seed=19)
+        model = train_ensemble(ds, TrainConfig(mode=mode, n_transforms=2, fallback="global_mean",
+                                               clip_bound=0.5, master_seed=20))
+        assert abs(ds.y.mean()) > 0.5  # the unclipped fallback breaks the bound
+        far = np.full((1, 3), 1e6)  # an unseen cell in every member
+        per_member = predict_members(model, np.vstack([ds.X, far]))
+        assert np.abs(per_member).max() <= 0.5
+        np.testing.assert_array_equal(per_member[:, -1], np.clip(ds.y.mean(), -0.5, 0.5))
 
     def test_target_standardization_round_trip(self):
         ds = gen_counter3d(400, seed=9)

@@ -81,6 +81,11 @@ class TestFitConstant:
         model = fit_constant(np.array([0]), np.array([7.0]), 1, clip_bound=2.0)
         assert model.values[0] == 2.0
 
+    def test_fallback_clipped_when_bound_given(self):
+        model = fit_constant(np.array([0]), np.array([1.0]), 1, fallback=-13.0, clip_bound=2.0)
+        assert model.fallback == -2.0
+        assert _predict_one(model, NO_CELL, [0.0]) == -2.0
+
 
 class TestFitKernelCell:
     def test_single_point_closed_form(self):

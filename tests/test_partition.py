@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -64,6 +65,34 @@ def _key_rows(draw):
     corners = np.vstack([np.zeros(d, dtype=np.int64), spans - 1])
     rows = np.vstack([raw, corners, raw[repeats]]) % spans
     return lo + rows[draw(st.permutations(range(len(rows))))], lo, spans
+
+
+# key rows and the key range of each axis; half the draws have a box of
+# just below 2**63 codes, guard layers included
+@st.composite
+def _encode_boxes(draw):
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        ranges = draw(st.lists(st.integers(0, 5), min_size=d - 1, max_size=d - 1))
+        ranges.append((2**63 - 1) // math.prod(r + 3 for r in ranges) - 3)
+    else:
+        ranges = draw(st.lists(st.integers(0, 2**12), min_size=d, max_size=d))
+    lo = np.array([draw(st.integers(-2**62, 2**62 - r)) for r in ranges], dtype=np.int64)
+    n = draw(st.integers(1, 30))
+    raw = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 2**62), fill=st.nothing()))
+    span = np.array(ranges, dtype=np.int64) + 1
+    corners = np.vstack([np.zeros(d, dtype=np.int64), span - 1])  # the box is exactly lo + ranges
+    return lo + np.vstack([raw % span, corners]), ranges
+
+
+def _reference_codes(keys):
+    """Mixed-radix codes of key rows in Python ints: the last axis fastest,
+    inside the rows' per-axis box widened by one guard layer each side."""
+    cols = keys.T.tolist()
+    lo = [min(c) - 1 for c in cols]
+    spans = [max(c) - min(c) + 3 for c in cols]
+    strides = [math.prod(spans[j + 1:]) for j in range(len(spans))]
+    return [sum((k - l) * s for k, l, s in zip(row, lo, strides)) for row in keys.tolist()]
 
 
 def _reference_walk(tree, X):
@@ -215,6 +244,33 @@ class TestBuildGrid:
         np.testing.assert_array_equal(grid.keys, uniq[order])
         np.testing.assert_array_equal(cells, rank[inverse.ravel()])
 
+    @settings(max_examples=100, deadline=None)
+    @given(boxes=_encode_boxes())
+    def test_column_wise_codes_equal_python_int_codes(self, boxes):
+        keys, ranges = boxes
+        lo, _, strides, size = partition._box(keys)
+        assert size == math.prod(r + 3 for r in ranges) < 2**63
+        codes = partition._encode(keys, lo, strides)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == _reference_codes(keys)
+
+    @pytest.mark.parametrize("kind", ["table", "sorted codes", "structured rows"])
+    def test_build_grid_cells_equal_assign_many(self, kind):
+        if kind == "structured rows":  # a box of about 2**80 codes
+            t = _identity(3)
+            X = philox_generator(71).integers(0, 2**40, size=(500, 3)) + 0.5
+        else:
+            t = sample_transform(3, 0.2, 0.9, philox_generator(72))
+            X = philox_generator(73).normal(size=(2000, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            if kind == "sorted codes":
+                mp.setattr(partition, "_table_fits", lambda size, rows: False)
+            grid, cells = build_grid(t, X)
+        assert (grid._table is not None) == (kind == "table")
+        assert (grid._strides is None) == (kind == "structured rows")
+        assert set(cells.tolist()) == set(range(grid.n_cells))
+        np.testing.assert_array_equal(assign_many(grid, X), cells)
+
     def test_every_point_assigned_and_ids_dense(self):
         t = sample_transform(3, 0.2, 0.9, philox_generator(3))
         X = philox_generator(4).normal(size=(300, 3))
@@ -320,6 +376,7 @@ class TestAssignGrid:
         built = []
         for _ in _each_index():
             grid, cells = build_grid(_identity(keys.shape[1]), X)
+            np.testing.assert_array_equal(assign_many(grid, X), cells)
             built.append((grid.keys.tobytes(), cells.dtype, cells.tobytes()))
         assert grid._table is None  # the last pass ran on sorted codes
         assert built[0] == built[1]
