@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import Dataset, Standardizer, default_scale, fit_standardizer
 from .errors import ConfigError, DataError, TrainingError
+from .linalg import valid_gamma
 from .local_models import ConstantModel, KernelCellModel, fit_constant, fit_kernel_cells
 from .local_models import fit_kernel_cell  # noqa: F401  (benchmarks/perf.py traces it here)
 from .partition import AdaptiveTree, GridPartition, assign_many, build_adaptive, build_grid
@@ -107,9 +108,9 @@ class TrainConfig:
             raise ConfigError("s_min must be strictly less than s_max")
         if self.min_samples_split < 1:
             raise ConfigError("min_samples_split must be >= 1")
+        if not valid_gamma(self.gamma):
+            raise ConfigError("gamma must be positive and finite, with a positive finite square")
         # NaN fails every comparison, so "not 0 < v < inf" rejects it too
-        if not 0 < self.gamma < math.inf:
-            raise ConfigError("gamma must be positive and finite")
         if self.lambda2 is not None and not 0 < self.lambda2 < math.inf:
             raise ConfigError("lambda2 must be positive and finite")
         if self.clip_bound is not None and not 0 < self.clip_bound < math.inf:

@@ -4,13 +4,14 @@ Cells are kept small by the partitioning step (adaptive trees split every
 separable cell of more than ``min_samples_split`` points), so a kernel
 member is thousands of tiny systems whose cost is per-call overhead, not
 flops.  Equal-size systems are therefore built and solved as stacks: a Gram
-stack is ``gaussian_cross_stack(P, P, gamma)``, and ``solve_spd_stack``
-solves it with LAPACK ``potrf``/``potrs`` called directly and residuals
-checked in one batched product.  Only the systems that this plain rung
-rejects climb the jitter ladder, as a sub-stack: failed factorizations
-escalate a diagonal jitter proportional to the mean eigenvalue before
-giving up.  ``solve_spd`` is the same solver on one system.  Prediction
-builds the cross kernels of equal-shape cells as one ``gaussian_cross_stack``.
+stack is ``gaussian_cross_stack(P, P, gamma)`` (or one ``gaussian_cross``
+per cell for large cells), and ``solve_spd_stack`` solves it with one
+LAPACK ``posv`` call per system and residuals checked in one batched
+product.  Only the systems that this plain rung rejects climb the jitter
+ladder, as a sub-stack: failed factorizations escalate a diagonal jitter
+proportional to the mean eigenvalue before giving up.  ``solve_spd`` is the
+same solver on one system.  Prediction builds the cross kernels of
+equal-shape cells as one ``gaussian_cross_stack``.
 
 SciPy is imported on first use, so that loading the package (and a
 prediction with per-cell means) does not pay for it.
@@ -18,6 +19,7 @@ prediction with per-cell means) does not pay for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,35 @@ class SpdSolveReport:
     escalations: int
 
 
+def valid_gamma(gamma: float) -> bool:
+    """True for a kernel width ``gamma > 0`` whose square is a positive finite float.
+
+    The kernels divide squared distances, which lie in [0, inf], by
+    ``gamma**2``; a square of 0 or inf would make 0 / 0 or inf / inf a NaN.
+    """
+    try:
+        return gamma > 0 and 0 < float(gamma) ** 2 < math.inf
+    except OverflowError:  # a Python float's power raises where numpy's gives inf
+        return False
+
+
+def _gamma_square(gamma: float) -> float:
+    if not valid_gamma(gamma):
+        raise ConfigError(f"gamma must be positive with a positive finite square, got {gamma!r}")
+    return float(gamma) ** 2
+
+
+def _exp_scaled(d2: np.ndarray, square: float) -> np.ndarray:
+    """``exp(-d2 / square)`` computed in ``d2``: the same float operations,
+    and so the same bits, without the two temporaries."""
+    if square < 1.0:  # a quotient past the float range is -inf, and exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            np.divide(d2, -square, out=d2)
+    else:  # no quotient can overflow: skip errstate, which costs more than a small divide
+        np.divide(d2, -square, out=d2)
+    return np.exp(d2, out=d2)
+
+
 def gaussian_gram(X: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix K[a, b] = exp(-||x_a - x_b||^2 / gamma^2)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))[None]
@@ -62,42 +93,38 @@ def gaussian_cross_stack(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarr
     ``cdist``'s ``sqeuclidean`` does, so each slice equals
     ``gaussian_cross(A[i], B[i], gamma)`` bit for bit.
     """
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
+    square = _gamma_square(gamma)
     g, q, d = A.shape
     d2 = np.zeros((g, q, B.shape[1]))
     for k in range(d):
         diff = A[:, :, None, k] - B[:, None, :, k]
         d2 += np.multiply(diff, diff, out=diff)
-    return np.exp(-d2 / gamma**2)
+    return _exp_scaled(d2, square)
 
 
 def gaussian_cross(Xa: np.ndarray, Xb: np.ndarray, gamma: float) -> np.ndarray:
     """Cross-kernel matrix between query rows Xa and support rows Xb."""
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
+    square = _gamma_square(gamma)
     Xa = np.atleast_2d(np.asarray(Xa, dtype=np.float64))
     Xb = np.atleast_2d(np.asarray(Xb, dtype=np.float64))
-    d2 = _cdist(Xa, Xb, "sqeuclidean")
-    return np.exp(-d2 / gamma**2)
+    return _exp_scaled(_cdist(Xa, Xb, "sqeuclidean"), square)
 
 
 def _cholesky_rung(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plain Cholesky solves of a finite stack, no jitter; returns ``(X, solved)``.
 
-    A system is solved when ``potrf`` and ``potrs`` succeed and its residual
-    is within ``_RESIDUAL_TOL`` of ``||b||`` (``0 <= 0`` covers ``b = 0``).
+    A system is solved when ``posv`` (``potrf`` then ``potrs`` in one call)
+    succeeds and its residual is within ``_RESIDUAL_TOL`` of ``||b||``
+    (``0 <= 0`` covers ``b = 0``).
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.linalg.lapack import dposv
 
     X = np.zeros_like(B)
     solved = np.zeros(len(B), dtype=bool)
     # a solution that overflows here is only "not solved"
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(B)):
-            factor, info = dpotrf(A[i], lower=1, clean=0)
-            if info == 0:
-                X[i], info = dpotrs(factor, B[i], lower=1)
+            _, X[i], info = dposv(A[i], B[i], lower=1)
             solved[i] = info == 0
         # batched `A @ x` and `norm`: per slice, the same BLAS gemv and dot as one system
         idx = np.flatnonzero(solved)
@@ -132,6 +159,14 @@ def solve_spd_stack(
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
     if not finite.all():
         raise IllConditionedError(f"SPD system {int(np.argmin(finite))} is not finite")
+    return solve_spd_stack_unchecked(A, B)
+
+
+def solve_spd_stack_unchecked(
+    A: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_spd_stack`` without its symmetry and finiteness scans, for a
+    float64 stack its caller knows to be exactly symmetric and finite."""
     X, solved = _cholesky_rung(A, B)
     jitter = np.zeros(len(B))
     escalations = np.zeros(len(B), dtype=np.int64)

@@ -12,19 +12,22 @@ when the targets themselves lie in that interval.
 Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
 memory stays bounded however many cells share a size, and solves each
-stack with one ``solve_spd_stack``.  Every cell gets the solution it would
-get fitted alone.  Prediction batches the same way, by (queries, support
-size) shape, and every cell gets the values it would get predicted alone.
+stack with one LAPACK ``posv`` call per cell.  Every cell gets the solution
+it would get fitted alone.  Prediction batches the same way, by (queries,
+support size) shape, and every cell gets the values it would get predicted
+alone.  Fit and predict share one rule, ``_builds_alone``, for the cells
+whose kernel is built by ``cdist`` on its own instead of in a stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .linalg import gaussian_cross, gaussian_cross_stack, solve_spd_stack
+from .errors import ConfigError, IllConditionedError
+from .linalg import gaussian_cross, gaussian_cross_stack, solve_spd_stack_unchecked
 from .linalg import gaussian_gram, solve_spd  # noqa: F401  (benchmarks/perf.py traces them here)
 
 NO_CELL = -1
@@ -33,11 +36,16 @@ NO_CELL = -1
 # with more is fit in chunks; a single larger cell is one chunk of its own.
 _STACK_ENTRIES = 2**20
 
-# Largest q * m cross kernel (q queries against m support rows) of a cell
-# predicted in a stack with the other cells of its (q, m) shape.  Larger
-# cells, and shapes no other cell shares, call ``gaussian_cross`` (``cdist``)
-# one by one, which beats numpy's per-dimension loop there.
+# Largest q * m kernel (q rows against m support rows; q = m for a Gram) of
+# a cell built in a stack with the other cells of its shape.
 _STACK_CELL_ENTRIES = 1024
+
+
+def _builds_alone(q, m):
+    """True where a cell's (q, m) kernel is built by ``gaussian_cross``
+    (``cdist``) on its own, which beats numpy's per-dimension stack loop
+    there; the rule of fit (q = m) and of predict, on ints or arrays."""
+    return q * m > _STACK_CELL_ENTRIES
 
 
 @dataclass
@@ -87,8 +95,8 @@ class KernelCellModel:
     ) -> np.ndarray:
         """Evaluate the local regressors; ``clipped=False`` exposes raw values.
 
-        Queried kernel cells of one (q queries, m support rows) shape with
-        ``q * m <= _STACK_CELL_ENTRIES`` are evaluated together, as stacks of
+        Queried kernel cells of one (q queries, m support rows) shape that
+        ``_builds_alone`` keeps in stacks are evaluated together, as stacks of
         at most ``_STACK_ENTRIES`` kernel entries; the other cells one by one.
         Either way each cell's values are those of
         ``gaussian_cross(X[queries], support, gamma) @ alpha`` bit for bit.
@@ -113,7 +121,8 @@ class KernelCellModel:
         bounds = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
         starts, ends = np.r_[0, bounds], np.r_[bounds, len(by_shape)]
         stacked = ends - starts > 1
-        stacked[stacked] = (q * m)[by_shape[starts[stacked]]] <= _STACK_CELL_ENTRIES
+        shared = by_shape[starts[stacked]]
+        stacked[stacked] = ~_builds_alone(q[shared], m[shared])
         for start, end in zip(starts[stacked].tolist(), ends[stacked].tolist()):
             group = by_shape[start:end]
             n_q, n_m = int(q[group[0]]), int(m[group[0]])
@@ -171,12 +180,20 @@ def fit_kernel_cells(
     ``y_support``.  Cells of equal size m are stacked, at most
     ``_STACK_ENTRIES`` Gram entries (and at least one cell) at a time: a
     ``(g, m, m)`` Gram stack, ``n_global * lambda2`` added to each diagonal,
-    one ``solve_spd_stack``.  It solves each system as if alone, so a cell's
-    result, jitter and errors are those of ``fit_kernel_cell`` on that cell.
+    one solve.  It solves each system as if alone, so a cell's result,
+    jitter and errors are those of ``fit_kernel_cell`` on that cell.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if (sizes < 1).any() or sizes.sum() != len(support) or len(support) != len(y_support):
         raise ConfigError("cell sizes must be positive and cover the support rows")
+    y_support = np.asarray(y_support, dtype=np.float64)
+    # The Gram of finite rows is exactly symmetric, as (a - b)**2 == (b - a)**2,
+    # and with a valid gamma its entries lie in [0, 1].  So finite rows, targets
+    # and ridge make every system below symmetric and finite: this O(n * d)
+    # check stands in for solve_spd_stack's O(m * m) scans of each system.
+    ridge = n_global * lambda2
+    if not (math.isfinite(ridge) and np.isfinite(support).all() and np.isfinite(y_support).all()):
+        raise IllConditionedError("kernel cell rows, targets or ridge not finite")
     starts = np.cumsum(sizes) - sizes
     alpha = np.empty(len(y_support), dtype=np.float64)
     by_size = np.argsort(sizes, kind="stable")
@@ -188,9 +205,12 @@ def fit_kernel_cells(
         for first in range(0, len(group), step):
             rows = starts[group[first : first + step], None] + np.arange(m)
             P = support[rows]
-            K = gaussian_cross_stack(P, P, gamma)
-            K.reshape(len(rows), m * m)[:, :: m + 1] += n_global * lambda2
-            alpha[rows] = solve_spd_stack(K, y_support[rows])[0]
+            if _builds_alone(m, m):
+                K = np.stack([gaussian_cross(cell, cell, gamma) for cell in P])
+            else:
+                K = gaussian_cross_stack(P, P, gamma)
+            K.reshape(len(rows), m * m)[:, :: m + 1] += ridge
+            alpha[rows] = solve_spd_stack_unchecked(K, y_support[rows])[0]
     return alpha
 
 

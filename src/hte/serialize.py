@@ -14,8 +14,8 @@ object with integer ``d`` and ``n_transforms``, an object ``config`` and a
 numeric ``clip_bound``, then checks the shapes of the grid key tables, tree
 arrays and regressor arrays against ``d`` and the cell counts, and that
 every value prediction reads is finite (with std, ``gamma`` and
-``clip_bound`` positive); a payload the model classes reject (a repeated
-grid key, say) is reported as corrupt too.
+``clip_bound`` positive, and ``gamma**2`` a positive float); a payload the
+model classes reject (a repeated grid key, say) is reported as corrupt too.
 
 A member is its partition block then its regressor block.  A grid block
 holds the transform and the ``(n_cells, d)`` key table; a tree block holds
@@ -38,6 +38,7 @@ import numpy as np
 from .data import Standardizer
 from .ensemble import EnsembleModel, Member, TrainConfig
 from .errors import ConfigError, DataError
+from .linalg import valid_gamma
 from .local_models import ConstantModel, KernelCellModel
 from .partition import AdaptiveTree, GridPartition
 from .rng import NORMAL_METHOD, RNG_ALGORITHM
@@ -227,8 +228,9 @@ def _read_model(r: _Reader, d: int, n_cells: int):
     )
     _require(support.shape == (len(alpha), d),
              f"kernel support of shape {support.shape} is not ({len(alpha)}, {d})")
-    _require(0 < gamma < math.inf and 0 < clip_bound < math.inf,
-             "kernel gamma and clip_bound must be finite and positive")
+    _require(valid_gamma(gamma) and 0 < clip_bound < math.inf,
+             "kernel gamma and clip_bound must be finite and positive, "
+             "and so must the square of gamma")
     _require_finite("kernel fallback, support, alpha or means", fallback, support, alpha, means)
     return KernelCellModel(
         offsets=offsets,

@@ -111,7 +111,11 @@ class TestTrain:
         ("gamma", {"mode": "kht", "gamma": float("inf")}),
         # finite, but the ridge n * lambda2 is inf, so every kernel system was not finite
         ("lambda2", {"mode": "kht", "lambda2": 1e308}),
-    ], ids=["clip_bound", "gamma", "lambda2"])
+        # finite, but a kernel divides by gamma**2: 1e200 raised OverflowError,
+        # and 1e-200 made every kernel system NaN
+        ("gamma", {"mode": "kht", "gamma": 1e200}),
+        ("gamma", {"mode": "kht", "gamma": 1e-200}),
+    ], ids=["clip_bound", "gamma", "lambda2", "gamma_square_overflows", "gamma_square_underflows"])
     def test_value_that_is_not_finite_exits_1_naming_it(self, tmp_path, capsys, name,
                                                         config):
         # warnings are errors here, so this also checks that none is raised
@@ -126,6 +130,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
         assert not out.exists()
+
+    def test_gamma_with_a_subnormal_square_trains_without_a_warning(self, tmp_path):
+        # 1e-160**2 is 1e-320: every kernel entry off the diagonal is exp(-inf) = 0
+        ds = gen_counter3d(300, seed=3)
+        data = tmp_path / "c3.csv"
+        np.savetxt(data, np.column_stack([ds.X, ds.y]), delimiter=",",
+                   header="x1,x2,x3,y", comments="")
+        cfg = _write_config(tmp_path / "cfg.json", target="y", mode="kht", n_transforms=2,
+                            gamma=1e-160)
+        out = tmp_path / "m.hte"
+        assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 0
+        assert main(["predict", "--model", str(out), "--data", str(data),
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert load_model(out).config.gamma == 1e-160
 
     def test_same_seed_gives_byte_identical_model_files(self, tmp_path, sin_csv):
         cfg = _write_config(tmp_path / "cfg.json", n_transforms=3, master_seed=11,

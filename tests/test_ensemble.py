@@ -95,8 +95,11 @@ class TestConfigValidation:
         ({"fallback": "median"}, "fallback"),
         ({"k_min": 0}, "k_min"),
         ({"master_seed": -1}, "master_seed"),
+        ({"gamma": 1e200}, "gamma"),
+        ({"gamma": 1e-200}, "gamma"),
     ], ids=["n_candidates", "validation_fraction", "candidate_pairs", "default_grid",
-            "min_samples_split", "fallback", "k_min", "master_seed"])
+            "min_samples_split", "fallback", "k_min", "master_seed", "gamma_square_overflows",
+            "gamma_square_underflows"])
     def test_rejection_names_its_field(self, changes, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**changes).validate()

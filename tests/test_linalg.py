@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +11,42 @@ from hte.linalg import (
     _JITTER_STOP,
     _RESIDUAL_TOL,
     _SYM_TOL,
+    _exp_scaled,
     SpdSolveReport,
     gaussian_cross,
     gaussian_cross_stack,
     gaussian_gram,
     solve_spd,
     solve_spd_stack,
+    solve_spd_stack_unchecked,
+    valid_gamma,
 )
 from hte.rng import philox_generator
 
 
-def _reference_solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:
-    """One system through SciPy's ``cho_factor``/``cho_solve`` and the same ladder."""
+def _cho_rung(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """SciPy's ``cho_factor``/``cho_solve``; None when A is not positive definite."""
     from scipy.linalg import cho_factor, cho_solve
 
+    try:
+        return cho_solve(cho_factor(A, lower=True), b)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _potrf_potrs_rung(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """LAPACK ``potrf`` then ``potrs``, two calls; None when either fails."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info != 0:
+        return None
+    x, info = dpotrs(factor, b, lower=1)
+    return x if info == 0 else None
+
+
+def _reference_solve_spd(A: np.ndarray, b: np.ndarray, rung=_cho_rung) -> SpdSolveReport:
+    """One system through ``rung`` and the same jitter ladder."""
     n = A.shape[0]
     if n and np.abs(A - A.T).max() > _SYM_TOL:
         raise ConfigError("matrix not symmetric within 1e-10")
@@ -33,14 +57,11 @@ def _reference_solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:
     escalations = 0
     while True:
         regularized = A if jitter == 0.0 else A + jitter * np.eye(n)
-        try:
-            factor = cho_factor(regularized, lower=True)
-            x = cho_solve(factor, b)
+        x = rung(regularized, b)
+        if x is not None:
             residual = float(np.linalg.norm(regularized @ x - b))
             if residual <= _RESIDUAL_TOL * b_norm or (b_norm == 0.0 and residual == 0.0):
                 return SpdSolveReport(x, jitter, escalations)
-        except np.linalg.LinAlgError:
-            pass
         if eps > _JITTER_STOP:
             raise IllConditionedError(
                 f"Cholesky failed after jitter escalation to {jitter:.3e}"
@@ -105,6 +126,57 @@ class TestGaussianGram:
         assert stack.shape == (g, q, m)
         for Xa, Xb, K in zip(A, B, stack):
             assert K.tobytes() == gaussian_cross(Xa, Xb, gamma).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 30)),
+           log_d2=st.floats(-320.0, 308.0), log_gamma=st.floats(-160.0, 154.0),
+           specials=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_in_place_scaling_equals_the_formula_bitwise(self, shape, log_d2, log_gamma,
+                                                         specials, seed):
+        gamma = 10.0**log_gamma
+        assert valid_gamma(gamma)
+        d2 = philox_generator(seed).uniform(0.0, 2.0, size=shape) * 10.0**log_d2
+        if specials:  # coincident rows, and a distance that overflowed to inf
+            d2.flat[0], d2.flat[-1] = 0.0, np.inf
+        with np.errstate(over="ignore"):
+            expected = np.exp(-d2 / gamma**2)
+        out = d2.copy()
+        assert _exp_scaled(out, gamma**2) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.integers(1, 3), m=st.integers(1, 12), d=st.integers(1, 6),
+           gamma=st.sampled_from([1e-160, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1.3e154]),
+           huge_share=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_gram_is_exactly_symmetric_within_zero_and_one(self, g, m, d, gamma, huge_share,
+                                                           seed):
+        # the solver of the kernel fit does not scan its systems: this is why
+        rng = philox_generator(seed)
+        P = rng.normal(size=(g, m, d))
+        huge = rng.uniform(size=P.shape) < huge_share
+        P[huge] = np.where(rng.uniform(size=int(huge.sum())) < 0.5, -1e150, 1e150)
+        stack = gaussian_cross_stack(P, P, gamma)
+        for X, K in zip(P, stack):
+            for gram in (K, gaussian_cross(X, X, gamma)):
+                assert np.array_equal(gram, gram.T)
+                assert ((gram >= 0.0) & (gram <= 1.0)).all()
+                assert (np.diag(gram) == 1.0).all()
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-200,
+                                       np.float64(1e200)])
+    def test_gamma_whose_square_is_not_a_positive_float_is_rejected(self, gamma):
+        assert not valid_gamma(gamma)
+        with pytest.raises(ConfigError, match="gamma"):
+            gaussian_cross(np.zeros((2, 1)), np.ones((3, 1)), gamma)
+        with pytest.raises(ConfigError, match="gamma"):
+            gaussian_cross_stack(np.zeros((1, 2, 1)), np.ones((1, 3, 1)), gamma)
+
+    def test_extreme_valid_gamma_gives_the_limits_without_a_warning(self):
+        # 1e-160**2 is a subnormal float: every distance but 0 overflows to exp(-inf) = 0
+        assert valid_gamma(1e-160) and valid_gamma(1.3e154)
+        X = np.array([[0.0], [1e-3], [1.0]])
+        np.testing.assert_array_equal(gaussian_gram(X, 1e-160), np.eye(3))
+        assert (gaussian_gram(X, 1.3e154) == 1.0).all()
 
 
 def _ridge_stack(seed, ridges, m, d, duplicate_share):
@@ -187,6 +259,31 @@ class TestSolveSpdStack:
             assert X[i].tobytes() == report.solution.tobytes()
             assert jitter[i] == report.jitter_used
             assert escalations[i] == report.escalations
+
+    @settings(max_examples=60, deadline=None)
+    @given(ridges=st.lists(st.sampled_from([1.0, 1e-3, 1e-12]), min_size=1, max_size=6),
+           exhausted=st.booleans(), m=st.integers(1, 40), d=st.integers(1, 4),
+           duplicate_share=st.floats(0.0, 0.7), seed=st.integers(0, 2**32 - 1))
+    def test_each_system_solves_as_potrf_then_potrs_alone(self, ridges, exhausted, m, d,
+                                                          duplicate_share, seed):
+        # the solver makes one LAPACK posv call per system; the reference
+        # makes the two calls posv stands for, outside the library
+        if exhausted:  # indefinite at every jitter step
+            ridges = ridges + [-0.25]
+        A, B = _ridge_stack(seed, ridges, m, d, duplicate_share)
+        try:
+            expected = [_reference_solve_spd(a, b, _potrf_potrs_rung) for a, b in zip(A, B)]
+        except IllConditionedError:
+            for solve in (solve_spd_stack, solve_spd_stack_unchecked):
+                with pytest.raises(IllConditionedError):
+                    solve(A, B)
+            return
+        for solve in (solve_spd_stack, solve_spd_stack_unchecked):
+            X, jitter, escalations = solve(A, B)
+            for i, report in enumerate(expected):
+                assert X[i].tobytes() == report.solution.tobytes()
+                assert jitter[i] == report.jitter_used
+                assert escalations[i] == report.escalations
 
     def test_drawn_stacks_reach_the_ladder(self):
         # drawn stacks reach the ladder, and only the systems that need it escalate

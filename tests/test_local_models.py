@@ -195,23 +195,53 @@ class TestFitKernelCells:
         with pytest.raises(IllConditionedError):
             fit_kernel_cells(support, y, [3, 5], 0.1, -0.25, 8)
 
-    @pytest.mark.parametrize("m", [32, 1025])
+    @pytest.mark.parametrize("m", [32, 33, 1025])
     def test_size_group_beyond_the_stack_budget(self, monkeypatch, m):
+        # a 32 x 32 Gram has _STACK_CELL_ENTRIES entries and is built in a
+        # stack; from 33 x 33 each Gram is built alone, by predict's rule
         n_cells = _STACK_ENTRIES // (m * m) + 3
         sizes = [m] * n_cells
         support, y = _layout(13, sizes, 2)
-        stacks, build = [], hte.local_models.gaussian_cross_stack
+        solves, stacked, alone = [], [], []
+        solve = hte.local_models.solve_spd_stack_unchecked
+        cross_stack, cross = hte.local_models.gaussian_cross_stack, hte.local_models.gaussian_cross
 
-        def recording(A, B, gamma):
-            stacks.append(A.shape[0])
-            return build(A, B, gamma)
+        def recording_solve(A, B):
+            solves.append(len(A))
+            return solve(A, B)
 
-        monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording)
+        def recording_stack(A, B, gamma):
+            stacked.append(A.shape[0])
+            return cross_stack(A, B, gamma)
+
+        def recording_cross(Xa, Xb, gamma):
+            alone.append(len(Xa))
+            return cross(Xa, Xb, gamma)
+
+        monkeypatch.setattr(hte.local_models, "solve_spd_stack_unchecked", recording_solve)
+        monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording_stack)
+        monkeypatch.setattr(hte.local_models, "gaussian_cross", recording_cross)
         alpha = fit_kernel_cells(support, y, sizes, 0.7, 1e-3, len(y))
-        assert len(stacks) > 1 and sum(stacks) == n_cells
-        assert max(stacks) * m * m <= max(_STACK_ENTRIES, m * m)
+        assert len(solves) > 1 and sum(solves) == n_cells
+        assert max(solves) * m * m <= max(_STACK_ENTRIES, m * m)
+        if m * m <= _STACK_CELL_ENTRIES:
+            assert stacked == solves and alone == []
+        else:
+            assert stacked == [] and alone == [m] * n_cells
         expected, _ = _cells_one_by_one(support, y, sizes, 0.7, 1e-3, len(y))
         assert alpha.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("broken", ["rows", "targets", "ridge-inf", "ridge-nan"])
+    def test_rows_targets_or_ridge_not_finite_raise(self, broken):
+        # checked once up front: no system is solved, and no ladder is climbed
+        support, y = _layout(15, [4, 4], 2)
+        lambda2 = {"ridge-inf": 1e308, "ridge-nan": np.nan}.get(broken, 0.1)
+        if broken == "rows":
+            support[5, 1] = np.inf
+        if broken == "targets":
+            y[2] = np.nan
+        with pytest.raises(IllConditionedError, match="not finite"):
+            fit_kernel_cells(support, y, [4, 4], 1.0, lambda2, 8)
 
     def test_no_cells(self):
         alpha = fit_kernel_cells(np.empty((0, 2)), np.empty(0), [], 1.0, 0.1, 5)

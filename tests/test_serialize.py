@@ -373,6 +373,7 @@ def test_kernel_value_not_finite_is_corrupt(field):
 
 
 @pytest.mark.parametrize("field,value", [("gamma", -1.0), ("gamma", np.nan),
+                                         ("gamma", 1e200), ("gamma", 1e-200),
                                          ("clip_bound", 0.0), ("clip_bound", np.inf)])
 def test_kernel_gamma_and_clip_bound_must_be_positive(field, value):
     model, member = _kernel_grid_member()
