@@ -26,7 +26,8 @@ from .errors import ConfigError, DataError, TrainingError
 from .linalg import valid_gamma
 from .local_models import ConstantModel, KernelCellModel, fit_constant, fit_kernel_cells
 from .local_models import fit_kernel_cell  # noqa: F401  (benchmarks/perf.py traces it here)
-from .partition import AdaptiveTree, GridPartition, assign_many, build_adaptive, build_grid
+from .partition import AdaptiveTree, GridPartition, assign_many, build_grid, grow_adaptive
+from .partition import build_adaptive  # noqa: F401  (benchmarks/perf.py traces it here)
 from .rng import STREAM_CANDIDATE0, STREAM_ROTATION, STREAM_SPLIT, member_generator
 from .transform import HistogramTransform, sample_rotation, sample_stretch
 
@@ -259,8 +260,7 @@ def train_member(
     )
 
     if config.partition == "adaptive":
-        tree = build_adaptive(rotation, X_std, config.min_samples_split)
-        cells = assign_many(tree, X_std)
+        tree, cells = grow_adaptive(rotation, X_std, config.min_samples_split)
         model = _fit_cells(X_std, y_fit, cells, tree.n_cells, config, clip_bound)
         return Member(tree, model)
 
@@ -321,7 +321,7 @@ def train_ensemble(
     """
     config.validate()
     # a centred value is at most 2 max|x| and the rotation is orthogonal, so
-    # every variance that standardizing, default_scale and build_adaptive
+    # every variance that standardizing, default_scale and grow_adaptive
     # compute is below n * d * (2 max|x|)**2, finite while max|x| <= limit
     X = dataset.X
     n, d = X.shape

@@ -20,7 +20,10 @@ Two partition kinds:
   The tree grows one breadth-first level at a time on a column-major copy
   of the rotated rows: a level's nodes are consecutive spans of one
   row-index array, and its splittable nodes of one size are split together
-  as one block, with the same bits as splitting each node alone.
+  as one block, with the same bits as splitting each node alone.  The
+  variances of such a block are folded across all its nodes at once.  A
+  row leaves the row-index array at the level where its node becomes a
+  leaf, so the build numbers every training row's leaf with no walk.
   The tree is full and stored breadth-first as two node arrays, from which
   children, leaf ids and the number of full levels above the shallowest
   leaf follow.  Trees cover the whole rotated space, so every query reaches
@@ -247,33 +250,33 @@ def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _variances(block: np.ndarray) -> np.ndarray:
     """Variances along the last axis of a (d, g, m) block of g nodes,
     bit-equal to ``ndarray.var(axis=0)`` on each node's (m, d) rows: sum,
-    divide, square the deviations in place, sum, divide, with each sum
-    taken in numpy's order (see ``build_adaptive``)."""
+    divide, subtract, square in place, sum, divide, with each sum taken in
+    numpy's order (see ``grow_adaptive``).  For d >= 2 the block is copied
+    once into (m, d, g) order, whose axis-0 reduce folds row by row across
+    all d * g lanes at once."""
     d, _, m = block.shape
-    buf = np.empty_like(block)  # serves both folds
-
-    def fold(a: np.ndarray) -> np.ndarray:
-        if d == 1:
-            return np.add.reduce(a, axis=-1)
-        return np.add.accumulate(a, axis=-1, out=buf)[..., -1]
-
-    mean = fold(block) / m
-    np.subtract(block, mean[..., None], out=buf)
-    np.square(buf, out=buf)
-    return fold(buf) / m
+    if d == 1:  # each node's column is contiguous, and numpy sums it pairwise
+        lanes, axis = block.copy(), -1
+    else:
+        lanes, axis = np.ascontiguousarray(np.moveaxis(block, -1, 0)), 0
+    mean = np.add.reduce(lanes, axis=axis, keepdims=True) / m
+    np.subtract(lanes, mean, out=lanes)
+    np.square(lanes, out=lanes)
+    return np.add.reduce(lanes, axis=axis) / m
 
 
 def _split_level(
     columns: np.ndarray, rows: np.ndarray, sizes: np.ndarray, min_leaf: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split the nodes of one breadth-first level.
 
     ``columns`` is the rotated data as a (d, n) array.  The level's nodes
     are consecutive spans of ``rows``, which is reordered in place, with
     ``sizes`` rows each.  Returns the nodes' split dimensions (-1 at a leaf)
-    and cuts (NaN at a leaf), then the next level's rows and sizes: each
+    and cuts (NaN at a leaf); then the next level's rows and sizes: each
     split node's left child, then its right child, each with the node's
-    rows in their order.
+    rows in their order; then the rows and sizes of the level's leaves, in
+    node order.
     """
     starts = np.cumsum(sizes) - sizes
     dims = np.full(len(sizes), _NO_CELL, dtype=np.int64)
@@ -303,18 +306,27 @@ def _split_level(
         rows[span] = np.take_along_axis(members, order, axis=1)
     internal = dims >= 0
     children = np.column_stack([left, sizes - left])[internal].ravel()
-    return dims, cuts, rows[np.repeat(internal, sizes)], children
+    in_leaf = np.repeat(~internal, sizes)
+    return dims, cuts, rows[~in_leaf], children, rows[in_leaf], sizes[~internal]
 
 
 def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> AdaptiveTree:
+    """The tree of ``grow_adaptive``, without the training rows' leaf ids."""
+    return grow_adaptive(rotation, X, min_leaf)[0]
+
+
+def grow_adaptive(
+    rotation: np.ndarray, X: np.ndarray, min_leaf: int
+) -> tuple[AdaptiveTree, np.ndarray]:
     """Grow an adaptive tree over the rotated rows of X.
 
-    Every cell with more than ``min_leaf`` points is split on the dimension
-    of largest sample variance at the median of that dimension (midpoint of
-    the two middle order statistics for even counts; the right child takes
-    values >= threshold).  A cell whose median split would leave one side
-    empty — in particular one whose points are all identical — becomes a
-    terminal leaf regardless of size.
+    Returns the tree plus each row's leaf id, the id ``assign_many`` gives
+    the row.  Every cell with more than ``min_leaf`` points is split on the
+    dimension of largest sample variance at the median of that dimension
+    (midpoint of the two middle order statistics for even counts; the
+    right child takes values >= threshold).  A cell whose median split
+    would leave one side empty — in particular one whose points are all
+    identical — becomes a terminal leaf regardless of size.
 
     The tree grows one breadth-first level at a time.  The rotated rows are
     kept once as a C-contiguous (d, n) array, and a level's nodes as
@@ -325,7 +337,8 @@ def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> Adapti
 
     * numpy folds the block's axis 0 one row at a time, so for d >= 2 each
       sum of a variance (of the values, then of the squared deviations) is
-      the last running sum, ``np.add.accumulate`` along the last axis;
+      an axis-0 reduce of the block copied into (m, d, g) order, which
+      folds the g nodes' rows together, row by row;
     * for d = 1 the column is contiguous and numpy sums it pairwise, as
       ``np.add.reduce`` does along the last axis;
     * the split dimension is the first argmax of the variances;
@@ -333,6 +346,9 @@ def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> Adapti
       positions, then the mean of those values;
     * the children take the node's rows in row order (a stable sort), the
       left child first.
+
+    Leaves are numbered in node order, so a level's leaves, in order, take
+    the ids after those of the levels above.
     """
     if min_leaf < 1:
         raise ConfigError("min_leaf must be >= 1")
@@ -346,18 +362,25 @@ def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> Adapti
 
     split_dim: list[np.ndarray] = []
     threshold: list[np.ndarray] = []
+    cells = np.empty(len(X), dtype=np.int64)
+    n_leaves = 0
     rows = np.arange(len(X), dtype=np.int64)
     sizes = np.array([len(X)], dtype=np.int64)
     while len(sizes):
-        dims, cuts, rows, sizes = _split_level(columns, rows, sizes, min_leaf)
+        dims, cuts, rows, sizes, leaf_rows, leaf_sizes = _split_level(
+            columns, rows, sizes, min_leaf)
         split_dim.append(dims)
         threshold.append(cuts)
+        cells[leaf_rows] = np.repeat(
+            np.arange(n_leaves, n_leaves + len(leaf_sizes), dtype=np.int64), leaf_sizes)
+        n_leaves += len(leaf_sizes)
 
-    return AdaptiveTree(
+    tree = AdaptiveTree(
         rotation=rotation,
         split_dim=np.concatenate(split_dim),
         threshold=np.concatenate(threshold),
     )
+    return tree, cells
 
 
 def assign(partition: GridPartition | AdaptiveTree, x: np.ndarray) -> int | None:

@@ -135,7 +135,8 @@ class TestGaussianGram:
                                                          specials, seed):
         gamma = 10.0**log_gamma
         assert valid_gamma(gamma)
-        d2 = philox_generator(seed).uniform(0.0, 2.0, size=shape) * 10.0**log_d2
+        with np.errstate(over="ignore"):  # near 1e308 a draw overflows to inf
+            d2 = philox_generator(seed).uniform(0.0, 2.0, size=shape) * 10.0**log_d2
         if specials:  # coincident rows, and a distance that overflowed to inf
             d2.flat[0], d2.flat[-1] = 0.0, np.inf
         with np.errstate(over="ignore"):

@@ -1,3 +1,4 @@
+import io
 import math
 from collections import deque
 
@@ -18,8 +19,10 @@ from hte.partition import (
     assign_many,
     build_adaptive,
     build_grid,
+    grow_adaptive,
 )
 from hte.rng import philox_generator
+from hte.serialize import _write_partition
 from hte.transform import HistogramTransform, bin_key, sample_rotation, sample_transform
 
 
@@ -501,7 +504,22 @@ class TestBuildAdaptive:
         _assert_builds_like_reference(*inputs)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 8), g=st.integers(1, 5), m=st.integers(1, 300),
+    @given(inputs=_build_inputs())
+    def test_grown_leaf_ids_equal_the_walk(self, inputs):
+        rotation, X, min_leaf = inputs
+        tree, cells = grow_adaptive(rotation, X, min_leaf)
+        walked = assign_many(tree, X)
+        assert cells.dtype == walked.dtype and cells.tobytes() == walked.tobytes()
+
+        def tree_bytes(tree):
+            buf = io.BytesIO()
+            _write_partition(buf, tree)
+            return buf.getvalue()
+
+        assert tree_bytes(tree) == tree_bytes(build_adaptive(rotation, X, min_leaf))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 8), g=st.integers(1, 64), m=st.integers(1, 2000),
            seed=st.integers(0, 2**32 - 1))
     def test_variances_equal_ndarray_var_on_each_node(self, data, d, g, m, seed):
         block = philox_generator(seed).normal(size=(d, g, m))
@@ -539,7 +557,12 @@ class TestBuildAdaptive:
         most = 0
         while len(sizes):
             most = max(most, len(np.unique(sizes[sizes > 3])))
-            _, _, rows, sizes = partition._split_level(columns, rows, sizes, 3)
+            level = np.sort(rows)
+            _, _, rows, sizes, leaf_rows, leaf_sizes = partition._split_level(
+                columns, rows, sizes, 3)
+            assert leaf_sizes.sum() == len(leaf_rows)
+            # each of the level's rows goes on to a child or stays in a leaf
+            np.testing.assert_array_equal(np.sort(np.concatenate([rows, leaf_rows])), level)
         assert most >= 3  # some level splits nodes of three sizes or more
         _assert_builds_like_reference(rotation, X, 3)
 
@@ -566,9 +589,9 @@ class TestBuildAdaptive:
         spans = np.split(rows, [b for b in bounds if b < n])
         sizes = np.array([len(span) for span in spans])
 
-        dims, cuts, next_rows, next_sizes = partition._split_level(
+        dims, cuts, next_rows, next_sizes, leaf_rows, leaf_sizes = partition._split_level(
             columns, rows.copy(), sizes, min_leaf)
-        expected_rows, expected_sizes = [], []
+        expected_rows, expected_sizes, expected_leaves = [], [], []
         for i, span in enumerate(spans):
             dim, cut, go_left = _reference_split(np.ascontiguousarray(columns[:, span].T),
                                                  min_leaf)
@@ -576,8 +599,12 @@ class TestBuildAdaptive:
             if dim >= 0:
                 expected_rows += [span[go_left], span[~go_left]]
                 expected_sizes += [int(go_left.sum()), int((~go_left).sum())]
+            else:
+                expected_leaves.append(span)
         np.testing.assert_array_equal(next_rows, np.concatenate([[], *expected_rows]))
         assert next_sizes.tolist() == expected_sizes
+        np.testing.assert_array_equal(leaf_rows, np.concatenate([[], *expected_leaves]))
+        assert leaf_sizes.tolist() == [len(span) for span in expected_leaves]
 
 
 class TestAssignAdaptive:
