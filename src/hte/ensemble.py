@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, Standardizer, default_scale, fit_standardizer
 from .errors import ConfigError, DataError, TrainingError
 from .linalg import valid_gamma
-from .local_models import ConstantModel, KernelCellModel, fit_constant, fit_kernel_cells
+from .local_models import KernelCellModel, fit_constant, fit_kernel_cells
 from .local_models import fit_kernel_cell  # noqa: F401  (benchmarks/perf.py traces it here)
 from .partition import AdaptiveTree, GridPartition, assign_many, build_grid, grow_adaptive
 from .partition import build_adaptive  # noqa: F401  (benchmarks/perf.py traces it here)
@@ -37,10 +37,6 @@ FALLBACK_RULES = ("zero", "global_mean")
 
 # Stretch-offset pairs used for best-scored candidates when none are given.
 DEFAULT_CANDIDATE_PAIRS = ((-1.0, 1.0), (0.0, 2.0), (1.0, 3.0), (2.0, 4.0), (3.0, 5.0))
-
-# numpy sums 8 or more values pairwise, so from this many rows a cell's
-# ``ndarray.mean`` may differ in the last bit from a running sum
-_PAIRWISE_MIN = 8
 
 
 @dataclass
@@ -153,7 +149,7 @@ class TrainConfig:
 @dataclass
 class Member:
     partition: GridPartition | AdaptiveTree
-    model: ConstantModel | KernelCellModel
+    model: KernelCellModel
 
 
 @dataclass
@@ -191,34 +187,27 @@ def _fit_cells(
     n_cells: int,
     config: TrainConfig,
     clip_bound: float,
-) -> ConstantModel | KernelCellModel:
+) -> KernelCellModel:
+    """Every cell's mean; in kht each cell of at least ``k_min`` rows is a
+    kernel cell instead, with mean 0."""
     fallback = float(y.mean()) if config.fallback == "global_mean" else 0.0
-    if config.mode == "nht":
-        return fit_constant(cells, y, n_cells, fallback=fallback, clip_bound=clip_bound)
-    n_fit = len(y)
-    lambda2 = config.lambda2 if config.lambda2 is not None else 1.0 / n_fit
-    if not math.isfinite(n_fit * lambda2):
-        raise ConfigError(f"lambda2 {lambda2!r} is too large: the ridge "
-                          f"{n_fit} * lambda2 overflows")
-    counts = np.bincount(cells, minlength=n_cells)
-    if (counts == 0).any():
-        empty = int(np.flatnonzero(counts == 0)[0])
-        raise TrainingError(f"cell {empty} received no training samples")
-    order = np.argsort(cells, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    is_kernel = counts >= config.k_min
-    offsets = np.concatenate(([0], np.cumsum(np.where(is_kernel, counts, 0))))
-    support_rows = order[np.repeat(is_kernel, counts)]
-    support = X[support_rows]
-    alpha = fit_kernel_cells(
-        support, y[support_rows], counts[is_kernel], config.gamma, lambda2, n_fit
-    )
-    # bincount adds each cell's targets in row order, the order of ``order``;
-    # below _PAIRWISE_MIN rows ``ndarray.mean`` adds them the same way
-    sums = np.bincount(cells, weights=y, minlength=n_cells)
-    means = np.where(is_kernel, 0.0, sums / counts)
-    for cid in np.flatnonzero(~is_kernel & (counts >= _PAIRWISE_MIN)).tolist():
-        means[cid] = y[order[starts[cid] : starts[cid + 1]]].mean()
+    means, fallback = fit_constant(cells, y, n_cells, fallback=fallback, clip_bound=clip_bound)
+    offsets = np.zeros(n_cells + 1, dtype=np.int64)
+    support, alpha = np.empty((0, X.shape[1])), np.empty(0)
+    if config.mode == "kht":
+        n_fit = len(y)
+        lambda2 = config.lambda2 if config.lambda2 is not None else 1.0 / n_fit
+        if not math.isfinite(n_fit * lambda2):
+            raise ConfigError(f"lambda2 {lambda2!r} is too large: the ridge "
+                              f"{n_fit} * lambda2 overflows")
+        counts = np.bincount(cells, minlength=n_cells)
+        is_kernel = counts >= config.k_min
+        means[is_kernel] = 0.0
+        offsets[1:] = np.cumsum(np.where(is_kernel, counts, 0))
+        support_rows = np.argsort(cells, kind="stable")[np.repeat(is_kernel, counts)]
+        support = X[support_rows]
+        alpha = fit_kernel_cells(support, y[support_rows], counts[is_kernel],
+                                 config.gamma, lambda2, n_fit)
     return KernelCellModel(
         offsets=offsets,
         support=support,
@@ -233,9 +222,7 @@ def _fit_cells(
 def member_predict(member: Member, X_std: np.ndarray, clipped: bool = True) -> np.ndarray:
     """Predictions of one member on already-standardized inputs."""
     cells = assign_many(member.partition, X_std)
-    if isinstance(member.model, KernelCellModel):
-        return member.model.predict(cells, X_std, clipped=clipped)
-    return member.model.predict(cells, X_std)
+    return member.model.predict(cells, X_std, clipped=clipped)
 
 
 def train_member(

@@ -1,13 +1,15 @@
-"""Per-cell regressors: constants (cell means) and clipped Gaussian kernel ridge.
+"""Per-cell regressors: cell means and clipped Gaussian kernel ridge.
 
-Each partition cell is fit independently.  Constant cells store the
-arithmetic mean of their targets; kernel cells solve the regularized system
-``(K + n * lambda2 * I) alpha = y`` where ``n`` is the global training size
-(the squared loss is averaged over all samples while each cell carries its
-own norm penalty, so the per-cell normal equations scale the ridge by the
-global count, not the cell count).  Predictions are clipped to
-``[-clip_bound, clip_bound]``, which can never increase squared-error risk
-when the targets themselves lie in that interval.
+``KernelCellModel`` is the one per-cell regressor.  Each partition cell is
+fit independently, either as a mean cell or as a kernel cell.  A mean cell
+predicts the mean of its training targets (``fit_constant``); an nht model
+is one whose every cell is a mean cell.  A kernel cell solves the
+regularized system ``(K + n * lambda2 * I) alpha = y`` where ``n`` is the
+global training size (the squared loss is averaged over all samples while
+each cell carries its own norm penalty, so the per-cell normal equations
+scale the ridge by the global count, not the cell count).  Predictions are
+clipped to ``[-clip_bound, clip_bound]``, which can never increase
+squared-error risk when the targets themselves lie in that interval.
 
 Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
@@ -49,33 +51,16 @@ def _builds_alone(q, m):
 
 
 @dataclass
-class ConstantModel:
-    """One constant per cell, plus a fallback for cells unseen in training."""
-
-    values: np.ndarray
-    fallback: float = 0.0
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.values)
-
-    def predict(self, cells: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
-        cells = np.asarray(cells, dtype=np.int64)
-        out = np.full(len(cells), self.fallback, dtype=np.float64)
-        seen = cells != NO_CELL
-        out[seen] = self.values[cells[seen]]
-        return out
-
-
-@dataclass
 class KernelCellModel:
-    """Per-cell Gaussian kernel ridge regressors stored as flat arrays.
+    """Per-cell regressors stored as flat arrays: mean cells and kernel cells.
 
     Cell c's expansion is ``support[offsets[c]:offsets[c + 1]]`` with the
     matching slice of ``alpha``.  Cells below the small-cell threshold skip
     the kernel solve (a one- or two-point expansion is a shrunk constant
     anyway), so their range is empty and they predict ``means[c]``, the
-    mean of their training targets; ``means`` is 0 at kernel cells.
+    mean of their training targets; ``means`` is 0 at kernel cells.  An nht
+    model has no kernel cells: ``offsets`` is all 0, ``support`` and
+    ``alpha`` are empty, and ``means`` holds every cell's value.
     """
 
     offsets: np.ndarray
@@ -95,17 +80,27 @@ class KernelCellModel:
     ) -> np.ndarray:
         """Evaluate the local regressors; ``clipped=False`` exposes raw values.
 
-        Queried kernel cells of one (q queries, m support rows) shape that
-        ``_builds_alone`` keeps in stacks are evaluated together, as stacks of
-        at most ``_STACK_ENTRIES`` kernel entries; the other cells one by one.
-        Either way each cell's values are those of
+        Mean cells and unseen rows (``NO_CELL``) are one gather of ``means``
+        and one fallback fill; a model without kernel cells does nothing
+        else before the clip.  Queried kernel cells of one (q queries, m support rows)
+        shape that ``_builds_alone`` keeps in stacks are evaluated together,
+        as stacks of at most ``_STACK_ENTRIES`` kernel entries; the other
+        cells one by one.  Either way each cell's values are those of
         ``gaussian_cross(X[queries], support, gamma) @ alpha`` bit for bit.
         """
         cells = np.asarray(cells, dtype=np.int64)
-        X = np.asarray(X, dtype=np.float64)
-        out = np.full(len(cells), self.fallback, dtype=np.float64)
-        seen = np.flatnonzero(cells != NO_CELL)
-        out[seen] = self.means[cells[seen]]
+        out = self.means.take(cells)  # NO_CELL (-1) reads the last mean until the fill
+        unseen = cells == NO_CELL
+        np.copyto(out, self.fallback, where=unseen)
+        if len(self.alpha):
+            self._predict_kernel_cells(out, cells, np.flatnonzero(~unseen),
+                                       np.asarray(X, dtype=np.float64))
+        if clipped:
+            np.clip(out, -self.clip_bound, self.clip_bound, out=out)
+        return out
+
+    def _predict_kernel_cells(self, out, cells, seen, X) -> None:
+        """Write the raw values of the queried kernel cells' rows into ``out``."""
         in_kernel = self.offsets[cells[seen] + 1] > self.offsets[cells[seen]]
         rows = seen[in_kernel]
         rows = rows[np.argsort(cells[rows], kind="stable")]
@@ -140,9 +135,9 @@ class KernelCellModel:
             query = rows[at : at + n_q]
             k = gaussian_cross(X[query], self.support[base : base + n_m], self.gamma)
             out[query] = k @ self.alpha[base : base + n_m]
-        if clipped:
-            np.clip(out, -self.clip_bound, self.clip_bound, out=out)
-        return out
+
+
+ConstantModel = KernelCellModel  # the same class (benchmarks/perf.py traces it here)
 
 
 def fit_constant(
@@ -151,23 +146,25 @@ def fit_constant(
     n_cells: int,
     fallback: float = 0.0,
     clip_bound: float | None = None,
-) -> ConstantModel:
-    """Cell means over the training targets.
+) -> tuple[np.ndarray, float]:
+    """Cell means over the training targets; returns (means, fallback).
 
-    Every cell id in 0..n_cells-1 must occur at least once.  When a clip
-    bound is given the stored constants and the fallback are clamped to it.
+    The one cell-mean rule: each cell's targets are added in row order (a
+    ``bincount``) and divided by its count.  Every cell id in 0..n_cells-1
+    must occur at least once.  When a clip bound is given the means and the
+    fallback are clamped to it.
     """
     cell_ids = np.asarray(cell_ids, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
     counts = np.bincount(cell_ids, minlength=n_cells)
     if (counts == 0).any():
-        raise ConfigError("every cell must contain at least one sample")
-    sums = np.bincount(cell_ids, weights=y, minlength=n_cells)
-    values = sums / counts
+        empty = int(np.flatnonzero(counts == 0)[0])
+        raise ConfigError(f"every cell must contain at least one sample; cell {empty} has none")
+    means = np.bincount(cell_ids, weights=y, minlength=n_cells) / counts
     if clip_bound is not None:
-        values = np.clip(values, -clip_bound, clip_bound)
+        np.clip(means, -clip_bound, clip_bound, out=means)
         fallback = float(np.clip(fallback, -clip_bound, clip_bound))
-    return ConstantModel(values=values, fallback=fallback)
+    return means, fallback
 
 
 def fit_kernel_cells(

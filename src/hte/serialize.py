@@ -10,19 +10,23 @@ dimensions and raw C-order bytes, so the round trip is bit-exact.  The
 header carries the effective train config, enough to reproduce the model
 byte-for-byte from the same data.  Loading verifies magic, version and
 checksum before touching any payload, then that the header is a JSON
-object with integer ``d`` and ``n_transforms``, an object ``config`` and a
-numeric ``clip_bound``, then checks the shapes of the grid key tables, tree
-arrays and regressor arrays against ``d`` and the cell counts, and that
-every value prediction reads is finite (with std, ``gamma`` and
-``clip_bound`` positive, and ``gamma**2`` a positive float); a payload the
-model classes reject (a repeated grid key, say) is reported as corrupt too.
+object with integer ``d`` and ``n_transforms``, an object ``config`` (a
+valid ``TrainConfig``, so a ``gamma`` that training accepts) and a finite
+positive ``clip_bound``, then checks the shapes of the grid key tables,
+tree arrays and regressor arrays against ``d`` and the cell counts, and
+that every value prediction reads is finite (with std positive); a payload
+the model classes reject (a repeated grid key, say) is reported as corrupt
+too.
 
 A member is its partition block then its regressor block.  A grid block
 holds the transform and the ``(n_cells, d)`` key table; a tree block holds
 the ``(d, d)`` rotation and the breadth-first node arrays ``split_dim`` and
-``threshold``.  A constant block holds the cell values; a kernel block holds
-``gamma``, ``clip_bound`` and ``fallback``, then the flat arrays
-``offsets``, ``support``, ``alpha`` and ``means`` of ``KernelCellModel``.
+``threshold``.  Every member's regressor is a ``KernelCellModel``; its
+block holds ``fallback`` and ``means``, and in a kht file then the flat
+kernel arrays ``offsets``, ``support`` and ``alpha``.  An nht member has no
+kernel cells, so the loader rebuilds zero ``offsets`` and empty ``support``
+and ``alpha``.  ``gamma`` and ``clip_bound`` are the header's, shared by
+every member.
 """
 
 from __future__ import annotations
@@ -38,14 +42,13 @@ import numpy as np
 from .data import Standardizer
 from .ensemble import EnsembleModel, Member, TrainConfig
 from .errors import ConfigError, DataError
-from .linalg import valid_gamma
-from .local_models import ConstantModel, KernelCellModel
+from .local_models import KernelCellModel
 from .partition import AdaptiveTree, GridPartition
 from .rng import NORMAL_METHOD, RNG_ALGORITHM
 from .transform import HistogramTransform
 
 MAGIC = b"HTEN"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _CHECKSUM_BYTES = 32
 
 _DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64)}
@@ -57,8 +60,6 @@ _HEADER_FIELDS = {"d": (int,), "n_transforms": (int,), "config": (dict,),
 
 _PARTITION_GRID = 0
 _PARTITION_TREE = 1
-_MODEL_CONSTANT = 0
-_MODEL_KERNEL = 1
 
 
 def _w_u8(buf: io.BytesIO, v: int) -> None:
@@ -191,47 +192,41 @@ def _read_partition(r: _Reader, d: int):
     return tree
 
 
-def _write_model(buf: io.BytesIO, model) -> None:
-    if isinstance(model, ConstantModel):
-        _w_u8(buf, _MODEL_CONSTANT)
-        _w_array(buf, model.values)
-        _w_f64(buf, model.fallback)
-        return
-    _w_u8(buf, _MODEL_KERNEL)
-    _w_f64(buf, model.gamma)
-    _w_f64(buf, model.clip_bound)
+def _write_model(buf: io.BytesIO, model: KernelCellModel, ensemble: EnsembleModel) -> None:
+    # what the block leaves out, the loader takes from the header
+    kernel = ensemble.config.mode == "kht"
+    if (model.gamma, model.clip_bound) != (ensemble.config.gamma, ensemble.clip_bound):
+        raise DataError("a member's gamma or clip_bound differs from the ensemble's")
+    if not kernel and len(model.alpha):
+        raise DataError("an nht member cannot hold kernel cells")
     _w_f64(buf, model.fallback)
-    for arr in (model.offsets, model.support, model.alpha, model.means):
-        _w_array(buf, arr)
+    _w_array(buf, model.means)
+    if kernel:
+        for arr in (model.offsets, model.support, model.alpha):
+            _w_array(buf, arr)
 
 
-def _read_model(r: _Reader, d: int, n_cells: int):
-    kind = r.u8()
-    if kind == _MODEL_CONSTANT:
-        model = ConstantModel(values=r.array(), fallback=r.f64())
-        _require(model.values.shape == (n_cells,),
-                 f"cell values of shape {model.values.shape} for {n_cells} cells")
-        _require_finite("cell values or fallback", model.values, model.fallback)
-        return model
-    if kind != _MODEL_KERNEL:
-        raise DataError(f"unknown model tag {kind}")
-    gamma, clip_bound, fallback = r.f64(), r.f64(), r.f64()
-    offsets, support, alpha, means = r.array(), r.array(), r.array(), r.array()
-    _require(means.shape == (n_cells,),
-             f"kernel means of shape {means.shape} for {n_cells} cells")
-    _require(alpha.ndim == 1, "kernel coefficients are not a vector")
-    _require(
-        offsets.dtype == np.int64 and offsets.shape == (n_cells + 1,)
-        and offsets[0] == 0 and (np.diff(offsets) >= 0).all()
-        and offsets[-1] == len(alpha),
-        f"kernel offsets must run from 0 up to {len(alpha)} in {n_cells + 1} steps",
-    )
-    _require(support.shape == (len(alpha), d),
-             f"kernel support of shape {support.shape} is not ({len(alpha)}, {d})")
-    _require(valid_gamma(gamma) and 0 < clip_bound < math.inf,
-             "kernel gamma and clip_bound must be finite and positive, "
-             "and so must the square of gamma")
-    _require_finite("kernel fallback, support, alpha or means", fallback, support, alpha, means)
+def _read_model(r: _Reader, d: int, n_cells: int, kernel: bool, gamma: float,
+                clip_bound: float) -> KernelCellModel:
+    fallback, means = r.f64(), r.array()
+    _require(means.dtype == np.float64 and means.shape == (n_cells,),
+             f"cell means are not float64 of shape ({n_cells},)")
+    _require_finite("fallback or cell means", fallback, means)
+    if kernel:
+        offsets, support, alpha = r.array(), r.array(), r.array()
+        _require(alpha.ndim == 1, "kernel coefficients are not a vector")
+        _require(
+            offsets.dtype == np.int64 and offsets.shape == (n_cells + 1,)
+            and offsets[0] == 0 and (np.diff(offsets) >= 0).all()
+            and offsets[-1] == len(alpha),
+            f"kernel offsets must run from 0 up to {len(alpha)} in {n_cells + 1} steps",
+        )
+        _require(support.shape == (len(alpha), d),
+                 f"kernel support of shape {support.shape} is not ({len(alpha)}, {d})")
+        _require_finite("kernel support or alpha", support, alpha)
+    else:
+        offsets = np.zeros(n_cells + 1, dtype=np.int64)
+        support, alpha = np.empty((0, d)), np.empty(0)
     return KernelCellModel(
         offsets=offsets,
         support=support,
@@ -267,7 +262,7 @@ def serialize_model(model: EnsembleModel, data_info: dict | None = None) -> byte
     _write_standardizer(buf, model.standardizer)
     for member in model.members:
         _write_partition(buf, member.partition)
-        _write_model(buf, member.model)
+        _write_model(buf, member.model, model)
     payload = buf.getvalue()
     return payload + hashlib.sha256(payload).digest()
 
@@ -304,6 +299,7 @@ def _verify(data: bytes) -> dict:
                  f"header field {key!r} is missing or not {kinds[0].__name__}")
     _require(header["d"] >= 1 and header["n_transforms"] >= 1,
              "header d and n_transforms must be >= 1")
+    _require(0 < header["clip_bound"] < math.inf, "header clip_bound must be finite and positive")
     _require(isinstance(header.get("data", {}), dict), "header field 'data' is not an object")
     header["_payload_offset"] = start + header_len
     return header
@@ -326,9 +322,11 @@ def deserialize_model(data: bytes) -> EnsembleModel:
     try:
         config = TrainConfig.from_dict(header["config"])
         standardizer = _read_standardizer(reader)
+        kernel = config.mode == "kht"
         for _ in range(header["n_transforms"]):
             partition = _read_partition(reader, d)
-            model = _read_model(reader, d, partition.n_cells)
+            model = _read_model(reader, d, partition.n_cells, kernel, config.gamma,
+                                header["clip_bound"])
             members.append(Member(partition, model))
     except ConfigError as exc:  # the config, a transform or a tree rejected the file
         raise DataError(f"model file corrupt: {exc}") from exc

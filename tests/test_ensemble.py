@@ -27,12 +27,12 @@ from hte.ensemble import (
     train_ensemble,
     train_member,
 )
-from hte.errors import ConfigError, DataError, TrainingError
+from hte.errors import ConfigError, DataError, HteError, TrainingError
 from hte.evaluation import mse
-from hte.local_models import ConstantModel, fit_constant
+from hte.local_models import KernelCellModel, fit_constant
 from hte.partition import GridPartition, assign_many, build_grid
 from hte.rng import STREAM_CANDIDATE0, STREAM_ROTATION, STREAM_SPLIT, member_generator
-from hte.serialize import serialize_model
+from hte.serialize import deserialize_model, serialize_model
 from hte.transform import HistogramTransform, sample_rotation, sample_stretch
 
 
@@ -42,10 +42,18 @@ def _member_bytes(model: EnsembleModel, index: int, config: TrainConfig) -> byte
                                          config, model.clip_bound))
 
 
+def _mean_model(means: np.ndarray, d: int, fallback: float = 0.0,
+                clip_bound: float = 10.0) -> KernelCellModel:
+    """A regressor without kernel cells: each cell predicts ``means[c]``."""
+    return KernelCellModel(offsets=np.zeros(len(means) + 1, dtype=np.int64),
+                           support=np.empty((0, d)), alpha=np.empty(0), means=means,
+                           gamma=1.0, clip_bound=clip_bound, fallback=fallback)
+
+
 def _constant_member(value: float) -> Member:
     transform = HistogramTransform(np.eye(1), np.ones(1), np.zeros(1), 1.0, 1.0)
     partition = GridPartition(transform, np.array([[0]]))
-    return Member(partition, ConstantModel(values=np.array([value])))
+    return Member(partition, _mean_model(np.array([value]), 1))
 
 
 class TestConfigValidation:
@@ -333,10 +341,32 @@ class TestTrainMember:
             cells = assign_many(member.partition, X)
             counts = np.bincount(cells, minlength=member.model.n_cells)
             mean_cells = np.flatnonzero(counts < k_min)
-            if k_min == 12:  # numpy sums these pairwise: the per-cell mean path
+            if k_min == 12:  # ndarray.mean would sum these pairwise
                 assert (counts[mean_cells] >= 8).any()
-            expected = np.array([y[cells == c].mean() for c in mean_cells])
+            # the targets added in row order, then divided by the count
+            expected = np.array([sum(y[cells == c].tolist()) / counts[c] for c in mean_cells])
             assert member.model.means[mean_cells].tobytes() == expected.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(20, 400),
+           partition=st.sampled_from(["grid", "adaptive"]), n_candidates=st.integers(1, 3),
+           fallback=st.sampled_from(["zero", "global_mean"]),
+           clip_bound=st.sampled_from([None, 0.5]))
+    def test_kht_without_kernel_cells_is_nht(self, seed, n, partition, n_candidates, fallback,
+                                             clip_bound):
+        # a kht cell below k_min is a mean cell, so with k_min above every cell
+        # size kht is nht: the same cell means, bit for bit
+        ds = gen_counter3d(n, seed=seed)
+        cfg = TrainConfig(partition=partition, n_transforms=2, min_samples_split=10,
+                          n_candidates=n_candidates if partition == "grid" else 1,
+                          fallback=fallback, clip_bound=clip_bound, master_seed=seed)
+        nht = train_ensemble(ds, cfg)
+        kht = train_ensemble(ds, replace(cfg, mode="kht", k_min=n + 1))
+        queries = np.vstack([gen_counter3d(300, seed=seed + 1).X, np.full((1, 3), 1e6)])
+        assert predict(kht, queries).tobytes() == predict(nht, queries).tobytes()
+        for a, b in zip(nht.members, kht.members):
+            assert a.model.means.tobytes() == b.model.means.tobytes()
+            assert len(b.model.alpha) == 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 3),
@@ -410,11 +440,10 @@ class TestTrainMember:
             scales, translation = sample_stretch(1, h_lo, h_hi, rng)
             transform = HistogramTransform(rotation, scales, translation, h_lo, h_hi)
             grid, cells = build_grid(transform, X_std[fit_rows])
-            cand = Member(
-                grid,
-                fit_constant(cells, ds.y[fit_rows], grid.n_cells,
-                             clip_bound=float(np.abs(ds.y).max())),
-            )
+            bound = float(np.abs(ds.y).max())
+            means, fallback = fit_constant(cells, ds.y[fit_rows], grid.n_cells,
+                                           clip_bound=bound)
+            cand = Member(grid, _mean_model(means, 1, fallback, bound))
             scores.append(mse(member_predict(cand, X_std[val_rows]), ds.y[val_rows]))
             scales_seen.append(scales)
         winner = int(np.argmin(scores))
@@ -452,8 +481,67 @@ class TestTrainMember:
         X_std = stz.transform(ds.X)
         lone = train_member(X_std, ds.y, cfg, member_index=1)
         np.testing.assert_array_equal(
-            lone.model.values, model.members[1].model.values
+            lone.model.means, model.members[1].model.means
         )
+
+
+@st.composite
+def _valid_configs(draw):
+    """A ``TrainConfig`` drawn over the whole valid space (small sizes)."""
+    partition = draw(st.sampled_from(["grid", "adaptive"]))
+    n_candidates = draw(st.integers(1, 3)) if partition == "grid" else 1
+    offset = st.floats(-2.0, 4.0)
+    width = st.floats(0.05, 3.0)
+    pairs = None
+    if draw(st.booleans()):
+        pairs = [(lo, lo + w) for lo, w in
+                 draw(st.lists(st.tuples(offset, width), min_size=n_candidates,
+                               max_size=n_candidates))]
+    s_min = draw(offset)
+    return TrainConfig(
+        mode=draw(st.sampled_from(["nht", "kht"])),
+        partition=partition,
+        n_transforms=draw(st.integers(1, 3)),
+        n_candidates=n_candidates,
+        candidate_pairs=pairs,
+        s_min=s_min,
+        s_max=s_min + draw(width),
+        min_samples_split=draw(st.integers(1, 120)),
+        gamma=draw(st.sampled_from([1e-3, 0.2, 1.0, 3.0, 1e3])),
+        lambda2=draw(st.one_of(st.none(), st.floats(1e-9, 10.0))),
+        clip_bound=draw(st.one_of(st.none(), st.floats(0.01, 20.0))),
+        fallback=draw(st.sampled_from(["zero", "global_mean"])),
+        k_min=draw(st.integers(1, 15)),
+        validation_fraction=draw(st.floats(0.05, 0.95)),
+        master_seed=draw(st.integers(0, 2**16)),
+        standardize_features=draw(st.booleans()),
+        standardize_target=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_valid_configs(), n=st.integers(2, 150), d=st.integers(1, 4),
+       scale=st.sampled_from([1e-3, 1.0, 50.0]), data_seed=st.integers(0, 2**16))
+def test_every_valid_config_trains_clips_and_round_trips(cfg, n, d, scale, data_seed):
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(n, d)) * scale
+    y = np.sin(X.sum(axis=1) / scale) * 3.0 + rng.normal(size=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a failure, not a rejection
+        try:
+            model = train_ensemble(Dataset(X, y), cfg, n_threads=1)
+        except HteError:
+            return
+        if cfg.clip_bound is not None:
+            assert model.clip_bound == cfg.clip_bound
+        queries = np.vstack([X, rng.normal(size=(20, d)) * scale * 3.0, np.full((1, d), 1e6)])
+        X_std = model.standardizer.transform(queries)
+        for member in model.members:  # fit units
+            assert np.abs(member_predict(member, X_std)).max() <= model.clip_bound
+        blob = serialize_model(model)
+        again = deserialize_model(blob)
+        assert serialize_model(again) == blob
+        assert predict(again, queries).tobytes() == predict(model, queries).tobytes()
 
 
 class TestDeterminism:

@@ -12,7 +12,6 @@ from hte.local_models import (
     _STACK_CELL_ENTRIES,
     _STACK_ENTRIES,
     NO_CELL,
-    ConstantModel,
     KernelCellModel,
     fit_constant,
     fit_kernel_cell,
@@ -41,26 +40,32 @@ def _kernel_model(cells, clip_bound=10.0, fallback=0.0, gamma=1.0):
     )
 
 
+def _mean_model(cell_ids, y, n_cells, **kwargs):
+    """The regressor of ``fit_constant``'s means: every cell a mean cell."""
+    means, fallback = fit_constant(cell_ids, y, n_cells, **kwargs)
+    return _kernel_model(means.tolist(), fallback=fallback)
+
+
 class TestFitConstant:
     def test_cell_mean(self):
-        model = fit_constant(np.array([0, 0]), np.array([1.0, 3.0]), 1)
-        assert model.values[0] == 2.0
+        means, _ = fit_constant(np.array([0, 0]), np.array([1.0, 3.0]), 1)
+        assert means[0] == 2.0
 
     def test_singleton(self):
-        model = fit_constant(np.array([0]), np.array([5.0]), 1)
-        assert model.values[0] == 5.0
+        means, _ = fit_constant(np.array([0]), np.array([5.0]), 1)
+        assert means[0] == 5.0
 
     def test_unseen_cell_defaults_to_zero(self):
-        model = fit_constant(np.array([0]), np.array([5.0]), 1)
+        model = _mean_model(np.array([0]), np.array([5.0]), 1)
         assert _predict_one(model, NO_CELL, [0.0]) == 0.0
 
     def test_global_mean_fallback(self):
         y = np.array([1.0, 2.0, 6.0])
-        model = fit_constant(np.array([0, 0, 1]), y, 2, fallback=float(y.mean()))
+        model = _mean_model(np.array([0, 0, 1]), y, 2, fallback=float(y.mean()))
         assert _predict_one(model, NO_CELL, [0.0]) == 3.0
 
     def test_rejects_empty_cells(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="cell 1 has none"):
             fit_constant(np.array([0, 2]), np.array([1.0, 2.0]), 3)
 
     def test_matches_brute_force_groupby(self):
@@ -72,18 +77,23 @@ class TestFitConstant:
                 [np.arange(n_cells), rng.integers(0, n_cells, size=n)]
             )
             y = rng.normal(size=len(cells))
-            model = fit_constant(cells, y, n_cells)
+            means, _ = fit_constant(cells, y, n_cells)
             for cid in range(n_cells):
                 expected = y[cells == cid].mean()
-                assert abs(model.values[cid] - expected) <= 1e-12
+                assert abs(means[cid] - expected) <= 1e-12
+                # bit for bit the targets added in row order, over the count
+                in_row_order = sum(y[cells == cid].tolist()) / (cells == cid).sum()
+                assert means[cid] == in_row_order
 
     def test_values_clipped_when_bound_given(self):
-        model = fit_constant(np.array([0]), np.array([7.0]), 1, clip_bound=2.0)
-        assert model.values[0] == 2.0
+        means, _ = fit_constant(np.array([0]), np.array([7.0]), 1, clip_bound=2.0)
+        assert means[0] == 2.0
 
     def test_fallback_clipped_when_bound_given(self):
-        model = fit_constant(np.array([0]), np.array([1.0]), 1, fallback=-13.0, clip_bound=2.0)
-        assert model.fallback == -2.0
+        cells, y = np.array([0]), np.array([1.0])
+        _, fallback = fit_constant(cells, y, 1, fallback=-13.0, clip_bound=2.0)
+        assert fallback == -2.0
+        model = _mean_model(cells, y, 1, fallback=-13.0, clip_bound=2.0)
         assert _predict_one(model, NO_CELL, [0.0]) == -2.0
 
 
@@ -256,8 +266,17 @@ class TestFitKernelCells:
 
 class TestPredict:
     def test_constant_cell_value(self):
-        model = ConstantModel(values=np.array([2.0]))
+        model = _kernel_model([2.0])
         assert _predict_one(model, 0, [0.0]) == 2.0
+
+    def test_model_without_kernel_cells_only_gathers(self, monkeypatch):
+        # an nht model: the kernel grouping is skipped, and X is never read
+        monkeypatch.setattr(KernelCellModel, "_predict_kernel_cells", None)
+        model = _kernel_model([4.0, -12.0, 0.5], clip_bound=3.0, fallback=7.0)
+        out = model.predict(np.array([2, NO_CELL, 1, 0, 2]), None)
+        assert out.tolist() == [0.5, 3.0, -3.0, 3.0, 0.5]
+        raw = model.predict(np.array([1, NO_CELL]), None, clipped=False)
+        assert raw.tolist() == [-12.0, 7.0]
 
     def test_single_support_kernel_prediction(self):
         support, alpha = fit_kernel_cell(

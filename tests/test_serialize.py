@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hte.data import Dataset, gen_counter3d, gen_sin16
 from hte.ensemble import TrainConfig, predict, train_ensemble
 from hte.errors import DataError
-from hte.local_models import ConstantModel, KernelCellModel
+from hte.local_models import KernelCellModel
 from hte.partition import AdaptiveTree, GridPartition
 from hte.serialize import (
     FORMAT_VERSION,
@@ -56,17 +56,13 @@ def _assert_round_trip_lossless(model):
                 assert (fa.dtype, fa.shape) == (fb.dtype, fb.shape)
                 assert fa.tobytes() == fb.tobytes()
             assert a.partition.n_cells == b.partition.n_cells
-        if isinstance(a.model, ConstantModel):
-            assert a.model.values.tobytes() == b.model.values.tobytes()
-            assert a.model.fallback == b.model.fallback
-        else:
-            assert isinstance(b.model, KernelCellModel)
-            assert (a.model.gamma, a.model.clip_bound, a.model.fallback) == \
-                   (b.model.gamma, b.model.clip_bound, b.model.fallback)
-            for field in ("offsets", "support", "alpha", "means"):
-                fa, fb = getattr(a.model, field), getattr(b.model, field)
-                assert (fa.dtype, fa.shape) == (fb.dtype, fb.shape)
-                assert fa.tobytes() == fb.tobytes()
+        assert isinstance(b.model, KernelCellModel)
+        assert (a.model.gamma, a.model.clip_bound, a.model.fallback) == \
+               (b.model.gamma, b.model.clip_bound, b.model.fallback)
+        for field in ("offsets", "support", "alpha", "means"):
+            fa, fb = getattr(a.model, field), getattr(b.model, field)
+            assert (fa.dtype, fa.shape) == (fb.dtype, fb.shape)
+            assert fa.tobytes() == fb.tobytes()
 
     queries = gen_counter3d(100, seed=7).X
     np.testing.assert_array_equal(predict(model, queries), predict(again, queries))
@@ -233,11 +229,56 @@ def test_grid_key_outside_bin_key_range_is_corrupt(key):
         deserialize_model(_reseal(bytes(blob)))
 
 
+_MEANS_SHAPE = r"corrupt: cell means are not float64 of shape \(\d+,\)"
+
+
 def test_kernel_means_length_checked():
     model, member = _kernel_grid_member()
     member.model.means = member.model.means[:-1]
-    with pytest.raises(DataError, match="kernel means"):
+    with pytest.raises(DataError, match=_MEANS_SHAPE):
         deserialize_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("partition", ["grid", "adaptive"])
+def test_nht_means_length_checked(partition):
+    _, model = _train("nht", partition, n=120)
+    member = model.members[-1]
+    member.model.means = np.append(member.model.means, 0.0)
+    with pytest.raises(DataError, match=_MEANS_SHAPE):
+        deserialize_model(serialize_model(model))
+
+
+def test_cell_means_dtype_checked():
+    _, model = _train("nht", "grid", n=120)
+    member = model.members[0]
+    member.model.means = np.zeros(member.model.n_cells, dtype=np.int64)
+    with pytest.raises(DataError, match=_MEANS_SHAPE):
+        deserialize_model(serialize_model(model))
+
+
+def test_nht_file_holds_no_kernel_cells():
+    _, model = _train("nht", "grid", n=120)
+    blob = serialize_model(model)
+    again = deserialize_model(blob)
+    for member in again.members:
+        assert member.model.offsets.tolist() == [0] * (member.model.n_cells + 1)
+        assert member.model.support.shape == (0, 3) and member.model.alpha.shape == (0,)
+        assert (member.model.gamma, member.model.clip_bound) == \
+               (model.config.gamma, model.clip_bound)
+    member = model.members[0]
+    member.model.offsets = np.r_[0, np.ones(member.model.n_cells, dtype=np.int64)]
+    member.model.support, member.model.alpha = np.zeros((1, 3)), np.ones(1)
+    with pytest.raises(DataError, match="an nht member cannot hold kernel cells"):
+        serialize_model(model)
+
+
+@pytest.mark.parametrize("field", ["gamma", "clip_bound"])
+def test_member_must_share_the_header_gamma_and_clip_bound(field):
+    # a file holds one gamma and one clip_bound for all members
+    model, member = _kernel_grid_member()
+    setattr(member.model, field, getattr(member.model, field) * 2.0)
+    with pytest.raises(DataError, match="gamma or clip_bound differs from the ensemble's"):
+        serialize_model(model)
 
 
 def test_kernel_offsets_must_start_at_zero():
@@ -276,7 +317,19 @@ def test_version_2_file_rejected_by_name():
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 2)
     with pytest.raises(DataError, match=r"unsupported model format version 2 "
-                                        r"\(this build reads version 3\)"):
+                                        r"\(this build reads version 4\)"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+@pytest.mark.parametrize("mode", ["nht", "kht"])
+def test_version_3_file_rejected_by_name(mode):
+    # version 3 tagged each regressor block and stored a kernel member's
+    # gamma and clip_bound in it; those files must be retrained
+    _, model = _train(mode, "grid", n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[4:8] = struct.pack("<I", 3)
+    with pytest.raises(DataError, match=r"unsupported model format version 3 "
+                                        r"\(this build reads version 4\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -350,11 +403,11 @@ def test_constant_cell_value_not_finite_is_corrupt(field):
     _, model = _train("nht", "grid", n=120)
     member = model.members[0]
     if field == "values":
-        member.model.values = member.model.values.copy()
-        member.model.values[0] = np.nan
+        member.model.means = member.model.means.copy()
+        member.model.means[0] = np.nan
     else:
         member.model.fallback = np.nan
-    with pytest.raises(DataError, match="corrupt: cell values or fallback not finite"):
+    with pytest.raises(DataError, match="corrupt: fallback or cell means not finite"):
         deserialize_model(serialize_model(model))
 
 
@@ -367,19 +420,37 @@ def test_kernel_value_not_finite_is_corrupt(field):
         values = getattr(member.model, field).copy()
         values.flat[-1] = np.nan
         setattr(member.model, field, values)
-    with pytest.raises(DataError,
-                       match="corrupt: kernel fallback, support, alpha or means not finite"):
+    problem = "kernel support or alpha" if field in ("alpha", "support") else "fallback or cell means"
+    with pytest.raises(DataError, match=f"corrupt: {problem} not finite"):
         deserialize_model(serialize_model(model))
+
+
+def _set_header_value(model, field, value):
+    """``gamma`` and ``clip_bound`` are written once, in the header."""
+    if field == "gamma":
+        model.config.gamma = value
+    else:
+        model.clip_bound = value
+    for member in model.members:
+        setattr(member.model, field, value)
 
 
 @pytest.mark.parametrize("field,value", [("gamma", -1.0), ("gamma", np.nan),
                                          ("gamma", 1e200), ("gamma", 1e-200),
                                          ("clip_bound", 0.0), ("clip_bound", np.inf)])
 def test_kernel_gamma_and_clip_bound_must_be_positive(field, value):
-    model, member = _kernel_grid_member()
-    setattr(member.model, field, value)
-    with pytest.raises(DataError,
-                       match="corrupt: kernel gamma and clip_bound must be finite and positive"):
+    model, _ = _kernel_grid_member()
+    _set_header_value(model, field, value)
+    with pytest.raises(DataError, match=f"model file corrupt: .*{field} must be .*finite"):
+        deserialize_model(serialize_model(model))
+
+
+@pytest.mark.parametrize("field,value", [("gamma", 0.0), ("gamma", np.inf),
+                                         ("clip_bound", -1.0), ("clip_bound", np.nan)])
+def test_header_gamma_and_clip_bound_checked_in_nht_files(field, value):
+    _, model = _train("nht", "adaptive", n=120)
+    _set_header_value(model, field, value)
+    with pytest.raises(DataError, match=f"model file corrupt: .*{field} must be .*finite"):
         deserialize_model(serialize_model(model))
 
 
