@@ -1,10 +1,14 @@
 """Command-line interface: train, predict, bench, study, schedule, inspect.
 
-Diagnostics go to standard error; data and tables go to files or standard
-output.  Exit codes: 1 configuration error, 2 data error, 3 training error,
-141 standard output closed early by its reader (``hte predict ... | head``;
-nothing is printed on standard error).  Flag values override config-file
-keys, which override built-in defaults.
+Each command does its work and raises; ``main`` alone turns an error into
+an exit code and one ``error: ...`` line on standard error.  Exit codes: 1
+configuration error, 2 data error (an input that cannot be read or an
+output that cannot be written included), 3 training error, 141 standard
+output closed early by its reader (``hte predict ... | head``; nothing is
+printed on standard error).  Data and tables go to files or standard output.  Flag
+values override config-file keys, which override built-in defaults, and
+every config value must have its field's JSON type.  ``bench`` runs a
+preset study config (``PRESETS``) through the code that runs ``study``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .data import load_csv, read_matrix
 from .ensemble import (
     DEFAULT_CANDIDATE_PAIRS,
     TrainConfig,
+    check_type,
     predict,
     theoretical_schedule,
     train_ensemble,
@@ -35,13 +40,36 @@ EXIT_DATA = 2
 EXIT_TRAINING = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool killed by it
 
-# config keys that address the CLI rather than TrainConfig
-_CLI_KEYS = {"target", "has_header", "threads"}
+# config keys that address the CLI rather than TrainConfig, with their JSON types
+_CLI_KEYS = {"target": ("str", "int"), "has_header": ("bool",), "threads": ("int",)}
 
+_STUDY_KEYS = {"generator", "grid", "n_train", "n_test", "repetitions", "seed", "train",
+               "measure_art"}
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# each `hte bench` preset is a study config, as `hte study --config` reads it;
+# the empty train block is the default TrainConfig: nht on grids, s in [0, 1]
+PRESETS = {
+    "sin16": {
+        "generator": "sin16", "n_train": 2000, "n_test": 2000, "repetitions": 300,
+        "grid": {"n_train": [2000, 3000, 4000, 5000], "n_transforms": [1, 5, 10, 20]},
+        "train": {},
+    },
+    "t-study": {
+        "generator": "sin16", "n_train": 2000, "n_test": 2000, "repetitions": 300,
+        "grid": {"n_transforms": [1, 5, 10, 20]},
+        "train": {},
+    },
+    "scale-study": {
+        "generator": "sin16", "n_train": 500, "n_test": 1000, "repetitions": 100,
+        "grid": {"pair": [list(p) for p in DEFAULT_CANDIDATE_PAIRS]},
+        "train": {},
+    },
+    "counter3d": {
+        "generator": "counter3d", "n_train": 1000, "n_test": 1000, "repetitions": 30,
+        "grid": {"n_train": [1000, 2000, 4000, 8000], "n_transforms": [1, 2, 5, 10, 30]},
+        "train": {},
+    },
+}
 
 
 def _threads(args) -> int | None:
@@ -62,17 +90,11 @@ def _load_cli_config(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
     return raw
-
-
-def _split_config(raw: dict) -> tuple[TrainConfig, dict]:
-    cli_part = {k: raw.pop(k) for k in list(raw) if k in _CLI_KEYS}
-    config = TrainConfig.from_dict(raw)  # rejects unknown keys
-    return config, cli_part
 
 
 def _coerce_target(target):
@@ -81,41 +103,26 @@ def _coerce_target(target):
     return target
 
 
-def _cmd_train(args) -> int:
-    try:
-        raw = _load_cli_config(args.config) if args.config else {}
-        if args.seed is not None:
-            raw["master_seed"] = args.seed
-        config, cli_part = _split_config(raw)
-        target = args.target if args.target is not None else cli_part.get("target")
-        if target is None:
-            raise ConfigError("no target column: set 'target' in the config or --target")
-        target = _coerce_target(target)
-        has_header = bool(cli_part.get("has_header", True))
-        n_threads = _threads(args)
-        if n_threads is None:
-            n_threads = cli_part.get("threads")
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+def _cmd_train(args) -> None:
+    raw = _load_cli_config(args.config) if args.config else {}
+    if args.seed is not None:
+        raw["master_seed"] = args.seed
+    cli_part = {k: check_type(k, raw.pop(k), *_CLI_KEYS[k]) for k in list(raw) if k in _CLI_KEYS}
+    config = TrainConfig.from_dict(raw)  # rejects unknown keys
+    target = args.target if args.target is not None else cli_part.get("target")
+    if target is None:
+        raise ConfigError("no target column: set 'target' in the config or --target")
+    target = _coerce_target(target)
+    has_header = cli_part.get("has_header", True)
+    n_threads = _threads(args)
+    if n_threads is None:
+        n_threads = cli_part.get("threads")
 
-    try:
-        dataset = load_csv(args.data, target, has_header=has_header)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except (DataError, OSError) as exc:
-        return _fail(EXIT_DATA, str(exc))
-
-    try:
-        t0 = time.perf_counter()
-        model = train_ensemble(dataset, config, n_threads=n_threads)
-        seconds = time.perf_counter() - t0
-        save_model(model, args.out, {"target": target, "has_header": has_header})
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except (DataError, OSError) as exc:
-        return _fail(EXIT_DATA, str(exc))
-    except HteError as exc:
-        return _fail(EXIT_TRAINING, str(exc))
+    dataset = load_csv(args.data, target, has_header=has_header)
+    t0 = time.perf_counter()
+    model = train_ensemble(dataset, config, n_threads=n_threads)
+    seconds = time.perf_counter() - t0
+    save_model(model, args.out, {"target": target, "has_header": has_header})
 
     summary = {
         "mode": config.mode,
@@ -133,13 +140,10 @@ def _cmd_train(args) -> int:
             f"T={model.n_transforms} cells={model.total_cells} "
             f"seconds={seconds:.3f} -> {args.out}"
         )
-    return EXIT_OK
 
 
-def _extract_target(values, header, metadata) -> tuple[np.ndarray, np.ndarray | None]:
+def _extract_target(values, header, d, target) -> tuple[np.ndarray, np.ndarray | None]:
     """Split a prediction matrix into features and (optionally) targets."""
-    d = metadata["d"]
-    target = metadata.get("target")
     width = values.shape[1]
     if isinstance(target, str) and header and target in header:
         idx = header.index(target)
@@ -151,34 +155,19 @@ def _extract_target(values, header, metadata) -> tuple[np.ndarray, np.ndarray | 
     return values, None
 
 
-def _cmd_predict(args) -> int:
-    try:
-        metadata = read_metadata(args.model)
-        model = load_model(args.model)
-    except (DataError, OSError) as exc:
-        return _fail(EXIT_DATA, str(exc))
-    data_info = metadata.get("data", {})
+def _cmd_predict(args) -> None:
+    data_info = read_metadata(args.model).get("data", {})
+    model = load_model(args.model)
     has_header = False if args.no_header else bool(data_info.get("has_header", True))
-    try:
-        values, header = read_matrix(args.data, has_header=has_header)
-    except (DataError, OSError) as exc:
-        return _fail(EXIT_DATA, str(exc))
-
-    if args.target is not None:
-        metadata["target"] = _coerce_target(args.target)
-    else:
-        metadata["target"] = data_info.get("target")
-    X, y = _extract_target(values, header, metadata)
+    values, header = read_matrix(args.data, has_header=has_header)
+    target = _coerce_target(args.target) if args.target is not None else data_info.get("target")
+    X, y = _extract_target(values, header, model.d, target)
     if X.shape[1] != model.d:
-        return _fail(
-            EXIT_DATA,
-            f"feature dimension mismatch: model expects d={model.d}, data has d={X.shape[1]}",
+        raise DataError(
+            f"feature dimension mismatch: model expects d={model.d}, data has d={X.shape[1]}"
         )
 
-    try:
-        preds = predict(model, X)
-    except DataError as exc:  # a query row that overflows when standardized or transformed
-        return _fail(EXIT_DATA, str(exc))
+    preds = predict(model, X)
     # what csv.writer writes: CRLF line ends, and a float repr never needs quoting
     text = "\r\n".join(["prediction", *map(repr, preds.tolist())]) + "\r\n"
     if args.out:
@@ -189,118 +178,64 @@ def _cmd_predict(args) -> int:
     if y is not None:
         score = mse(preds, y)
         print(json.dumps({"mse": score}) if args.json else f"mse={score!r}")
-    return EXIT_OK
 
 
-def _preset(name: str, reps_override: int | None):
-    nht_grid = TrainConfig(mode="nht", partition="grid", s_min=0.0, s_max=1.0)
-    presets = {
-        "sin16": (
-            {"n_train": [2000, 3000, 4000, 5000], "n_transforms": [1, 5, 10, 20]},
-            StudySetup("sin16", n_train=2000, n_test=2000, config=nht_grid),
-            300,
-        ),
-        "t-study": (
-            {"n_transforms": [1, 5, 10, 20]},
-            StudySetup("sin16", n_train=2000, n_test=2000, config=nht_grid),
-            300,
-        ),
-        "scale-study": (
-            {"pair": [list(p) for p in DEFAULT_CANDIDATE_PAIRS]},
-            StudySetup("sin16", n_train=500, n_test=1000, config=nht_grid),
-            100,
-        ),
-        "counter3d": (
-            {"n_train": [1000, 2000, 4000, 8000], "n_transforms": [1, 2, 5, 10, 30]},
-            StudySetup("counter3d", n_train=1000, n_test=1000, config=nht_grid),
-            30,
-        ),
-    }
-    if name not in presets:
-        raise ConfigError(
-            f"unknown preset {name!r}; available presets: {', '.join(sorted(presets))}"
-        )
-    grid, setup, default_reps = presets[name]
-    return grid, setup, reps_override if reps_override is not None else default_reps
-
-
-def _emit_study(results, out_path, json_path) -> None:
-    if out_path:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+def _run_study_config(raw: dict, args) -> None:
+    """Run the study a study config describes; ``--reps`` and ``--seed``
+    override its ``repetitions`` and ``seed``."""
+    unknown = set(raw) - _STUDY_KEYS
+    if unknown:
+        raise ConfigError(f"unknown study keys: {', '.join(sorted(unknown))}")
+    if "grid" not in raw or "generator" not in raw:
+        raise ConfigError("study config needs 'grid' and 'generator'")
+    setup = StudySetup(
+        generator=check_type("generator", raw["generator"], "str"),
+        n_train=check_type("n_train", raw.get("n_train", 1000), "int"),
+        n_test=check_type("n_test", raw.get("n_test", 1000), "int"),
+        config=TrainConfig.from_dict(check_type("train", raw.get("train", {}), "dict")),
+        measure_art=check_type("measure_art", raw.get("measure_art", True), "bool"),
+    )
+    grid = check_type("grid", raw["grid"], "dict")
+    for key, values in grid.items():
+        check_type(f"grid key {key!r}", values, "list")
+    seed = check_type("seed", raw.get("seed", 0), "int") if args.seed is None else args.seed
+    reps = args.reps
+    if reps is None:
+        reps = check_type("repetitions", raw.get("repetitions", 1), "int")
+    results = run_study(grid, setup, repetitions=reps, seed=seed, n_threads=_threads(args))
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_study_csv(results, fh)
     else:
         write_study_csv(results, sys.stdout)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
             write_study_json(results, fh)
 
 
-def _cmd_bench(args) -> int:
-    try:
-        grid, setup, reps = _preset(args.preset, args.reps)
-        results = run_study(
-            grid, setup, repetitions=reps, seed=args.seed, n_threads=_threads(args)
+def _cmd_bench(args) -> None:
+    if args.preset not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {args.preset!r}; available presets: {', '.join(sorted(PRESETS))}"
         )
-        _emit_study(results, args.out, args.json_out)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except HteError as exc:
-        return _fail(EXIT_TRAINING, str(exc))
-    return EXIT_OK
+    _run_study_config(PRESETS[args.preset], args)
 
 
-def _cmd_study(args) -> int:
-    try:
-        raw = _load_cli_config(args.config)
-        unknown = set(raw) - {
-            "grid", "generator", "n_train", "n_test", "repetitions", "seed", "train",
-            "measure_art",
-        }
-        if unknown:
-            raise ConfigError(f"unknown study keys: {', '.join(sorted(unknown))}")
-        if "grid" not in raw or "generator" not in raw:
-            raise ConfigError("study config needs 'grid' and 'generator'")
-        config = TrainConfig.from_dict(raw.get("train", {}))
-        setup = StudySetup(
-            generator=raw["generator"],
-            n_train=int(raw.get("n_train", 1000)),
-            n_test=int(raw.get("n_test", 1000)),
-            config=config,
-            measure_art=bool(raw.get("measure_art", True)),
-        )
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-        reps = args.reps if args.reps is not None else int(raw.get("repetitions", 1))
-        results = run_study(
-            raw["grid"], setup, repetitions=reps, seed=seed, n_threads=_threads(args)
-        )
-        _emit_study(results, args.out, args.json_out)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except HteError as exc:
-        return _fail(EXIT_TRAINING, str(exc))
-    return EXIT_OK
+def _cmd_study(args) -> None:
+    _run_study_config(_load_cli_config(args.config), args)
 
 
-def _cmd_schedule(args) -> int:
-    try:
-        if args.alpha is None:
-            raise ConfigError("--alpha is required")
-        schedule = theoretical_schedule(
-            args.n, args.d, args.smoothness, alpha=args.alpha, k=args.k, delta=args.delta
-        )
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+def _cmd_schedule(args) -> None:
+    if args.alpha is None:
+        raise ConfigError("--alpha is required")
+    schedule = theoretical_schedule(
+        args.n, args.d, args.smoothness, alpha=args.alpha, k=args.k, delta=args.delta
+    )
     print(json.dumps(schedule.to_dict(), sort_keys=True))
-    return EXIT_OK
 
 
-def _cmd_inspect(args) -> int:
-    try:
-        metadata = read_metadata(args.model)
-    except (DataError, OSError) as exc:
-        return _fail(EXIT_DATA, str(exc))
-    print(json.dumps(metadata, indent=2, sort_keys=True))
-    return EXIT_OK
+def _cmd_inspect(args) -> None:
+    print(json.dumps(read_metadata(args.model), indent=2, sort_keys=True))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -332,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a named benchmark preset")
     p_bench.add_argument("preset", help="sin16 | counter3d | scale-study | t-study")
     p_bench.add_argument("--reps", type=int, help="repetitions per grid point")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int)
     p_bench.add_argument("--out", help="CSV table path (default: stdout)")
     p_bench.add_argument("--json-out", help="also write a JSON table")
     p_bench.add_argument("--threads", type=int)
@@ -363,18 +298,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it is caught first
         # the reader closed standard output early (`hte predict ... | head`);
         # point it at devnull so that the interpreter's final flush stays quiet
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    return code
+    except ConfigError as exc:
+        return _fail(EXIT_CONFIG, exc)
+    except (DataError, OSError) as exc:  # unreadable input, unwritable output
+        return _fail(EXIT_DATA, exc)
+    except HteError as exc:
+        return _fail(EXIT_TRAINING, exc)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

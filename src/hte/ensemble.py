@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +38,32 @@ FALLBACK_RULES = ("zero", "global_mean")
 
 # Stretch-offset pairs used for best-scored candidates when none are given.
 DEFAULT_CANDIDATE_PAIRS = ((-1.0, 1.0), (0.0, 2.0), (1.0, 3.0), (2.0, 4.0), (3.0, 5.0))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON type name -> (what the message says, test); a bool is not a number,
+# and a number must fit a float
+_TYPES = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "float": ("a number",
+              lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, (list, tuple))),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def check_type(name: str, value, *kinds: str):
+    """``value`` if it has one of the JSON types ``kinds``, else a
+    ``ConfigError`` naming ``name``."""
+    if not any(_TYPES[kind][1](value) for kind in kinds):
+        nouns = " or ".join(_TYPES[kind][0] for kind in kinds)
+        raise ConfigError(f"{name} must be {nouns}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -68,21 +95,33 @@ class TrainConfig:
     standardize_target: bool = False
 
     def validate(self) -> None:
+        # each field's annotation names its JSON type; "| None" allows null
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if f.name == "candidate_pairs":
+                is_list, is_real = _TYPES["list"][1], _TYPES["float"][1]
+                pairs = check_type(f.name, value, "list")
+                if not all(is_list(p) and len(p) == 2 and all(map(is_real, p)) for p in pairs):
+                    raise ConfigError(f"candidate_pairs must hold pairs of numbers, got {value!r}")
+            else:
+                check_type(f.name, value, kind)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.partition not in PARTITIONS:
             raise ConfigError(
                 f"partition must be one of {PARTITIONS}, got {self.partition!r}"
             )
-        if not isinstance(self.n_transforms, int) or self.n_transforms < 1:
+        if self.n_transforms < 1:
             raise ConfigError("n_transforms must be an integer >= 1")
-        if not isinstance(self.n_candidates, int) or self.n_candidates < 1:
+        if self.n_candidates < 1:
             raise ConfigError("n_candidates must be an integer >= 1")
-        if self.n_candidates > 1:
-            if self.partition != "grid":
-                raise ConfigError("best-scored candidates require grid partitions")
-            if not 0.0 < self.validation_fraction < 1.0:
-                raise ConfigError("validation_fraction must lie in (0, 1)")
+        if self.n_candidates > 1 and self.partition != "grid":
+            raise ConfigError("best-scored candidates (n_candidates > 1) require grid partitions")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ConfigError("validation_fraction must lie in (0, 1)")
         if self.candidate_pairs is not None:
             if len(self.candidate_pairs) != self.n_candidates:
                 raise ConfigError(
@@ -116,7 +155,7 @@ class TrainConfig:
             raise ConfigError(f"fallback must be one of {FALLBACK_RULES}")
         if self.k_min < 1:
             raise ConfigError("k_min must be >= 1")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if self.master_seed < 0:
             raise ConfigError("master_seed must be a non-negative integer")
 
     def resolved_pairs(self) -> list[tuple[float, float]]:
@@ -138,11 +177,10 @@ class TrainConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        data = dict(raw)
-        if data.get("candidate_pairs") is not None:
-            data["candidate_pairs"] = [tuple(p) for p in data["candidate_pairs"]]
-        cfg = cls(**data)
+        cfg = cls(**raw)
         cfg.validate()
+        if cfg.candidate_pairs is not None:
+            cfg.candidate_pairs = [tuple(p) for p in cfg.candidate_pairs]
         return cfg
 
 

@@ -242,8 +242,6 @@ def build_grid(
 
 def _rotate(rotation: np.ndarray, X: np.ndarray) -> np.ndarray:
     # einsum raises no floating-point warning when a finite row overflows
-    if X.ndim == 1:
-        return check_finite_image(np.einsum("ij,j->i", rotation, X))
     return check_finite_image(np.einsum("ij,nj->ni", rotation, X))
 
 

@@ -15,7 +15,8 @@ import hte.cli
 from hte.cli import main
 from hte.data import gen_counter3d, gen_sin16, load_csv
 from hte.ensemble import predict as lib_predict
-from hte.evaluation import mse
+from hte.ensemble import TrainConfig
+from hte.evaluation import StudySetup, mse, run_study, write_study_csv
 from hte.serialize import load_model, read_metadata, save_model
 
 
@@ -276,6 +277,9 @@ class TestPredict:
                              ("config", []), ("clip_bound", "big"), ("data", [1, 2]))],
         pytest.param(lambda h: _dump({**h, "n_transforms": 0}),
                      "header d and n_transforms must be >= 1", id="n_transforms=0"),
+        # a config value of the wrong type used to end in a TypeError traceback
+        pytest.param(lambda h: _dump({**h, "config": {**h["config"], "min_samples_split": "5"}}),
+                     "min_samples_split must be an integer", id="config-field-type"),
     ])
     def test_bad_header_exits_2(self, tmp_path, sin_csv, capsys, edit, named):
         path = self._trained(tmp_path, sin_csv)
@@ -418,6 +422,21 @@ class TestColdStart:
         assert load_model(model).members[0].model.alpha.size > 0
 
 
+_NHT_GRID = TrainConfig(mode="nht", partition="grid", s_min=0.0, s_max=1.0)
+
+# each bench preset as an explicit study: (grid, setup, default repetitions)
+_EXPLICIT_PRESETS = {
+    "sin16": ({"n_train": [2000, 3000, 4000, 5000], "n_transforms": [1, 5, 10, 20]},
+              StudySetup("sin16", n_train=2000, n_test=2000, config=_NHT_GRID), 300),
+    "t-study": ({"n_transforms": [1, 5, 10, 20]},
+                StudySetup("sin16", n_train=2000, n_test=2000, config=_NHT_GRID), 300),
+    "scale-study": ({"pair": [[-1.0, 1.0], [0.0, 2.0], [1.0, 3.0], [2.0, 4.0], [3.0, 5.0]]},
+                    StudySetup("sin16", n_train=500, n_test=1000, config=_NHT_GRID), 100),
+    "counter3d": ({"n_train": [1000, 2000, 4000, 8000], "n_transforms": [1, 2, 5, 10, 30]},
+                  StudySetup("counter3d", n_train=1000, n_test=1000, config=_NHT_GRID), 30),
+}
+
+
 class TestBenchAndStudy:
     def test_unknown_preset_lists_options(self, capsys):
         assert main(["bench", "warp-speed"]) == 1
@@ -471,6 +490,21 @@ class TestBenchAndStudy:
                      "--json-out", str(json_out)]) == 0
         rows = json.loads(json_out.read_text())
         assert len(rows) == 2 and rows[0]["reps"] == 2
+
+    @pytest.mark.parametrize("preset", sorted(_EXPLICIT_PRESETS))
+    def test_preset_table_equals_its_explicit_study(self, tmp_path, preset):
+        grid, setup, repetitions = _EXPLICIT_PRESETS[preset]
+        assert hte.cli.PRESETS[preset]["repetitions"] == repetitions
+        out = tmp_path / "table.csv"
+        assert main(["bench", preset, "--reps", "1", "--seed", "3", "--out", str(out)]) == 0
+        expected = io.StringIO(newline="")
+        write_study_csv(run_study(grid, setup, repetitions=1, seed=3), expected)
+
+        def untimed(text):
+            return [{k: v for k, v in row.items() if k not in ("art_mean_s", "predict_time_s")}
+                    for row in csv.DictReader(io.StringIO(text))]
+
+        assert untimed(out.read_text()) == untimed(expected.getvalue())
 
     def test_study_rejects_unknown_keys(self, tmp_path, capsys):
         study = tmp_path / "study.json"
@@ -528,6 +562,101 @@ class TestThreadsEnv:
         monkeypatch.setenv("HTE_THREADS", "2")
         assert main(["train", "--data", sin_csv, "--target", "y",
                      "--out", str(tmp_path / "m.hte")]) == 0
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A training CSV and the default model trained on it."""
+    tmp = tmp_path_factory.mktemp("trained")
+    data, model = tmp / "sin.csv", tmp / "model.hte"
+    _write_sin_csv(data)
+    assert main(["train", "--data", str(data), "--target", "y", "--out", str(model)]) == 0
+    return str(data), str(model)
+
+
+def _text(path, body: str) -> str:
+    path.write_text(body)
+    return str(path)
+
+
+def _train(t, data, **config):
+    cfg = _write_config(t / "cfg.json", **{"target": "y", **config})
+    return ["train", "--config", cfg, "--data", data, "--out", str(t / "m.hte")]
+
+
+def _study(t, **config):
+    base = {"generator": "sin16", "grid": {"n_transforms": [1]}, "n_train": 60, "n_test": 20}
+    return ["study", "--config", _write_config(t / "study.json", **{**base, **config})]
+
+
+_ABSENT = "No such file or directory"
+
+# (id, exit code, text the error line holds, argv from (tmp_path, training CSV, model))
+_EXIT_CASES = [
+    ("train-mistyped-key", 1, "n_transfroms", lambda t, d, m: _train(t, d, n_transfroms=2)),
+    ("train-int-as-text", 1, "min_samples_split",
+     lambda t, d, m: _train(t, d, min_samples_split="5")),
+    ("train-bool-as-text", 1, "standardize_features",
+     lambda t, d, m: _train(t, d, standardize_features="no")),
+    ("train-has_header-as-text", 1, "has_header",
+     lambda t, d, m: _train(t, d, has_header="false")),
+    ("train-threads-as-text", 1, "threads", lambda t, d, m: _train(t, d, threads="2")),
+    ("train-target-bool", 1, "target", lambda t, d, m: _train(t, d, target=True)),
+    ("train-missing-data", 2, _ABSENT,
+     lambda t, d, m: ["train", "--data", str(t / "none.csv"), "--target", "y",
+                      "--out", str(t / "m.hte")]),
+    ("train-bad-cell", 2, "oops",
+     lambda t, d, m: _train(t, _text(t / "bad.csv", "x,y\n3,oops\n"))),
+    ("train-unwritable-out", 2, _ABSENT,
+     lambda t, d, m: ["train", "--data", d, "--target", "y", "--out", str(t / "no" / "m.hte")]),
+    ("train-fails", 3, "empty",
+     lambda t, d, m: _train(t, _text(t / "tiny.csv", "x,y\n0.1,1\n0.9,2\n"), n_candidates=5)),
+    ("predict-missing-model", 2, _ABSENT,
+     lambda t, d, m: ["predict", "--model", str(t / "none.hte"), "--data", d]),
+    ("predict-not-a-model", 2, "not a model file",
+     lambda t, d, m: ["predict", "--model", d, "--data", d]),
+    ("predict-dimension", 2, "feature dimension mismatch",
+     lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "w.csv", "a,b,c\n1,2,3\n")]),
+    ("predict-unwritable-out", 2, _ABSENT,
+     lambda t, d, m: ["predict", "--model", m, "--data", d, "--out", str(t / "no" / "p.csv")]),
+    ("bench-unknown-preset", 1, "warp-speed", lambda t, d, m: ["bench", "warp-speed"]),
+    ("bench-unwritable-out", 2, _ABSENT,
+     lambda t, d, m: ["bench", "scale-study", "--reps", "1", "--out", str(t / "no" / "t.csv")]),
+    ("study-missing-config", 1, "config file not found",
+     lambda t, d, m: ["study", "--config", str(t / "none.json")]),
+    ("study-not-json", 1, "not valid JSON",
+     lambda t, d, m: ["study", "--config", _text(t / "s.json", "{oops")]),
+    ("study-nested-too-deep", 1, "not valid JSON",
+     lambda t, d, m: ["study", "--config", _text(t / "s.json", "[" * 100_000)]),
+    ("study-mistyped-key", 1, "n_trian", lambda t, d, m: _study(t, n_trian=80)),
+    ("study-int-as-text", 1, "n_train", lambda t, d, m: _study(t, n_train="80")),
+    ("study-bool-as-text", 1, "measure_art", lambda t, d, m: _study(t, measure_art="no")),
+    ("study-train-not-object", 1, "train", lambda t, d, m: _study(t, train=[])),
+    ("study-train-field-type", 1, "min_samples_split",
+     lambda t, d, m: _study(t, train={"min_samples_split": "5"})),
+    ("study-grid-value-not-list", 1, "n_transforms",
+     lambda t, d, m: _study(t, grid={"n_transforms": 2})),
+    ("study-unwritable-out", 2, _ABSENT,
+     lambda t, d, m: _study(t) + ["--out", str(t / "no" / "t.csv")]),
+    ("study-unwritable-json-out", 2, _ABSENT,
+     lambda t, d, m: _study(t) + ["--json-out", str(t / "no" / "t.json")]),
+    ("schedule-no-alpha", 1, "alpha",
+     lambda t, d, m: ["schedule", "--n", "100", "--d", "1", "--smoothness", "c0a"]),
+    ("inspect-missing", 2, _ABSENT, lambda t, d, m: ["inspect", str(t / "none.hte")]),
+    ("inspect-not-a-model", 2, "not a model file", lambda t, d, m: ["inspect", d]),
+]
+
+
+@pytest.mark.parametrize("code, named, argv", [case[1:] for case in _EXIT_CASES],
+                         ids=[case[0] for case in _EXIT_CASES])
+def test_error_exits_with_its_code_and_one_error_line(tmp_path, trained, capsys, code, named,
+                                                      argv):
+    args = argv(tmp_path, *trained)
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
 
 
 class TestClosedStdout:

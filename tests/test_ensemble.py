@@ -105,9 +105,11 @@ class TestConfigValidation:
         ({"master_seed": -1}, "master_seed"),
         ({"gamma": 1e200}, "gamma"),
         ({"gamma": 1e-200}, "gamma"),
+        # trained, then serialize_model raised TypeError: int64 is not JSON serializable
+        ({"min_samples_split": np.int64(50)}, "min_samples_split must be an integer"),
     ], ids=["n_candidates", "validation_fraction", "candidate_pairs", "default_grid",
             "min_samples_split", "fallback", "k_min", "master_seed", "gamma_square_overflows",
-            "gamma_square_underflows"])
+            "gamma_square_underflows", "numpy_integer"])
     def test_rejection_names_its_field(self, changes, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**changes).validate()
@@ -542,6 +544,50 @@ def test_every_valid_config_trains_clips_and_round_trips(cfg, n, d, scale, data_
         again = deserialize_model(blob)
         assert serialize_model(again) == blob
         assert predict(again, queries).tobytes() == predict(model, queries).tobytes()
+
+
+# values of the wrong JSON type, per field type: a bool is not a number, and a
+# numpy scalar other than a float is not a JSON value
+_NOT_STR = [1, None, True]
+_NOT_INT = [1.5, "2", True, None, np.int64(2)]
+_NOT_REAL = ["1", True, None, [1.0], 10**400]
+_NOT_BOOL = ["no", "false", 0, 1, None, np.bool_(True)]
+_POSITIVE_REAL = [0.0, -1.0, math.nan, math.inf, -math.inf, *_NOT_REAL]
+
+# for each field, values invalid whatever the other fields of a valid config hold
+_INVALID = {
+    "mode": ["rf", *_NOT_STR],
+    "partition": ["tree", *_NOT_STR],
+    "n_transforms": [0, -1, *_NOT_INT],
+    "n_candidates": [0, -2, len(DEFAULT_CANDIDATE_PAIRS) + 1, *_NOT_INT],
+    "candidate_pairs": [5, "ab", [(0.0,)], [(0.0, 1.0, 2.0)], [(0.0, True)], [[0.0, "1"]],
+                        [(math.nan, 1.0)], [(0.0, math.inf)], [(2.0, 1.0)], [(0.0, 1.0)] * 4],
+    "s_min": [1e9, math.nan, -math.inf, *_NOT_REAL],
+    "s_max": [-1e9, math.nan, math.inf, *_NOT_REAL],
+    "min_samples_split": [0, -5, *_NOT_INT],
+    "gamma": [1e200, 1e-200, *_POSITIVE_REAL],
+    "lambda2": [v for v in _POSITIVE_REAL if v is not None],  # None resolves to 1/n
+    "clip_bound": [v for v in _POSITIVE_REAL if v is not None],  # None resolves to max |y|
+    "fallback": ["median", *_NOT_STR],
+    "k_min": [0, -1, *_NOT_INT],
+    "validation_fraction": [0.0, 1.0, 1.5, math.nan, *_NOT_REAL],
+    "master_seed": [-1, *_NOT_INT],
+    "standardize_features": _NOT_BOOL,
+    "standardize_target": _NOT_BOOL,
+}
+
+
+def test_every_field_has_invalid_draws():
+    assert set(_INVALID) == set(TrainConfig().to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_valid_configs(), data=st.data())
+def test_one_invalid_field_is_a_config_error_naming_it(cfg, data):
+    field = data.draw(st.sampled_from(sorted(_INVALID)), label="field")
+    value = data.draw(st.sampled_from(_INVALID[field]), label="value")
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig.from_dict({**cfg.to_dict(), field: value})
 
 
 class TestDeterminism:
