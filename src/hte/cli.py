@@ -14,6 +14,7 @@ preset study config (``PRESETS``) through the code that runs ``study``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -43,8 +44,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool killed 
 # config keys that address the CLI rather than TrainConfig, with their JSON types
 _CLI_KEYS = {"target": ("str", "int"), "has_header": ("bool",), "threads": ("int",)}
 
-_STUDY_KEYS = {"generator", "grid", "n_train", "n_test", "repetitions", "seed", "train",
-               "measure_art"}
+_STUDY_KEYS = {"generator", "grid", "n_train", "n_test", "repetitions", "seed", "train"}
 
 # each `hte bench` preset is a study config, as `hte study --config` reads it;
 # the empty train block is the default TrainConfig: nht on grids, s in [0, 1]
@@ -182,7 +182,8 @@ def _cmd_predict(args) -> None:
 
 def _run_study_config(raw: dict, args) -> None:
     """Run the study a study config describes; ``--reps`` and ``--seed``
-    override its ``repetitions`` and ``seed``."""
+    override its ``repetitions`` and ``seed``.  The output files are opened
+    first, so an unwritable one fails before any grid point trains."""
     unknown = set(raw) - _STUDY_KEYS
     if unknown:
         raise ConfigError(f"unknown study keys: {', '.join(sorted(unknown))}")
@@ -193,7 +194,6 @@ def _run_study_config(raw: dict, args) -> None:
         n_train=check_type("n_train", raw.get("n_train", 1000), "int"),
         n_test=check_type("n_test", raw.get("n_test", 1000), "int"),
         config=TrainConfig.from_dict(check_type("train", raw.get("train", {}), "dict")),
-        measure_art=check_type("measure_art", raw.get("measure_art", True), "bool"),
     )
     grid = check_type("grid", raw["grid"], "dict")
     for key, values in grid.items():
@@ -202,15 +202,21 @@ def _run_study_config(raw: dict, args) -> None:
     reps = args.reps
     if reps is None:
         reps = check_type("repetitions", raw.get("repetitions", 1), "int")
-    results = run_study(grid, setup, repetitions=reps, seed=seed, n_threads=_threads(args))
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_study_csv(results, fh)
-    else:
-        write_study_csv(results, sys.stdout)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            write_study_json(results, fh)
+    # what run_study would reject, rejected before an output file is made
+    setup.validate()
+    if reps < 1:
+        raise ConfigError("repetitions must be >= 1")
+    n_threads = _threads(args)
+    with contextlib.ExitStack() as files:
+        table = sys.stdout
+        if args.out:
+            table = files.enter_context(open(args.out, "w", newline="", encoding="utf-8"))
+        if args.json_out:
+            json_table = files.enter_context(open(args.json_out, "w", encoding="utf-8"))
+        results = run_study(grid, setup, repetitions=reps, seed=seed, n_threads=n_threads)
+        write_study_csv(results, table)
+        if args.json_out:
+            write_study_json(results, json_table)
 
 
 def _cmd_bench(args) -> None:

@@ -1,4 +1,4 @@
-"""Data ingestion, standardization, splits, scale heuristic, synthetic generators."""
+"""Data ingestion, standardization, scale heuristic, synthetic generators."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .rng import STREAM_DATA, STREAM_DATA_SPLIT, philox_generator, standard_normal
+from .rng import STREAM_DATA, philox_generator, standard_normal
 
 NOISE_STD = 0.1  # observation noise of both synthetic generators
 
@@ -54,36 +54,14 @@ class Dataset:
 class Standardizer:
     """Per-feature zero-mean unit-variance scaling, optional target scaling.
 
-    Constant columns (and single-row fits) keep std 1 so they pass through
-    unchanged.  Stored stats use the sample standard deviation (ddof=1).
+    ``fit_standardizer`` builds one; a feature it leaves unscaled has mean 0
+    and std 1, and an unscaled target has no statistics.
     """
 
     mean: np.ndarray
     std: np.ndarray
     target_mean: float | None = None
     target_std: float | None = None
-
-    @classmethod
-    def fit(cls, X: np.ndarray, y: np.ndarray | None = None) -> "Standardizer":
-        X = np.asarray(X, dtype=np.float64)
-        mean = X.mean(axis=0)
-        if len(X) > 1:
-            std = X.std(axis=0, ddof=1)
-        else:
-            std = np.zeros(X.shape[1])
-        std = np.where(std == 0.0, 1.0, std)
-        target_mean = target_std = None
-        if y is not None:
-            y = np.asarray(y, dtype=np.float64)
-            target_mean = float(y.mean())
-            target_std = float(y.std(ddof=1)) if len(y) > 1 else 1.0
-            if target_std == 0.0:
-                target_std = 1.0
-        return cls(mean, std, target_mean, target_std)
-
-    @classmethod
-    def identity(cls, d: int) -> "Standardizer":
-        return cls(np.zeros(d), np.ones(d))
 
     @property
     def scales_target(self) -> bool:
@@ -94,9 +72,6 @@ class Standardizer:
         if X.shape[-1] != len(self.mean):
             raise DataError(f"expected {len(self.mean)} features, got {X.shape[-1]}")
         return (X - self.mean) / self.std
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) * self.std + self.mean
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
@@ -111,8 +86,26 @@ class Standardizer:
         return y * self.target_std + self.target_mean
 
 
-def fit_standardizer(dataset: Dataset, scale_target: bool = False) -> Standardizer:
-    return Standardizer.fit(dataset.X, dataset.y if scale_target else None)
+def fit_standardizer(dataset: Dataset, features: bool, target: bool) -> Standardizer:
+    """The scaling of ``dataset``'s features (if ``features``) and target (if ``target``).
+
+    Stats use the sample standard deviation (ddof=1); a constant column, a
+    constant target and a single-row dataset keep std 1, so they pass
+    through unchanged.
+    """
+    X, y = dataset.X, dataset.y
+    if features:
+        mean = X.mean(axis=0)
+        std = X.std(axis=0, ddof=1) if len(X) > 1 else np.zeros(X.shape[1])
+        std = np.where(std == 0.0, 1.0, std)
+    else:
+        mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
+    standardizer = Standardizer(mean, std)
+    if target:
+        target_std = float(y.std(ddof=1)) if len(y) > 1 else 1.0
+        standardizer.target_mean = float(y.mean())
+        standardizer.target_std = target_std if target_std != 0.0 else 1.0
+    return standardizer
 
 
 def read_matrix(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
@@ -230,11 +223,11 @@ def load_csv(path, target: str | int, has_header: bool = True) -> Dataset:
     return Dataset(values[:, feature_cols], values[:, target_idx], names)
 
 
-def default_scale(X: np.ndarray) -> tuple[float, float]:
-    """Default bin width and its inverse from the data spread.
+def default_scale(X: np.ndarray) -> float:
+    """Default bin width from the data spread.
 
     sigma is the root mean sample variance across features; the heuristic
-    bin width is 3.5 * sigma * n**(-1/(2+d)) and the scale is its inverse.
+    bin width is 3.5 * sigma * n**(-1/(2+d)).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, d = X.shape
@@ -243,8 +236,7 @@ def default_scale(X: np.ndarray) -> tuple[float, float]:
     sigma = math.sqrt(float(X.var(axis=0, ddof=1).mean()))
     if sigma == 0.0:
         raise DataError("all points identical: scale heuristic degenerate")
-    h_hat = 3.5 * sigma * n ** (-1.0 / (2 + d))
-    return h_hat, 1.0 / h_hat
+    return 3.5 * sigma * n ** (-1.0 / (2 + d))
 
 
 def sin16_truth(x: np.ndarray) -> np.ndarray:
@@ -276,23 +268,3 @@ def gen_counter3d(n: int, seed: int) -> Dataset:
     X = rng.random((n, 3))
     y = counter3d_truth(X) + NOISE_STD * standard_normal(rng, n)
     return Dataset(X, y, ["x1", "x2", "x3"])
-
-
-def split_dataset(
-    dataset: Dataset, fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled split; the first part gets ceil(fraction * n) rows."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("split fraction must lie strictly between 0 and 1")
-    n = dataset.n
-    # small bias guard so an exact product like 0.7 * 10 still ceils to 7
-    n_first = int(math.ceil(fraction * n - 1e-9))
-    if n_first < 1 or n_first >= n:
-        raise DataError(f"split of {n} rows at fraction {fraction} leaves a side empty")
-    perm = philox_generator(seed, STREAM_DATA_SPLIT).permutation(n)
-    first, second = perm[:n_first], perm[n_first:]
-    names = dataset.feature_names
-    return (
-        Dataset(dataset.X[first], dataset.y[first], names),
-        Dataset(dataset.X[second], dataset.y[second], names),
-    )

@@ -268,18 +268,17 @@ def train_member(
     y_fit: np.ndarray,
     config: TrainConfig,
     member_index: int,
-    h_hat: float | None = None,
-    clip_bound: float | None = None,
+    h_hat: float | None,
+    clip_bound: float,
 ) -> Member:
     """Train one ensemble member on standardized features.
 
     Depends only on (master_seed, member_index) and the resolved context
-    (heuristic scale, clip bound), never on the total member count, so
-    members can be trained in any order or concurrently.
+    (heuristic scale ``h_hat``, None on adaptive partitions, and clip
+    bound), never on the total member count, so members can be trained in
+    any order or concurrently.
     """
     n, d = X_std.shape
-    if clip_bound is None:
-        clip_bound = _resolve_clip(config, y_fit)
     rotation = sample_rotation(
         d, member_generator(config.master_seed, member_index, STREAM_ROTATION)
     )
@@ -289,8 +288,6 @@ def train_member(
         model = _fit_cells(X_std, y_fit, cells, tree.n_cells, config, clip_bound)
         return Member(tree, model)
 
-    if h_hat is None:
-        h_hat, _ = default_scale(X_std)
     pairs = config.resolved_pairs()
 
     def grid_candidate(i: int, X: np.ndarray, y: np.ndarray) -> Member:
@@ -329,13 +326,6 @@ def train_member(
     return best
 
 
-def _resolve_clip(config: TrainConfig, y_fit: np.ndarray) -> float:
-    if config.clip_bound is not None:
-        return config.clip_bound
-    bound = float(np.abs(y_fit).max())
-    return bound if bound > 0 else 1.0
-
-
 def train_ensemble(
     dataset: Dataset, config: TrainConfig, n_threads: int | None = None
 ) -> EnsembleModel:
@@ -354,18 +344,14 @@ def train_ensemble(
     if max(X.max(initial=0.0), -X.min(initial=0.0)) > limit:
         column = int(np.argmax((np.abs(X) > limit).any(axis=0)))
         raise DataError(f"training feature column {column} is too large: its variance overflows")
-    if config.standardize_features:
-        standardizer = fit_standardizer(dataset, scale_target=config.standardize_target)
-    else:
-        standardizer = Standardizer.identity(dataset.d)
-        if config.standardize_target:
-            target = Standardizer.fit(dataset.X, dataset.y)
-            standardizer.target_mean = target.target_mean
-            standardizer.target_std = target.target_std
+    standardizer = fit_standardizer(dataset, config.standardize_features,
+                                    config.standardize_target)
     X_std = standardizer.transform(dataset.X)
     y_fit = standardizer.transform_target(dataset.y)
-    clip_bound = _resolve_clip(config, y_fit)
-    h_hat = default_scale(X_std)[0] if config.partition == "grid" else None
+    clip_bound = config.clip_bound
+    if clip_bound is None:  # the largest |target|, or 1 for an all-zero target
+        clip_bound = float(np.abs(y_fit).max()) or 1.0
+    h_hat = default_scale(X_std) if config.partition == "grid" else None
 
     def _one(t: int) -> Member:
         return train_member(X_std, y_fit, config, t, h_hat, clip_bound)

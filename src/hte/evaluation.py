@@ -1,4 +1,9 @@
-"""Metrics, convergence slopes and parameter-study orchestration."""
+"""Metrics, convergence slopes and parameter-study orchestration.
+
+A study runs its grid points and their repetitions one after another, so
+that no repetition's training time contends with another's; each
+repetition trains its members on ``n_threads`` threads.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ import csv
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,7 +70,6 @@ class StudySetup:
     n_train: int
     n_test: int
     config: TrainConfig = field(default_factory=TrainConfig)
-    measure_art: bool = True
 
     def validate(self) -> None:
         if self.generator not in GENERATORS:
@@ -116,8 +119,8 @@ def _run_point(
     local = _apply_point(setup, point)
     local.config.validate()
     gen = GENERATORS[local.generator]
-
-    def _one_rep(rep: int) -> tuple[float, float, float]:
+    errors, train_times, predict_times = [], [], []
+    for rep in range(repetitions):
         train = gen(local.n_train, mix64(seed, point_index, rep, 0))
         test = gen(local.n_test, mix64(seed, point_index, rep, 1))
         config = replace(local.config, master_seed=mix64(seed, point_index, rep, 2))
@@ -126,17 +129,10 @@ def _run_point(
         t1 = time.perf_counter()
         pred = predict(model, test.X)
         t2 = time.perf_counter()
-        return mse(pred, test.y), t1 - t0, t2 - t1
-
-    # timing-sensitive runs stay serial so repetitions never contend
-    if setup.measure_art or n_threads in (None, 1):
-        outcomes = [_one_rep(r) for r in range(repetitions)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(_one_rep, range(repetitions)))
-    errors = np.array([o[0] for o in outcomes])
-    train_times = [o[1] for o in outcomes]
-    predict_times = [o[2] for o in outcomes]
+        errors.append(mse(pred, test.y))
+        train_times.append(t1 - t0)
+        predict_times.append(t2 - t1)
+    errors = np.array(errors)
     return StudyResult(
         params=dict(point),
         repetitions=repetitions,

@@ -10,8 +10,9 @@ LAPACK ``posv`` call per system and residuals checked in one batched
 product.  Only the systems that this plain rung rejects climb the jitter
 ladder, as a sub-stack: failed factorizations escalate a diagonal jitter
 proportional to the mean eigenvalue before giving up.  ``solve_spd`` is the
-same solver on one system.  Prediction builds the cross kernels of
-equal-shape cells as one ``gaussian_cross_stack``.
+same solver on one system and returns its ``(x, jitter, escalations)``.
+Prediction builds the cross kernels of equal-shape cells as one
+``gaussian_cross_stack``.
 
 SciPy is imported on first use, so that loading the package (and a
 prediction with per-cell means) does not pay for it.
@@ -20,7 +21,6 @@ prediction with per-cell means) does not pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +40,6 @@ def _cdist(XA, XB, metric):
 
     _cdist = cdist
     return cdist(XA, XB, metric)
-
-
-@dataclass
-class SpdSolveReport:
-    """Solution of an SPD system plus the regularization it needed."""
-
-    solution: np.ndarray
-    jitter_used: float
-    escalations: int
 
 
 def valid_gamma(gamma: float) -> bool:
@@ -192,7 +183,8 @@ def solve_spd_stack_unchecked(
     return X, jitter, escalations
 
 
-def solve_spd(A: np.ndarray, b: np.ndarray) -> SpdSolveReport:
-    """Solve one SPD system A x = b: ``solve_spd_stack`` on a stack of one."""
+def solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Solve one SPD system A x = b: ``solve_spd_stack`` on a stack of one,
+    returning ``(x, jitter_used, escalations)``."""
     X, jitter, escalations = solve_spd_stack(np.asarray(A)[None], np.asarray(b)[None])
-    return SpdSolveReport(X[0], float(jitter[0]), int(escalations[0]))
+    return X[0], float(jitter[0]), int(escalations[0])

@@ -26,9 +26,8 @@ STREAM_ROTATION = 0
 STREAM_SPLIT = 1
 STREAM_CANDIDATE0 = 16  # candidate i uses STREAM_CANDIDATE0 + i
 
-# Tags used outside member training (data generators, dataset splits).
+# Tag used outside member training, by the data generators.
 STREAM_DATA = 101
-STREAM_DATA_SPLIT = 102
 
 
 def mix64(*words: int) -> int:

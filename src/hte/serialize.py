@@ -112,6 +112,8 @@ class _Reader:
             raise DataError(f"model file corrupt: unknown array dtype tag {tag}")
         dtype = _DTYPES[tag]
         ndim = self.u8()
+        if ndim > 2:  # every array the format writes has rank at most 2
+            raise DataError(f"model file corrupt: array of rank {ndim} above 2")
         shape = tuple(self.u64() for _ in range(ndim))
         raw = self._take(math.prod(shape) * 8)
         little_endian = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
@@ -290,7 +292,7 @@ def _verify(data: bytes) -> dict:
     start = len(MAGIC) + 4 + 8
     try:
         header = json.loads(data[start : start + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise DataError(f"model file corrupt: header is not JSON ({exc})") from exc
     _require(isinstance(header, dict), "header is not a JSON object")
     for key, kinds in _HEADER_FIELDS.items():

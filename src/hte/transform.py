@@ -143,11 +143,7 @@ def apply_transform(transform: HistogramTransform, x: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"point dimension {x.shape[-1]} != transform dimension {transform.dim}"
         )
-    stretched = x * transform.scales
-    if x.ndim == 1:
-        out = np.einsum("ij,j->i", transform.rotation, stretched)
-    else:
-        out = np.einsum("ij,nj->ni", transform.rotation, stretched)
+    out = np.einsum("ij,...j->...i", transform.rotation, x * transform.scales)
     out += transform.translation
     return out
 

@@ -17,7 +17,7 @@ from hte.data import gen_counter3d, gen_sin16, load_csv
 from hte.ensemble import predict as lib_predict
 from hte.ensemble import TrainConfig
 from hte.evaluation import StudySetup, mse, run_study, write_study_csv
-from hte.serialize import load_model, read_metadata, save_model
+from hte.serialize import FORMAT_VERSION, load_model, read_metadata, save_model
 
 
 def _write_sin_csv(path, n=300, seed=4):
@@ -506,6 +506,35 @@ class TestBenchAndStudy:
 
         assert untimed(out.read_text()) == untimed(expected.getvalue())
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "scale-study", "--reps", "1", "--out", "{no}/t.csv"],
+        ["bench", "scale-study", "--reps", "1", "--json-out", "{no}/t.json"],
+        ["study", "--config", "{study}", "--out", "{no}/t.csv"],
+        ["study", "--config", "{study}", "--json-out", "{no}/t.json"],
+    ])
+    def test_unwritable_output_fails_before_the_study_runs(self, tmp_path, monkeypatch, capsys,
+                                                           argv):
+        def entered(*args, **kwargs):
+            raise AssertionError("run_study was entered")
+
+        monkeypatch.setattr(hte.cli, "run_study", entered)
+        study = _write_config(tmp_path / "study.json", generator="sin16",
+                              grid={"n_transforms": [1]}, n_train=60, n_test=20)
+        args = [a.format(no=tmp_path / "no", study=study) for a in argv]
+        assert main(args) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, named", [
+        ({"generator": "sin17", "grid": {}}, "unknown generator"),
+        ({"generator": "sin16", "grid": {}, "repetitions": 0}, "repetitions must be >= 1"),
+    ])
+    def test_study_config_error_leaves_no_output_file(self, tmp_path, capsys, config, named):
+        out = tmp_path / "t.csv"
+        study = _write_config(tmp_path / "study.json", **config)
+        assert main(["study", "--config", study, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_study_rejects_unknown_keys(self, tmp_path, capsys):
         study = tmp_path / "study.json"
         study.write_text(json.dumps({"generator": "sin16", "grid": {}, "oops": 1}))
@@ -579,6 +608,18 @@ def _text(path, body: str) -> str:
     return str(path)
 
 
+def _bytes(path, body: bytes) -> str:
+    path.write_bytes(body)
+    return str(path)
+
+
+def _deep_header_file() -> bytes:
+    """A checksum-valid model file whose header nests JSON arrays 100,000 deep."""
+    header = b"[" * 100_000
+    payload = b"HTEN" + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header
+    return payload + hashlib.sha256(payload).digest()
+
+
 def _train(t, data, **config):
     cfg = _write_config(t / "cfg.json", **{"target": "y", **config})
     return ["train", "--config", cfg, "--data", data, "--out", str(t / "m.hte")]
@@ -630,7 +671,8 @@ _EXIT_CASES = [
      lambda t, d, m: ["study", "--config", _text(t / "s.json", "[" * 100_000)]),
     ("study-mistyped-key", 1, "n_trian", lambda t, d, m: _study(t, n_trian=80)),
     ("study-int-as-text", 1, "n_train", lambda t, d, m: _study(t, n_train="80")),
-    ("study-bool-as-text", 1, "measure_art", lambda t, d, m: _study(t, measure_art="no")),
+    ("study-bool-as-text", 1, "standardize_target",
+     lambda t, d, m: _study(t, train={"standardize_target": "no"})),
     ("study-train-not-object", 1, "train", lambda t, d, m: _study(t, train=[])),
     ("study-train-field-type", 1, "min_samples_split",
      lambda t, d, m: _study(t, train={"min_samples_split": "5"})),
@@ -644,6 +686,8 @@ _EXIT_CASES = [
      lambda t, d, m: ["schedule", "--n", "100", "--d", "1", "--smoothness", "c0a"]),
     ("inspect-missing", 2, _ABSENT, lambda t, d, m: ["inspect", str(t / "none.hte")]),
     ("inspect-not-a-model", 2, "not a model file", lambda t, d, m: ["inspect", d]),
+    ("inspect-header-too-deep", 2, "header is not JSON",
+     lambda t, d, m: ["inspect", _bytes(t / "deep.hte", _deep_header_file())]),
 ]
 
 

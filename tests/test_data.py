@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hte.data import (
     Dataset,
-    Standardizer,
     counter3d_truth,
     default_scale,
     fit_standardizer,
@@ -18,7 +17,6 @@ from hte.data import (
     load_csv,
     read_matrix,
     sin16_truth,
-    split_dataset,
 )
 from hte.errors import ConfigError, DataError
 from hte.rng import philox_generator
@@ -221,10 +219,15 @@ class TestReadMatrix:
         assert values.tolist() == [[0.0]]
 
 
+def _standardizer(X, y=None):
+    """``fit_standardizer`` on the features X, and on y when given."""
+    return fit_standardizer(Dataset(X, np.zeros(len(X)) if y is None else y), True, y is not None)
+
+
 class TestStandardizer:
     def test_columns_become_standard(self):
         X = philox_generator(1).normal(loc=3.0, scale=2.5, size=(200, 3))
-        stz = Standardizer.fit(X)
+        stz = _standardizer(X)
         Z = stz.transform(X)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(Z.std(axis=0, ddof=1), 1.0, atol=1e-10)
@@ -232,33 +235,58 @@ class TestStandardizer:
     def test_already_standard_column_unchanged(self):
         x = philox_generator(2).normal(size=500)
         x = (x - x.mean()) / x.std(ddof=1)
-        stz = Standardizer.fit(x[:, None])
+        stz = _standardizer(x[:, None])
         np.testing.assert_allclose(stz.transform(x[:, None])[:, 0], x, atol=1e-10)
 
     def test_constant_column_passes_through(self):
         X = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
-        stz = Standardizer.fit(X)
+        stz = _standardizer(X)
         Z = stz.transform(X)
         np.testing.assert_array_equal(Z[:, 0], np.zeros(10))
-        np.testing.assert_allclose(stz.inverse_transform(Z), X, atol=1e-12)
+        assert stz.std[0] == 1.0
 
     def test_round_trip(self):
+        # the stored statistics undo the transform
         X = philox_generator(3).normal(size=(100, 3)) * 40.0 + 5.0
-        stz = Standardizer.fit(X)
-        back = stz.inverse_transform(stz.transform(X))
+        stz = _standardizer(X)
+        back = stz.transform(X) * stz.std + stz.mean
         assert np.abs(back - X).max() <= 1e-12
+
+    def test_single_row_keeps_std_one(self):
+        stz = _standardizer(np.array([[2.0, -3.0]]), np.array([4.0]))
+        assert stz.std.tolist() == [1.0, 1.0] and stz.target_std == 1.0
+        assert stz.transform(np.array([[2.0, -3.0]])).tolist() == [[0.0, 0.0]]
 
     def test_target_round_trip(self):
         y = philox_generator(4).normal(size=50) * 3.0 - 1.0
-        stz = Standardizer.fit(np.zeros((50, 1)), y)
+        stz = _standardizer(np.zeros((50, 1)), y)
         np.testing.assert_allclose(stz.inverse_target(stz.transform_target(y)), y,
                                    atol=1e-12)
 
     def test_fit_standardizer_helper(self):
         ds = gen_sin16(50, seed=0)
-        stz = fit_standardizer(ds, scale_target=True)
+        stz = fit_standardizer(ds, True, True)
         assert stz.scales_target
-        assert not fit_standardizer(ds).scales_target
+        assert not fit_standardizer(ds, True, False).scales_target
+
+    @pytest.mark.parametrize("features", [False, True])
+    @pytest.mark.parametrize("target", [False, True])
+    def test_fit_standardizer_scales_what_its_flags_name(self, features, target):
+        ds = gen_counter3d(200, seed=8)
+        ds = Dataset(ds.X * 5.0 + 2.0, ds.y * 3.0 - 1.0)
+        stz = fit_standardizer(ds, features, target)
+        if features:
+            assert stz.mean.tobytes() == ds.X.mean(axis=0).tobytes()
+            assert stz.std.tobytes() == ds.X.std(axis=0, ddof=1).tobytes()
+        else:  # mean 0 and std 1 pass the features through unchanged
+            assert stz.mean.tolist() == [0.0] * 3 and stz.std.tolist() == [1.0] * 3
+            assert stz.transform(ds.X).tobytes() == ds.X.tobytes()
+        assert stz.scales_target == target
+        if target:
+            assert (stz.target_mean, stz.target_std) == (ds.y.mean(), ds.y.std(ddof=1))
+        else:
+            assert stz.target_mean is None and stz.target_std is None
+            assert stz.transform_target(ds.y).tobytes() == ds.y.tobytes()
 
 
 class TestDefaultScale:
@@ -266,21 +294,20 @@ class TestDefaultScale:
         rng = philox_generator(5)
         X = rng.normal(size=(5000, 2))
         X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)  # per-column variance 1
-        h_hat, s_hat = default_scale(X)
+        h_hat = default_scale(X)
         np.testing.assert_allclose(h_hat, 3.5 * 5000 ** (-0.25), rtol=1e-12)
-        np.testing.assert_allclose(s_hat, 1.0 / h_hat, rtol=1e-15)
 
     def test_hand_worked_value(self):
         # n=8, d=1, unit sample variance: h = 3.5 * 8**(-1/3) = 1.75
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
         x = x / x.std(ddof=1)
-        h_hat, _ = default_scale(x[:, None])
+        h_hat = default_scale(x[:, None])
         np.testing.assert_allclose(h_hat, 1.75, rtol=1e-12)
 
     def test_scale_equivariance(self):
         X = philox_generator(6).normal(size=(60, 3))
-        h1, _ = default_scale(X)
-        h2, _ = default_scale(10.0 * X)
+        h1 = default_scale(X)
+        h2 = default_scale(10.0 * X)
         np.testing.assert_allclose(h2, 10.0 * h1, rtol=1e-12)
 
     def test_identical_points_rejected(self):
@@ -316,36 +343,3 @@ class TestGenerators:
         noise = ds.y - counter3d_truth(ds.X)
         assert abs(noise.std() - 0.1) < 0.005
         assert abs(noise.mean()) < 0.005
-
-
-class TestSplit:
-    def test_sizes(self):
-        ds = gen_sin16(10, seed=0)
-        train, test = split_dataset(ds, 0.7, seed=1)
-        assert (train.n, test.n) == (7, 3)
-
-    def test_union_is_original_multiset(self):
-        ds = gen_sin16(101, seed=2)
-        train, test = split_dataset(ds, 0.35, seed=3)
-        merged = np.sort(np.concatenate([train.y, test.y]))
-        np.testing.assert_array_equal(merged, np.sort(ds.y))
-
-    def test_deterministic(self):
-        ds = gen_sin16(50, seed=4)
-        a1, b1 = split_dataset(ds, 0.5, seed=5)
-        a2, b2 = split_dataset(ds, 0.5, seed=5)
-        assert a1.X.tobytes() == a2.X.tobytes()
-        assert b1.y.tobytes() == b2.y.tobytes()
-
-    def test_disjoint_exhaustive_indices(self):
-        ds = Dataset(np.arange(20.0)[:, None], np.arange(20.0))
-        train, test = split_dataset(ds, 0.6, seed=6)
-        seen = np.concatenate([train.y, test.y])
-        assert sorted(seen.tolist()) == list(range(20))
-
-    def test_rejects_degenerate_fraction(self):
-        ds = gen_sin16(10, seed=7)
-        with pytest.raises(ConfigError):
-            split_dataset(ds, 1.0, seed=0)
-        with pytest.raises(DataError):
-            split_dataset(Dataset(np.zeros((1, 1)), np.zeros(1)), 0.5, seed=0)

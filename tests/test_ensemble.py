@@ -139,7 +139,7 @@ class TestEnsemblePrediction:
     def test_average_of_two_constant_members(self):
         model = EnsembleModel(
             members=[_constant_member(1.0), _constant_member(3.0)],
-            standardizer=Standardizer.identity(1),
+            standardizer=Standardizer(np.zeros(1), np.ones(1)),
             config=TrainConfig(n_transforms=2),
             clip_bound=10.0,
         )
@@ -148,7 +148,7 @@ class TestEnsemblePrediction:
     def test_three_member_average(self):
         model = EnsembleModel(
             members=[_constant_member(v) for v in (0.0, 0.0, 3.0)],
-            standardizer=Standardizer.identity(1),
+            standardizer=Standardizer(np.zeros(1), np.ones(1)),
             config=TrainConfig(n_transforms=3),
             clip_bound=10.0,
         )
@@ -427,9 +427,9 @@ class TestTrainMember:
         model = train_ensemble(ds, cfg)
 
         # independent re-derivation of every candidate's validation score
-        stz = fit_standardizer(ds)
+        stz = fit_standardizer(ds, True, False)
         X_std = stz.transform(ds.X)
-        h_hat, _ = default_scale(X_std)
+        h_hat = default_scale(X_std)
         rotation = sample_rotation(1, member_generator(77, 0, STREAM_ROTATION))
         perm = member_generator(77, 0, STREAM_SPLIT).permutation(ds.n)
         n_fit = math.ceil(0.7 * ds.n - 1e-9)
@@ -458,8 +458,8 @@ class TestTrainMember:
         cfg = TrainConfig(mode="nht", n_transforms=1, n_candidates=5,
                           fallback="global_mean", master_seed=18)
         model = train_ensemble(flat, cfg)
-        stz = fit_standardizer(flat)
-        h_hat, _ = default_scale(stz.transform(flat.X))
+        stz = fit_standardizer(flat, True, False)
+        h_hat = default_scale(stz.transform(flat.X))
         s_min, s_max = cfg.resolved_pairs()[0]
         rng = member_generator(18, 0, STREAM_CANDIDATE0)
         expected_scales, _ = sample_stretch(
@@ -479,12 +479,37 @@ class TestTrainMember:
         ds = gen_sin16(150, seed=21)
         cfg = TrainConfig(mode="nht", n_transforms=2, master_seed=22)
         model = train_ensemble(ds, cfg)
-        stz = fit_standardizer(ds)
-        X_std = stz.transform(ds.X)
-        lone = train_member(X_std, ds.y, cfg, member_index=1)
+        X_std = fit_standardizer(ds, True, False).transform(ds.X)
+        clip_bound = float(np.abs(ds.y).max())
+        lone = train_member(X_std, ds.y, cfg, 1, default_scale(X_std), clip_bound)
         np.testing.assert_array_equal(
             lone.model.means, model.members[1].model.means
         )
+
+
+@pytest.mark.parametrize("mode,partition", [("nht", "grid"), ("kht", "adaptive")])
+@pytest.mark.parametrize("features", [False, True])
+@pytest.mark.parametrize("target", [False, True])
+def test_standardizing_equals_training_on_prescaled_data(mode, partition, features, target):
+    # each standardize flag is its scaling applied before training and the
+    # target's undone after predicting, bit for bit
+    ds = gen_counter3d(400, seed=31)
+    ds = Dataset(ds.X * 4.0 - 1.0, ds.y * 3.0 + 5.0)
+    queries = gen_counter3d(80, seed=32).X * 4.0 - 1.0
+    cfg = TrainConfig(mode=mode, partition=partition, n_transforms=2, min_samples_split=80,
+                      standardize_features=features, standardize_target=target,
+                      master_seed=33)
+    model = train_ensemble(ds, cfg, n_threads=1)
+    stz = fit_standardizer(ds, features, target)
+    assert model.standardizer.mean.tobytes() == stz.mean.tobytes()
+    assert model.standardizer.std.tobytes() == stz.std.tobytes()
+    assert (model.standardizer.target_mean, model.standardizer.target_std) == \
+        (stz.target_mean, stz.target_std)
+    prescaled = Dataset(stz.transform(ds.X), stz.transform_target(ds.y))
+    bare = train_ensemble(prescaled, replace(cfg, standardize_features=False,
+                                             standardize_target=False), n_threads=1)
+    expected = stz.inverse_target(predict(bare, stz.transform(queries)))
+    assert predict(model, queries).tobytes() == expected.tobytes()
 
 
 @st.composite

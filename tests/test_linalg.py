@@ -12,7 +12,6 @@ from hte.linalg import (
     _RESIDUAL_TOL,
     _SYM_TOL,
     _exp_scaled,
-    SpdSolveReport,
     gaussian_cross,
     gaussian_cross_stack,
     gaussian_gram,
@@ -45,8 +44,9 @@ def _potrf_potrs_rung(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x if info == 0 else None
 
 
-def _reference_solve_spd(A: np.ndarray, b: np.ndarray, rung=_cho_rung) -> SpdSolveReport:
-    """One system through ``rung`` and the same jitter ladder."""
+def _reference_solve_spd(A: np.ndarray, b: np.ndarray, rung=_cho_rung):
+    """One system through ``rung`` and the same jitter ladder; returns
+    ``(x, jitter_used, escalations)``."""
     n = A.shape[0]
     if n and np.abs(A - A.T).max() > _SYM_TOL:
         raise ConfigError("matrix not symmetric within 1e-10")
@@ -61,7 +61,7 @@ def _reference_solve_spd(A: np.ndarray, b: np.ndarray, rung=_cho_rung) -> SpdSol
         if x is not None:
             residual = float(np.linalg.norm(regularized @ x - b))
             if residual <= _RESIDUAL_TOL * b_norm or (b_norm == 0.0 and residual == 0.0):
-                return SpdSolveReport(x, jitter, escalations)
+                return x, jitter, escalations
         if eps > _JITTER_STOP:
             raise IllConditionedError(
                 f"Cholesky failed after jitter escalation to {jitter:.3e}"
@@ -207,8 +207,8 @@ class TestSolveSpdStack:
         X, jitter, escalations = solve_spd_stack(A, B)
         assert not jitter.any() and not escalations.any()
         for i in range(6):
-            assert X[i].tobytes() == solve_spd(A[i], B[i]).solution.tobytes()
-            assert X[i].tobytes() == _reference_solve_spd(A[i], B[i]).solution.tobytes()
+            assert X[i].tobytes() == solve_spd(A[i], B[i])[0].tobytes()
+            assert X[i].tobytes() == _reference_solve_spd(A[i], B[i])[0].tobytes()
 
     def test_systems_the_plain_rung_rejects(self):
         # singular, not positive definite: climbs the ladder like the reference
@@ -216,10 +216,10 @@ class TestSolveSpdStack:
         X, jitter, escalations = solve_spd_stack(A, B)
         np.testing.assert_array_equal(X[0], [1.0, 1.0])
         assert jitter[0] == 0.0 and escalations[0] == 0
-        expected = _reference_solve_spd(A[1], B[1])
-        assert escalations[1] == expected.escalations > 0
-        assert jitter[1] == expected.jitter_used
-        assert X[1].tobytes() == expected.solution.tobytes()
+        x, expected_jitter, expected_escalations = _reference_solve_spd(A[1], B[1])
+        assert escalations[1] == expected_escalations > 0
+        assert jitter[1] == expected_jitter
+        assert X[1].tobytes() == x.tobytes()
         # not symmetric within 1e-10, though its residual would pass
         A = np.stack([np.eye(2), np.eye(2)])
         A[1, 0, 1] = 1e-9
@@ -256,10 +256,10 @@ class TestSolveSpdStack:
                 solve_spd_stack(A, B)
             return
         X, jitter, escalations = solve_spd_stack(A, B)
-        for i, report in enumerate(expected):
-            assert X[i].tobytes() == report.solution.tobytes()
-            assert jitter[i] == report.jitter_used
-            assert escalations[i] == report.escalations
+        for i, (x, expected_jitter, expected_escalations) in enumerate(expected):
+            assert X[i].tobytes() == x.tobytes()
+            assert jitter[i] == expected_jitter
+            assert escalations[i] == expected_escalations
 
     @settings(max_examples=60, deadline=None)
     @given(ridges=st.lists(st.sampled_from([1.0, 1e-3, 1e-12]), min_size=1, max_size=6),
@@ -281,10 +281,10 @@ class TestSolveSpdStack:
             return
         for solve in (solve_spd_stack, solve_spd_stack_unchecked):
             X, jitter, escalations = solve(A, B)
-            for i, report in enumerate(expected):
-                assert X[i].tobytes() == report.solution.tobytes()
-                assert jitter[i] == report.jitter_used
-                assert escalations[i] == report.escalations
+            for i, (x, expected_jitter, expected_escalations) in enumerate(expected):
+                assert X[i].tobytes() == x.tobytes()
+                assert jitter[i] == expected_jitter
+                assert escalations[i] == expected_escalations
 
     def test_drawn_stacks_reach_the_ladder(self):
         # drawn stacks reach the ladder, and only the systems that need it escalate
@@ -301,15 +301,15 @@ class TestSolveSpdStack:
 class TestSolveSpd:
     def test_identity(self):
         b = philox_generator(4).normal(size=6)
-        report = solve_spd(np.eye(6), b)
-        np.testing.assert_array_equal(report.solution, b)
-        assert report.jitter_used == 0.0
-        assert report.escalations == 0
+        x, jitter, escalations = solve_spd(np.eye(6), b)
+        np.testing.assert_array_equal(x, b)
+        assert (jitter, escalations) == (0.0, 0)
+        assert type(jitter) is float and type(escalations) is int
 
     def test_hand_worked_2x2(self):
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        report = solve_spd(A, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(report.solution, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+        x, _, _ = solve_spd(A, np.array([1.0, 1.0]))
+        np.testing.assert_allclose(x, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_zero_matrix_fails_after_escalation(self):
         with pytest.raises(IllConditionedError):
@@ -326,12 +326,10 @@ class TestSolveSpd:
             M = rng.normal(size=(n, n))
             A = M @ M.T + n * np.eye(n)
             b = rng.normal(size=n)
-            report = solve_spd(A, b)
-            residual = np.linalg.norm(A @ report.solution - b)
+            x, _, _ = solve_spd(A, b)
+            residual = np.linalg.norm(A @ x - b)
             assert residual <= 1e-8 * np.linalg.norm(b)
-            np.testing.assert_allclose(
-                report.solution, np.linalg.solve(A, b), rtol=1e-8
-            )
+            np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-8)
 
     def test_recovers_known_solution_up_to_conditioning(self):
         rng = philox_generator(6)
@@ -341,5 +339,5 @@ class TestSolveSpd:
         A = (q * eigenvalues) @ q.T
         A = (A + A.T) / 2.0
         x0 = rng.normal(size=n)
-        report = solve_spd(A, A @ x0)
-        assert np.linalg.norm(report.solution - x0) <= 1e-7 * np.linalg.norm(x0)
+        x, _, _ = solve_spd(A, A @ x0)
+        assert np.linalg.norm(x - x0) <= 1e-7 * np.linalg.norm(x0)

@@ -149,9 +149,9 @@ def _cells_one_by_one(support, y, sizes, gamma, lambda2, n_global):
         X, y_cell = support[start : start + m], y[start : start + m]
         K = gaussian_cross(X, X, gamma)
         K[np.diag_indices_from(K)] += n_global * lambda2
-        report = solve_spd(K, y_cell)
-        alphas.append(report.solution)
-        escalations += report.escalations
+        alpha, _, cell_escalations = solve_spd(K, y_cell)
+        alphas.append(alpha)
+        escalations += cell_escalations
         start += m
     return np.concatenate(alphas), escalations
 

@@ -501,3 +501,27 @@ def test_standardizer_target_statistics_checked(target_mean, target_std, problem
     model.standardizer.target_mean, model.standardizer.target_std = target_mean, target_std
     with pytest.raises(DataError, match=f"corrupt: {problem}"):
         deserialize_model(serialize_model(model))
+
+
+def _deep_header_file() -> bytes:
+    """A checksum-valid file whose header nests JSON arrays 100,000 deep."""
+    header = b"[" * 100_000
+    return _reseal(b"HTEN" + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header)
+
+
+def test_header_nested_too_deep_is_corrupt(tmp_path):
+    with pytest.raises(DataError, match="corrupt: header is not JSON"):
+        deserialize_model(_deep_header_file())
+    path = tmp_path / "deep.hte"
+    path.write_bytes(_deep_header_file())
+    with pytest.raises(DataError, match="corrupt: header is not JSON"):
+        read_metadata(path)
+
+
+def test_array_rank_above_two_is_corrupt():
+    # rank 221 would reach numpy's 64-dimension limit as a ValueError
+    _, model = _train("nht", "grid", n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[_first_array_offset(blob) + 1] = 221
+    with pytest.raises(DataError, match="corrupt: array of rank 221 above 2"):
+        deserialize_model(_reseal(bytes(blob)))
