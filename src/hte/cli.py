@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .data import load_csv, read_matrix
+from .data import load_csv, read_matrix, target_column
 from .ensemble import (
     DEFAULT_CANDIDATE_PAIRS,
     TrainConfig,
@@ -43,8 +43,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool killed 
 
 # config keys that address the CLI rather than TrainConfig, with their JSON types
 _CLI_KEYS = {"target": ("str", "int"), "has_header": ("bool",), "threads": ("int",)}
-
-_STUDY_KEYS = {"generator", "grid", "n_train", "n_test", "repetitions", "seed", "train"}
 
 # each `hte bench` preset is a study config, as `hte study --config` reads it;
 # the empty train block is the default TrainConfig: nht on grids, s in [0, 1]
@@ -97,12 +95,6 @@ def _load_cli_config(path) -> dict:
     return raw
 
 
-def _coerce_target(target):
-    if isinstance(target, str) and target.lstrip("-").isdigit():
-        return int(target)
-    return target
-
-
 def _cmd_train(args) -> None:
     raw = _load_cli_config(args.config) if args.config else {}
     if args.seed is not None:
@@ -112,7 +104,6 @@ def _cmd_train(args) -> None:
     target = args.target if args.target is not None else cli_part.get("target")
     if target is None:
         raise ConfigError("no target column: set 'target' in the config or --target")
-    target = _coerce_target(target)
     has_header = cli_part.get("has_header", True)
     n_threads = _threads(args)
     if n_threads is None:
@@ -122,7 +113,7 @@ def _cmd_train(args) -> None:
     t0 = time.perf_counter()
     model = train_ensemble(dataset, config, n_threads=n_threads)
     seconds = time.perf_counter() - t0
-    save_model(model, args.out, {"target": target, "has_header": has_header})
+    save_model(model, args.out, {"target": dataset.target_column, "has_header": has_header})
 
     summary = {
         "mode": config.mode,
@@ -142,30 +133,20 @@ def _cmd_train(args) -> None:
         )
 
 
-def _extract_target(values, header, d, target) -> tuple[np.ndarray, np.ndarray | None]:
-    """Split a prediction matrix into features and (optionally) targets."""
-    width = values.shape[1]
-    if isinstance(target, str) and header and target in header:
-        idx = header.index(target)
-        keep = [c for c in range(width) if c != idx]
-        return values[:, keep], values[:, idx]
-    if isinstance(target, int) and width == d + 1 and 0 <= target < width:
-        keep = [c for c in range(width) if c != target]
-        return values[:, keep], values[:, target]
-    return values, None
-
-
 def _cmd_predict(args) -> None:
     data_info = read_metadata(args.model).get("data", {})
     model = load_model(args.model)
     has_header = False if args.no_header else bool(data_info.get("has_header", True))
-    values, header = read_matrix(args.data, has_header=has_header)
-    target = _coerce_target(args.target) if args.target is not None else data_info.get("target")
-    X, y = _extract_target(values, header, model.d, target)
-    if X.shape[1] != model.d:
-        raise DataError(
-            f"feature dimension mismatch: model expects d={model.d}, data has d={X.shape[1]}"
-        )
+    X, header = read_matrix(args.data, has_header=has_header)
+    # the target column, for the MSE: the one --target names, else the stored
+    # target in a file whose header holds its name or that has one column
+    # more than the model's features
+    target = args.target if args.target is not None else data_info.get("target")
+    named = args.target is not None or header is not None and target in header
+    y = None
+    if named or target is not None and X.shape[1] == model.d + 1:
+        index, _ = target_column(args.data, header, X.shape[1], target)
+        X, y = np.delete(X, index, axis=1), X[:, index]
 
     preds = predict(model, X)
     # what csv.writer writes: CRLF line ends, and a float repr never needs quoting
@@ -184,28 +165,8 @@ def _run_study_config(raw: dict, args) -> None:
     """Run the study a study config describes; ``--reps`` and ``--seed``
     override its ``repetitions`` and ``seed``.  The output files are opened
     first, so an unwritable one fails before any grid point trains."""
-    unknown = set(raw) - _STUDY_KEYS
-    if unknown:
-        raise ConfigError(f"unknown study keys: {', '.join(sorted(unknown))}")
-    if "grid" not in raw or "generator" not in raw:
-        raise ConfigError("study config needs 'grid' and 'generator'")
-    setup = StudySetup(
-        generator=check_type("generator", raw["generator"], "str"),
-        n_train=check_type("n_train", raw.get("n_train", 1000), "int"),
-        n_test=check_type("n_test", raw.get("n_test", 1000), "int"),
-        config=TrainConfig.from_dict(check_type("train", raw.get("train", {}), "dict")),
-    )
-    grid = check_type("grid", raw["grid"], "dict")
-    for key, values in grid.items():
-        check_type(f"grid key {key!r}", values, "list")
-    seed = check_type("seed", raw.get("seed", 0), "int") if args.seed is None else args.seed
-    reps = args.reps
-    if reps is None:
-        reps = check_type("repetitions", raw.get("repetitions", 1), "int")
-    # what run_study would reject, rejected before an output file is made
-    setup.validate()
-    if reps < 1:
-        raise ConfigError("repetitions must be >= 1")
+    flags = {"repetitions": args.reps, "seed": args.seed}
+    setup = StudySetup.from_dict({**raw, **{k: v for k, v in flags.items() if v is not None}})
     n_threads = _threads(args)
     with contextlib.ExitStack() as files:
         table = sys.stdout
@@ -213,7 +174,7 @@ def _run_study_config(raw: dict, args) -> None:
             table = files.enter_context(open(args.out, "w", newline="", encoding="utf-8"))
         if args.json_out:
             json_table = files.enter_context(open(args.json_out, "w", encoding="utf-8"))
-        results = run_study(grid, setup, repetitions=reps, seed=seed, n_threads=n_threads)
+        results = run_study(setup, n_threads)
         write_study_csv(results, table)
         if args.json_out:
             write_study_json(results, json_table)

@@ -26,6 +26,7 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     feature_names: list[str] | None = None
+    target_column: str | int | None = None  # ``load_csv``'s key of the y column
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -70,7 +71,10 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != len(self.mean):
-            raise DataError(f"expected {len(self.mean)} features, got {X.shape[-1]}")
+            raise DataError(
+                f"feature dimension mismatch: model expects d={len(self.mean)}, "
+                f"data has d={X.shape[-1]}"
+            )
         return (X - self.mean) / self.std
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
@@ -195,32 +199,43 @@ def _parse_rows(path, text: str, has_header: bool) -> tuple[np.ndarray, list[str
     return values, header
 
 
+def target_column(path, header: list[str] | None, width: int,
+                  target: str | int) -> tuple[int, str | int]:
+    """The 0-based column ``target`` picks in a CSV of ``width`` columns, and its key.
+
+    The one target rule of ``load_csv`` and ``hte predict``: a string names
+    a header column when the header has it; otherwise a decimal string,
+    like an int, is a 0-based index.  The key is that index when the target
+    reads as it, and the target otherwise, so the rule picks the same
+    column again from the key.
+    """
+    if isinstance(target, str) and header is not None and target in header:
+        index = header.index(target)
+    elif isinstance(target, str) and not target.isdecimal():
+        if header is None:
+            raise ConfigError("target given by name but the file has no header")
+        raise DataError(f"{path}: target column {target!r} not found in header")
+    else:
+        index = int(target)
+    if not 0 <= index < width:  # a header may be wider than the rows
+        raise DataError(f"{path}: target index {index} out of range for {width} columns")
+    by_index = not isinstance(target, str) or target.isdecimal() and int(target) == index
+    return index, index if by_index else target
+
+
 def load_csv(path, target: str | int, has_header: bool = True) -> Dataset:
     """Read a numeric CSV; the target column becomes y, the rest X in file order.
 
-    The target is a header name (requires a header) or a 0-based column
-    index.  Cells are parsed by ``read_matrix``.
+    ``target_column`` picks the target column, and the dataset records its
+    key.  Cells are parsed by ``read_matrix``.
     """
     values, header = read_matrix(path, has_header)
     width = values.shape[1]
-    if isinstance(target, str):
-        if header is None:
-            raise ConfigError("target given by name but the file has no header")
-        if target not in header:
-            raise DataError(f"{path}: target column {target!r} not found in header")
-        target_idx = header.index(target)
-    else:
-        target_idx = int(target)
-        if not 0 <= target_idx < width:
-            raise DataError(
-                f"{path}: target index {target_idx} out of range for {width} columns"
-            )
+    index, key = target_column(path, header, width, target)
     if width < 2:
         raise DataError(f"{path}: need at least one feature column besides the target")
-
-    feature_cols = [c for c in range(width) if c != target_idx]
-    names = [header[c] for c in feature_cols] if header else None
-    return Dataset(values[:, feature_cols], values[:, target_idx], names)
+    names = None if header is None else header[:index] + header[index + 1 :]
+    return Dataset(np.delete(values, index, axis=1), values[:, index], names, key)
 
 
 def default_scale(X: np.ndarray) -> float:

@@ -11,18 +11,21 @@ import csv
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import gen_counter3d, gen_sin16
-from .ensemble import TrainConfig, predict, train_ensemble
+from .ensemble import TrainConfig, check_type, predict, train_ensemble
 from .errors import ConfigError
 from .rng import mix64
 
 GENERATORS = {"sin16": gen_sin16, "counter3d": gen_counter3d}
 
 TABLE_FIELDS = ["reps", "mse_mean", "mse_std", "art_mean_s", "predict_time_s"]
+
+# grid keys that address the data setup rather than the train config
+_SETUP_KEYS = {"n_train", "n_test"}
 
 
 def mse(pred: np.ndarray, y: np.ndarray) -> float:
@@ -64,20 +67,54 @@ def convergence_slope(points) -> tuple[float, float]:
 
 @dataclass
 class StudySetup:
-    """Fixed part of a study: data source and the base train config."""
+    """A whole parameter study: its data source, grid, repetitions and seed.
+
+    ``grid`` maps each key it varies (a ``TrainConfig`` field, ``n_train``,
+    ``n_test``, or ``pair``, an ``(s_min, s_max)`` window) to a list of
+    values; every point of their cartesian product trains ``repetitions``
+    times on fresh data, starting from ``config``.
+    """
 
     generator: str
-    n_train: int
-    n_test: int
+    grid: dict
+    n_train: int = 1000
+    n_test: int = 1000
+    repetitions: int = 1
+    seed: int = 0
     config: TrainConfig = field(default_factory=TrainConfig)
 
+    @classmethod
+    def from_dict(cls, raw: dict) -> "StudySetup":
+        """A study config as JSON holds it: the fields by name, ``config``
+        under the key ``train``; ``generator`` and ``grid`` are required."""
+        known = {f.name for f in fields(cls)} - {"config"} | {"train"}
+        unknown = sorted(set(raw) - known)
+        if unknown:
+            raise ConfigError(f"unknown study keys: {', '.join(unknown)}")
+        if "grid" not in raw or "generator" not in raw:
+            raise ConfigError("study config needs 'grid' and 'generator'")
+        config = TrainConfig.from_dict(check_type("train", raw.get("train", {}), "dict"))
+        setup = cls(**{k: v for k, v in raw.items() if k != "train"}, config=config)
+        setup.validate()
+        return setup
+
     def validate(self) -> None:
+        check_type("generator", self.generator, "str")
+        for name in ("n_train", "n_test", "repetitions", "seed"):
+            check_type(name, getattr(self, name), "int")
+        for key, values in check_type("grid", self.grid, "dict").items():
+            check_type(f"grid key {key!r}", values, "list")
+        unknown = set(self.grid) - {f.name for f in fields(TrainConfig)} - _SETUP_KEYS - {"pair"}
+        if unknown:
+            raise ConfigError(f"unknown grid keys: {', '.join(sorted(map(str, unknown)))}")
         if self.generator not in GENERATORS:
             raise ConfigError(
                 f"unknown generator {self.generator!r}; choose from {sorted(GENERATORS)}"
             )
         if self.n_train < 2 or self.n_test < 1:
             raise ConfigError("need n_train >= 2 and n_test >= 1")
+        if self.repetitions < 1:
+            raise ConfigError("repetitions must be >= 1")
 
 
 @dataclass
@@ -91,10 +128,6 @@ class StudyResult:
     art_mean_s: float
     predict_time_s: float
     error: str | None = None
-
-
-# grid keys that address the data setup rather than the train config
-_SETUP_KEYS = {"n_train", "n_test"}
 
 
 def _apply_point(setup: StudySetup, point: dict) -> StudySetup:
@@ -113,12 +146,11 @@ def _apply_point(setup: StudySetup, point: dict) -> StudySetup:
 
 
 def _run_point(
-    setup: StudySetup, point: dict, repetitions: int, seed: int, point_index: int,
-    n_threads: int | None,
+    setup: StudySetup, point: dict, point_index: int, n_threads: int | None
 ) -> StudyResult:
     local = _apply_point(setup, point)
     local.config.validate()
-    gen = GENERATORS[local.generator]
+    gen, seed, repetitions = GENERATORS[local.generator], local.seed, local.repetitions
     errors, train_times, predict_times = [], [], []
     for rep in range(repetitions):
         train = gen(local.n_train, mix64(seed, point_index, rep, 0))
@@ -143,45 +175,26 @@ def _run_point(
     )
 
 
-def run_study(
-    grid: dict,
-    setup: StudySetup,
-    repetitions: int,
-    seed: int,
-    n_threads: int | None = None,
-) -> list[StudyResult]:
+def run_study(setup: StudySetup, n_threads: int | None = None) -> list[StudyResult]:
     """Train/evaluate over the cartesian product of the grid values.
 
     Every repetition regenerates its data and master seed from (seed, grid
     point index, repetition index), so MSE columns are reproducible run to
-    run.  A failing grid point is recorded with its error message and the
-    study continues.
+    run.  An empty grid is one point.  A failing grid point is recorded
+    with its error message and the study continues.
     """
     setup.validate()
-    if repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
-    if not grid:
-        grid = {"_": [None]}
+    grid = setup.grid or {"_": [None]}
     keys = list(grid.keys())
     results = []
     for index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         point = {k: v for k, v in zip(keys, combo) if k != "_"}
         try:
-            results.append(
-                _run_point(setup, point, repetitions, seed, index, n_threads)
-            )
+            results.append(_run_point(setup, point, index, n_threads))
         except Exception as exc:  # noqa: BLE001 - study must survive bad points
-            results.append(
-                StudyResult(
-                    params=dict(point),
-                    repetitions=repetitions,
-                    mse_mean=float("nan"),
-                    mse_std=float("nan"),
-                    art_mean_s=float("nan"),
-                    predict_time_s=float("nan"),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            nan = float("nan")
+            results.append(StudyResult(dict(point), setup.repetitions, nan, nan, nan, nan,
+                                       error=f"{type(exc).__name__}: {exc}"))
     return results
 
 

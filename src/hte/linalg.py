@@ -5,12 +5,13 @@ separable cell of more than ``min_samples_split`` points), so a kernel
 member is thousands of tiny systems whose cost is per-call overhead, not
 flops.  Equal-size systems are therefore built and solved as stacks: a Gram
 stack is ``gaussian_cross_stack(P, P, gamma)`` (or one ``gaussian_cross``
-per cell for large cells), and ``solve_spd_stack`` solves it with one
-LAPACK ``posv`` call per system and residuals checked in one batched
+per cell for large cells), and ``solve_spd_stack_unchecked`` solves it with
+one LAPACK ``posv`` call per system and residuals checked in one batched
 product.  Only the systems that this plain rung rejects climb the jitter
 ladder, as a sub-stack: failed factorizations escalate a diagonal jitter
-proportional to the mean eigenvalue before giving up.  ``solve_spd`` is the
-same solver on one system and returns its ``(x, jitter, escalations)``.
+proportional to the mean eigenvalue before giving up.  ``solve_spd`` checks
+one system for symmetry and finiteness and then solves it with the same
+stack solver, returning its ``(x, jitter, escalations)``.
 Prediction builds the cross kernels of equal-shape cells as one
 ``gaussian_cross_stack``.
 
@@ -82,7 +83,8 @@ def gaussian_cross_stack(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarr
 
     Squared distances sum the per-dimension squares in dimension order, as
     ``cdist``'s ``sqeuclidean`` does, so each slice equals
-    ``gaussian_cross(A[i], B[i], gamma)`` bit for bit.
+    ``gaussian_cross(A[i], B[i], gamma)`` bit for bit; rows ``1e200`` apart
+    give inf, and a kernel value of 0, with numpy's overflow warning.
     """
     square = _gamma_square(gamma)
     g, q, d = A.shape
@@ -127,37 +129,20 @@ def _cholesky_rung(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return X, solved
 
 
-def solve_spd_stack(
+def solve_spd_stack_unchecked(
     A: np.ndarray, B: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve every ``A[i] x = B[i]`` by Cholesky; returns ``(X, jitter_used, escalations)``.
 
-    The plain rung solves the whole stack.  The systems it rejects (not
-    positive definite, or a residual above 1e-8 relative) climb the ladder
-    together: eps * trace(A[i])/n is added to the diagonal, eps stepping
-    1e-12 -> 1e-6 by factors of 10.  Each system gets exactly the result it
-    would get solved alone.  Raises ``ConfigError`` for a matrix not
-    symmetric within 1e-10, and ``IllConditionedError`` for a system that is
-    not finite or still fails at the top of the ladder.
+    For a float64 stack that its caller knows to be exactly symmetric and
+    finite: nothing here scans for either.  The plain rung solves the whole
+    stack.  The systems it rejects (not positive definite, or a residual
+    above 1e-8 relative) climb the ladder together: eps * trace(A[i])/n is
+    added to the diagonal, eps stepping 1e-12 -> 1e-6 by factors of 10.
+    Each system gets exactly the result it would get solved alone.  Raises
+    ``IllConditionedError`` for a system that still fails at the top of the
+    ladder.
     """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2 or A.shape != B.shape + B.shape[1:]:
-        raise ConfigError("need (g, n, n) matrices and (g, n) right-hand sides")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: not asymmetric
-        if (np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > _SYM_TOL).any():
-            raise ConfigError("matrix not symmetric within 1e-10")
-    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(B).all(axis=1)
-    if not finite.all():
-        raise IllConditionedError(f"SPD system {int(np.argmin(finite))} is not finite")
-    return solve_spd_stack_unchecked(A, B)
-
-
-def solve_spd_stack_unchecked(
-    A: np.ndarray, B: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_spd_stack`` without its symmetry and finiteness scans, for a
-    float64 stack its caller knows to be exactly symmetric and finite."""
     X, solved = _cholesky_rung(A, B)
     jitter = np.zeros(len(B))
     escalations = np.zeros(len(B), dtype=np.int64)
@@ -184,7 +169,18 @@ def solve_spd_stack_unchecked(
 
 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Solve one SPD system A x = b: ``solve_spd_stack`` on a stack of one,
-    returning ``(x, jitter_used, escalations)``."""
-    X, jitter, escalations = solve_spd_stack(np.asarray(A)[None], np.asarray(b)[None])
+    """Solve one SPD system A x = b; returns ``(x, jitter_used, escalations)``.
+
+    The checked solver: ``ConfigError`` for a matrix not symmetric within
+    1e-10, ``IllConditionedError`` for a system that is not finite."""
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1 or A.shape != b.shape * 2:
+        raise ConfigError("need an (n, n) matrix and an (n,) right-hand side")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: not asymmetric
+        if np.abs(A - A.T).max(initial=0.0) > _SYM_TOL:
+            raise ConfigError("matrix not symmetric within 1e-10")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise IllConditionedError("SPD system is not finite")
+    X, jitter, escalations = solve_spd_stack_unchecked(A[None], b[None])
     return X[0], float(jitter[0]), int(escalations[0])

@@ -118,17 +118,20 @@ class KernelCellModel:
         stacked = ends - starts > 1
         shared = by_shape[starts[stacked]]
         stacked[stacked] = ~_builds_alone(q[shared], m[shared])
-        for start, end in zip(starts[stacked].tolist(), ends[stacked].tolist()):
-            group = by_shape[start:end]
-            n_q, n_m = int(q[group[0]]), int(m[group[0]])
-            step = max(1, _STACK_ENTRIES // (n_q * n_m))
-            for at in range(0, len(group), step):
-                part = group[at : at + step]
-                query = rows[first[part, None] + np.arange(n_q)]
-                expansion = lo[part, None] + np.arange(n_m)
-                K = gaussian_cross_stack(X[query], self.support[expansion], self.gamma)
-                # per slice, the same BLAS gemv as one cell's ``K @ alpha``
-                out[query] = np.matmul(K, self.alpha[expansion][:, :, None])[:, :, 0]
+        # a finite query far from its cell's support overflows its squared
+        # distances to inf, silently, as on the cdist path: its kernel is 0
+        with np.errstate(over="ignore"):
+            for start, end in zip(starts[stacked].tolist(), ends[stacked].tolist()):
+                group = by_shape[start:end]
+                n_q, n_m = int(q[group[0]]), int(m[group[0]])
+                step = max(1, _STACK_ENTRIES // (n_q * n_m))
+                for at in range(0, len(group), step):
+                    part = group[at : at + step]
+                    query = rows[first[part, None] + np.arange(n_q)]
+                    expansion = lo[part, None] + np.arange(n_m)
+                    K = gaussian_cross_stack(X[query], self.support[expansion], self.gamma)
+                    # per slice, the same BLAS gemv as one cell's ``K @ alpha``
+                    out[query] = np.matmul(K, self.alpha[expansion][:, :, None])[:, :, 0]
         alone = by_shape[np.repeat(~stacked, ends - starts)]
         for at, n_q, base, n_m in zip(first[alone].tolist(), q[alone].tolist(),
                                       lo[alone].tolist(), m[alone].tolist()):
@@ -187,7 +190,7 @@ def fit_kernel_cells(
     # The Gram of finite rows is exactly symmetric, as (a - b)**2 == (b - a)**2,
     # and with a valid gamma its entries lie in [0, 1].  So finite rows, targets
     # and ridge make every system below symmetric and finite: this O(n * d)
-    # check stands in for solve_spd_stack's O(m * m) scans of each system.
+    # check stands in for solve_spd's O(m * m) scans of each system.
     ridge = n_global * lambda2
     if not (math.isfinite(ridge) and np.isfinite(support).all() and np.isfinite(y_support).all()):
         raise IllConditionedError("kernel cell rows, targets or ridge not finite")

@@ -226,6 +226,10 @@ def _read_model(r: _Reader, d: int, n_cells: int, kernel: bool, gamma: float,
         _require(support.shape == (len(alpha), d),
                  f"kernel support of shape {support.shape} is not ({len(alpha)}, {d})")
         _require_finite("kernel support or alpha", support, alpha)
+        # kernel values lie in [0, 1]: a finite sum of |alpha| bounds every K @ alpha
+        with np.errstate(over="ignore"):
+            _require(np.isfinite(np.abs(alpha).sum()),
+                     "kernel coefficients sum past the float range")
     else:
         offsets = np.zeros(n_cells + 1, dtype=np.int64)
         support, alpha = np.empty((0, d)), np.empty(0)

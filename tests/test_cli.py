@@ -6,17 +6,24 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hte.cli
 from hte.cli import main
 from hte.data import gen_counter3d, gen_sin16, load_csv
 from hte.ensemble import predict as lib_predict
 from hte.ensemble import TrainConfig
+from hte.errors import ConfigError, DataError
 from hte.evaluation import StudySetup, mse, run_study, write_study_csv
+from hte.rng import philox_generator
 from hte.serialize import FORMAT_VERSION, load_model, read_metadata, save_model
 
 
@@ -164,6 +171,27 @@ class TestTrain:
                      "--seed", "99"]) == 0
         assert read_metadata(out)["seed"] == 99
 
+    @pytest.mark.parametrize("header, target, column, recorded", [
+        ("3,2,1,0", "0", 3, "0"),  # a header name, though it reads as an index
+        ("10,20,30,40", "40", 3, "40"),
+        ("0,1,2,3", "2", 2, 2),  # the name sits at its own index: recorded as it
+        ("x1,x2,x3,y", "3", 3, 3),  # no column of that name: an index
+    ])
+    def test_digit_target_names_a_header_column_first(self, tmp_path, capsys, header, target,
+                                                      column, recorded):
+        values = philox_generator(5).normal(size=(200, 4))
+        data = tmp_path / "d.csv"
+        np.savetxt(data, values, delimiter=",", header=header, comments="")
+        out = tmp_path / "m.hte"
+        assert main(["train", "--data", str(data), "--target", target, "--out", str(out)]) == 0
+        assert read_metadata(out)["data"]["target"] == recorded
+        capsys.readouterr()  # discard the train summary
+        # predict finds the target column again from the recorded key
+        assert main(["predict", "--model", str(out), "--data", str(data), "--out",
+                     str(tmp_path / "p.csv"), "--json"]) == 0
+        expected = lib_predict(load_model(out), np.delete(values, column, axis=1))
+        assert json.loads(capsys.readouterr().out)["mse"] == mse(expected, values[:, column])
+
     def test_embedded_config_reproduces_model(self, tmp_path, sin_csv):
         cfg = _write_config(tmp_path / "cfg.json", mode="nht", n_transforms=3,
                             master_seed=8, target="y")
@@ -178,6 +206,51 @@ class TestTrain:
         assert main(["train", "--config", cfg_b, "--data", sin_csv,
                      "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class _Trained(Exception):
+    """Raised in place of training, carrying the dataset ``hte train`` read."""
+
+
+def _capture_dataset(dataset, config, n_threads=None):
+    raise _Trained(dataset)
+
+
+_EXIT_CODES = {ConfigError: 1, DataError: 2}
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=st.lists(st.one_of(st.integers(0, 5).map(str),
+                                st.sampled_from(["x", "y", "07", "-1"])),
+                      min_size=2, max_size=5, unique=True),
+       data=st.data())
+def test_train_reads_the_target_column_load_csv_reads(names, data):
+    target = data.draw(st.one_of(st.sampled_from(names), st.integers(0, len(names)),
+                                 st.integers(0, len(names)).map(str)))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(hte.cli, "train_ensemble", _capture_dataset):
+        path = Path(tmp) / "d.csv"
+        values = np.arange(3.0 * len(names)).reshape(3, len(names))
+        np.savetxt(path, values, delimiter=",", header=",".join(names), comments="")
+        try:
+            expected = load_csv(path, target)
+        except (ConfigError, DataError) as exc:
+            expected = exc
+        # an int target comes from the config file, a string from the flag
+        config = _write_config(Path(tmp) / "cfg.json", target=target)
+        argv = ["train", "--config", config, "--data", str(path), "--out", str(Path(tmp) / "m")]
+        if isinstance(target, str):
+            argv += ["--target", target]
+        try:
+            code = main(argv)
+        except _Trained as trained:
+            [dataset] = trained.args
+            assert not isinstance(expected, Exception)
+            assert dataset.X.tobytes() == expected.X.tobytes()
+            assert dataset.y.tobytes() == expected.y.tobytes()
+            assert dataset.target_column == expected.target_column
+        else:
+            assert isinstance(expected, Exception) and code == _EXIT_CODES[type(expected)]
 
 
 class TestPredict:
@@ -424,16 +497,19 @@ class TestColdStart:
 
 _NHT_GRID = TrainConfig(mode="nht", partition="grid", s_min=0.0, s_max=1.0)
 
-# each bench preset as an explicit study: (grid, setup, default repetitions)
+# each bench preset as an explicit study, with its default repetitions
 _EXPLICIT_PRESETS = {
-    "sin16": ({"n_train": [2000, 3000, 4000, 5000], "n_transforms": [1, 5, 10, 20]},
-              StudySetup("sin16", n_train=2000, n_test=2000, config=_NHT_GRID), 300),
-    "t-study": ({"n_transforms": [1, 5, 10, 20]},
-                StudySetup("sin16", n_train=2000, n_test=2000, config=_NHT_GRID), 300),
-    "scale-study": ({"pair": [[-1.0, 1.0], [0.0, 2.0], [1.0, 3.0], [2.0, 4.0], [3.0, 5.0]]},
-                    StudySetup("sin16", n_train=500, n_test=1000, config=_NHT_GRID), 100),
-    "counter3d": ({"n_train": [1000, 2000, 4000, 8000], "n_transforms": [1, 2, 5, 10, 30]},
-                  StudySetup("counter3d", n_train=1000, n_test=1000, config=_NHT_GRID), 30),
+    "sin16": StudySetup(
+        "sin16", {"n_train": [2000, 3000, 4000, 5000], "n_transforms": [1, 5, 10, 20]},
+        n_train=2000, n_test=2000, repetitions=300, config=_NHT_GRID),
+    "t-study": StudySetup("sin16", {"n_transforms": [1, 5, 10, 20]},
+                          n_train=2000, n_test=2000, repetitions=300, config=_NHT_GRID),
+    "scale-study": StudySetup(
+        "sin16", {"pair": [[-1.0, 1.0], [0.0, 2.0], [1.0, 3.0], [2.0, 4.0], [3.0, 5.0]]},
+        n_train=500, n_test=1000, repetitions=100, config=_NHT_GRID),
+    "counter3d": StudySetup(
+        "counter3d", {"n_train": [1000, 2000, 4000, 8000], "n_transforms": [1, 2, 5, 10, 30]},
+        n_train=1000, n_test=1000, repetitions=30, config=_NHT_GRID),
 }
 
 
@@ -493,12 +569,12 @@ class TestBenchAndStudy:
 
     @pytest.mark.parametrize("preset", sorted(_EXPLICIT_PRESETS))
     def test_preset_table_equals_its_explicit_study(self, tmp_path, preset):
-        grid, setup, repetitions = _EXPLICIT_PRESETS[preset]
-        assert hte.cli.PRESETS[preset]["repetitions"] == repetitions
+        setup = _EXPLICIT_PRESETS[preset]
+        assert StudySetup.from_dict(hte.cli.PRESETS[preset]) == setup
         out = tmp_path / "table.csv"
         assert main(["bench", preset, "--reps", "1", "--seed", "3", "--out", str(out)]) == 0
         expected = io.StringIO(newline="")
-        write_study_csv(run_study(grid, setup, repetitions=1, seed=3), expected)
+        write_study_csv(run_study(replace(setup, repetitions=1, seed=3)), expected)
 
         def untimed(text):
             return [{k: v for k, v in row.items() if k not in ("art_mean_s", "predict_time_s")}
@@ -650,6 +726,8 @@ _EXIT_CASES = [
      lambda t, d, m: _train(t, _text(t / "bad.csv", "x,y\n3,oops\n"))),
     ("train-unwritable-out", 2, _ABSENT,
      lambda t, d, m: ["train", "--data", d, "--target", "y", "--out", str(t / "no" / "m.hte")]),
+    ("train-header-wider-than-rows", 2, "target index 2 out of range for 2 columns",
+     lambda t, d, m: _train(t, _text(t / "wide.csv", "x,z,y\n1,2\n3,4\n"))),
     ("train-fails", 3, "empty",
      lambda t, d, m: _train(t, _text(t / "tiny.csv", "x,y\n0.1,1\n0.9,2\n"), n_candidates=5)),
     ("predict-missing-model", 2, _ABSENT,
@@ -658,6 +736,12 @@ _EXIT_CASES = [
      lambda t, d, m: ["predict", "--model", d, "--data", d]),
     ("predict-dimension", 2, "feature dimension mismatch",
      lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "w.csv", "a,b,c\n1,2,3\n")]),
+    ("predict-target-unknown", 2, "target column 'nope' not found",
+     lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "x.csv", "x\n0.5\n"),
+                      "--target", "nope"]),
+    # the stored target's column in place of a feature is not read as one
+    ("predict-target-in-place-of-a-feature", 2, "feature dimension mismatch",
+     lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "y.csv", "y\n0.5\n")]),
     ("predict-unwritable-out", 2, _ABSENT,
      lambda t, d, m: ["predict", "--model", m, "--data", d, "--out", str(t / "no" / "p.csv")]),
     ("bench-unknown-preset", 1, "warp-speed", lambda t, d, m: ["bench", "warp-speed"]),
@@ -676,6 +760,8 @@ _EXIT_CASES = [
     ("study-train-not-object", 1, "train", lambda t, d, m: _study(t, train=[])),
     ("study-train-field-type", 1, "min_samples_split",
      lambda t, d, m: _study(t, train={"min_samples_split": "5"})),
+    ("study-grid-key-unknown", 1, "unknown grid keys: n_transfroms",
+     lambda t, d, m: _study(t, grid={"n_transfroms": [1]})),
     ("study-grid-value-not-list", 1, "n_transforms",
      lambda t, d, m: _study(t, grid={"n_transforms": 2})),
     ("study-unwritable-out", 2, _ABSENT,

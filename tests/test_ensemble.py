@@ -298,6 +298,19 @@ class TestEnsemblePrediction:
         np.testing.assert_array_equal(
             per_member, np.repeat(model.standardizer.inverse_target(fallbacks), 3, axis=1))
 
+    def test_far_query_in_a_kernel_stack_predicts_as_alone_without_a_warning(self):
+        # a finite query far from its cell's support rows, batched with rows
+        # of cells of its shape: the stacked kernel used to warn of an overflow
+        model = train_ensemble(gen_counter3d(3000, seed=1),
+                               TrainConfig(mode="kht", partition="adaptive", n_transforms=2,
+                                           min_samples_split=20, master_seed=1))
+        X = gen_counter3d(300, seed=2).X
+        X[0, 0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch, alone = predict(model, X), predict(model, X[:1])
+        assert batch[0] == alone[0] == 0.0
+
     def test_unseen_cells_fall_back_to_zero(self):
         ds = gen_sin16(200, seed=7)
         model = train_ensemble(ds, TrainConfig(n_transforms=3, fallback="zero"))

@@ -112,15 +112,16 @@ class TestConvergenceSlope:
             convergence_slope([(10, 1.0), (100, 0.0)])
 
 
-def _tiny_setup(**overrides):
-    config = TrainConfig(mode="nht", n_transforms=2, **overrides)
-    return StudySetup("sin16", n_train=100, n_test=50, config=config)
+def _tiny_setup(grid, repetitions, seed):
+    config = TrainConfig(mode="nht", n_transforms=2)
+    return StudySetup("sin16", grid, n_train=100, n_test=50, repetitions=repetitions,
+                      seed=seed, config=config)
 
 
 class TestRunStudy:
     def test_single_point_single_rep_equals_direct_run(self):
-        setup = _tiny_setup()
-        [result] = run_study({"n_transforms": [3]}, setup, repetitions=1, seed=9)
+        setup = _tiny_setup({"n_transforms": [3]}, repetitions=1, seed=9)
+        [result] = run_study(setup)
 
         train = gen_sin16(100, mix64(9, 0, 0, 0))
         test = gen_sin16(50, mix64(9, 0, 0, 1))
@@ -135,8 +136,7 @@ class TestRunStudy:
 
     def test_grid_bookkeeping(self):
         results = run_study(
-            {"n_transforms": [1, 2], "n_train": [60, 80, 100]},
-            _tiny_setup(), repetitions=3, seed=1,
+            _tiny_setup({"n_transforms": [1, 2], "n_train": [60, 80, 100]}, repetitions=3, seed=1)
         )
         assert len(results) == 6
         assert all(r.repetitions == 3 for r in results)
@@ -144,28 +144,44 @@ class TestRunStudy:
 
     def test_deterministic_mse_columns(self):
         grid = {"n_transforms": [1, 3]}
-        a = run_study(grid, _tiny_setup(), repetitions=2, seed=4)
-        b = run_study(grid, _tiny_setup(), repetitions=2, seed=4)
+        a = run_study(_tiny_setup(grid, repetitions=2, seed=4))
+        b = run_study(_tiny_setup(grid, repetitions=2, seed=4))
         assert [r.mse_mean for r in a] == [r.mse_mean for r in b]
         assert [r.mse_std for r in a] == [r.mse_std for r in b]
 
     def test_failing_grid_point_recorded_not_fatal(self):
-        results = run_study(
-            {"n_transforms": [2, 0]}, _tiny_setup(), repetitions=1, seed=2
-        )
+        results = run_study(_tiny_setup({"n_transforms": [2, 0]}, repetitions=1, seed=2))
         assert np.isfinite(results[0].mse_mean) and results[0].error is None
         assert results[1].error is not None and np.isnan(results[1].mse_mean)
 
     def test_pair_key_sets_scale_window(self):
         results = run_study(
-            {"pair": [(0.0, 1.0), (1.0, 2.0)]}, _tiny_setup(), repetitions=1, seed=3
+            _tiny_setup({"pair": [(0.0, 1.0), (1.0, 2.0)]}, repetitions=1, seed=3)
         )
         assert len(results) == 2
         assert results[0].params["pair"] == (0.0, 1.0)
 
+    @pytest.mark.parametrize("setup, named", [
+        (StudySetup("sin16", {"n_transforms": 3}), "grid key 'n_transforms' must be a list"),
+        (StudySetup("sin16", [3]), "grid must be an object"),
+        (StudySetup("sin16", {"n_transfroms": [3]}), "unknown grid keys: n_transfroms"),
+        (StudySetup("sin16", {}, n_test="50"), "n_test must be an integer"),
+        (StudySetup("sin16", {}, repetitions=0), "repetitions must be >= 1"),
+    ])
+    def test_invalid_setup_is_a_config_error_naming_its_field(self, setup, named):
+        with pytest.raises(ConfigError, match=named):
+            run_study(setup)
+
+    def test_from_dict_fills_the_defaults_and_reads_train_as_config(self):
+        setup = StudySetup.from_dict({"generator": "sin16", "grid": {"k_min": [1, 2]},
+                                      "train": {"mode": "kht"}})
+        assert setup == StudySetup("sin16", {"k_min": [1, 2]}, n_train=1000, n_test=1000,
+                                   repetitions=1, seed=0, config=TrainConfig(mode="kht"))
+        with pytest.raises(ConfigError, match="unknown study keys: config"):
+            StudySetup.from_dict({"generator": "sin16", "grid": {}, "config": {}})
+
     def test_csv_and_json_emission(self):
-        results = run_study({"n_transforms": [1, 2]}, _tiny_setup(),
-                            repetitions=1, seed=5)
+        results = run_study(_tiny_setup({"n_transforms": [1, 2]}, repetitions=1, seed=5))
         csv_buf = io.StringIO()
         write_study_csv(results, csv_buf)
         lines = csv_buf.getvalue().strip().splitlines()

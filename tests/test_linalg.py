@@ -16,7 +16,6 @@ from hte.linalg import (
     gaussian_cross_stack,
     gaussian_gram,
     solve_spd,
-    solve_spd_stack,
     solve_spd_stack_unchecked,
     valid_gamma,
 )
@@ -197,6 +196,14 @@ def _ridge_stack(seed, ridges, m, d, duplicate_share):
     return K, rng.normal(size=(len(ridges), m))
 
 
+def _solve_each(A, B):
+    """``solve_spd`` on every system of a stack, as the stack solver returns them."""
+    solved = [solve_spd(a, b) for a, b in zip(A, B)]
+    return (np.array([x for x, _, _ in solved]).reshape(B.shape),
+            np.array([jitter for _, jitter, _ in solved]),
+            np.array([escalations for _, _, escalations in solved]))
+
+
 class TestSolveSpdStack:
     def test_solved_systems_equal_solve_spd_bitwise(self):
         rng = philox_generator(8)
@@ -204,7 +211,7 @@ class TestSolveSpdStack:
         A = M @ M.transpose(0, 2, 1) + 12 * np.eye(12)
         A = (A + A.transpose(0, 2, 1)) / 2.0
         B = rng.normal(size=(6, 12))
-        X, jitter, escalations = solve_spd_stack(A, B)
+        X, jitter, escalations = solve_spd_stack_unchecked(A, B)
         assert not jitter.any() and not escalations.any()
         for i in range(6):
             assert X[i].tobytes() == solve_spd(A[i], B[i])[0].tobytes()
@@ -213,32 +220,35 @@ class TestSolveSpdStack:
     def test_systems_the_plain_rung_rejects(self):
         # singular, not positive definite: climbs the ladder like the reference
         A, B = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]]), np.ones((2, 2))
-        X, jitter, escalations = solve_spd_stack(A, B)
+        X, jitter, escalations = solve_spd_stack_unchecked(A, B)
         np.testing.assert_array_equal(X[0], [1.0, 1.0])
         assert jitter[0] == 0.0 and escalations[0] == 0
         x, expected_jitter, expected_escalations = _reference_solve_spd(A[1], B[1])
         assert escalations[1] == expected_escalations > 0
         assert jitter[1] == expected_jitter
         assert X[1].tobytes() == x.tobytes()
+        x_alone, jitter_alone, escalations_alone = solve_spd(A[1], B[1])
+        assert x_alone.tobytes() == x.tobytes()
+        assert (jitter_alone, escalations_alone) == (expected_jitter, expected_escalations)
         # not symmetric within 1e-10, though its residual would pass
-        A = np.stack([np.eye(2), np.eye(2)])
-        A[1, 0, 1] = 1e-9
+        A = np.eye(2)
+        A[0, 1] = 1e-9
         with pytest.raises(ConfigError, match="not symmetric"):
-            solve_spd_stack(A, np.ones((2, 2)))
+            solve_spd(A, np.ones(2))
         # a matrix or a right-hand side that is not finite is never solved
-        A = np.stack([np.eye(2), np.eye(2)])
-        A[1, 1, 1] = np.inf
-        with pytest.raises(IllConditionedError, match="system 1 is not finite"):
-            solve_spd_stack(A, np.ones((2, 2)))
-        B = np.ones((2, 2))
-        B[1, 0] = np.nan
-        with pytest.raises(IllConditionedError, match="system 1 is not finite"):
-            solve_spd_stack(np.stack([np.eye(2), np.eye(2)]), B)
+        A = np.eye(2)
+        A[1, 1] = np.inf
+        with pytest.raises(IllConditionedError, match="system is not finite"):
+            solve_spd(A, np.ones(2))
+        b = np.ones(2)
+        b[0] = np.nan
+        with pytest.raises(IllConditionedError, match="system is not finite"):
+            solve_spd(np.eye(2), b)
 
     def test_zero_right_hand_side_is_solved(self):
-        X, jitter, escalations = solve_spd_stack(np.stack([2.0 * np.eye(3)]), np.zeros((1, 3)))
-        np.testing.assert_array_equal(X, np.zeros((1, 3)))
-        assert jitter.tolist() == [0.0] and escalations.tolist() == [0]
+        x, jitter, escalations = solve_spd(2.0 * np.eye(3), np.zeros(3))
+        np.testing.assert_array_equal(x, np.zeros(3))
+        assert (jitter, escalations) == (0.0, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(ridges=st.lists(st.sampled_from([1.0, 1e-3, 1e-12]), min_size=1, max_size=6),
@@ -252,14 +262,16 @@ class TestSolveSpdStack:
         try:
             expected = [_reference_solve_spd(a, b) for a, b in zip(A, B)]
         except IllConditionedError:
-            with pytest.raises(IllConditionedError):
-                solve_spd_stack(A, B)
+            for solve in (_solve_each, solve_spd_stack_unchecked):
+                with pytest.raises(IllConditionedError):
+                    solve(A, B)
             return
-        X, jitter, escalations = solve_spd_stack(A, B)
-        for i, (x, expected_jitter, expected_escalations) in enumerate(expected):
-            assert X[i].tobytes() == x.tobytes()
-            assert jitter[i] == expected_jitter
-            assert escalations[i] == expected_escalations
+        for solve in (_solve_each, solve_spd_stack_unchecked):
+            X, jitter, escalations = solve(A, B)
+            for i, (x, expected_jitter, expected_escalations) in enumerate(expected):
+                assert X[i].tobytes() == x.tobytes()
+                assert jitter[i] == expected_jitter
+                assert escalations[i] == expected_escalations
 
     @settings(max_examples=60, deadline=None)
     @given(ridges=st.lists(st.sampled_from([1.0, 1e-3, 1e-12]), min_size=1, max_size=6),
@@ -275,11 +287,11 @@ class TestSolveSpdStack:
         try:
             expected = [_reference_solve_spd(a, b, _potrf_potrs_rung) for a, b in zip(A, B)]
         except IllConditionedError:
-            for solve in (solve_spd_stack, solve_spd_stack_unchecked):
+            for solve in (_solve_each, solve_spd_stack_unchecked):
                 with pytest.raises(IllConditionedError):
                     solve(A, B)
             return
-        for solve in (solve_spd_stack, solve_spd_stack_unchecked):
+        for solve in (_solve_each, solve_spd_stack_unchecked):
             X, jitter, escalations = solve(A, B)
             for i, (x, expected_jitter, expected_escalations) in enumerate(expected):
                 assert X[i].tobytes() == x.tobytes()
@@ -289,13 +301,14 @@ class TestSolveSpdStack:
     def test_drawn_stacks_reach_the_ladder(self):
         # drawn stacks reach the ladder, and only the systems that need it escalate
         A, B = _ridge_stack(3, [1.0, 1e-12, 1.0, 1e-12], 8, 2, 0.5)
-        _, _, escalations = solve_spd_stack(A, B)
+        _, _, escalations = solve_spd_stack_unchecked(A, B)
         assert escalations[[0, 2]].tolist() == [0, 0] and escalations[[1, 3]].all()
+        assert _solve_each(A, B)[2].tolist() == escalations.tolist()
 
     def test_trace_that_overflows_exhausts_the_ladder_without_a_warning(self):
         # finite and singular, so the ladder starts, but its jitter is inf
         with pytest.raises(IllConditionedError, match="escalation to inf"):
-            solve_spd_stack(np.full((1, 2, 2), 1e308), np.ones((1, 2)))
+            solve_spd(np.full((2, 2), 1e308), np.ones(2))
 
 
 class TestSolveSpd:

@@ -425,6 +425,16 @@ def test_kernel_value_not_finite_is_corrupt(field):
         deserialize_model(serialize_model(model))
 
 
+def test_kernel_coefficients_whose_sum_overflows_are_corrupt():
+    # each finite, but a cell's K @ alpha could overflow: it predicted NaN
+    ds = gen_counter3d(600, seed=1)
+    model = train_ensemble(ds, TrainConfig(mode="kht", n_transforms=2, master_seed=1))
+    alpha = model.members[0].model.alpha
+    model.members[0].model.alpha = np.where(np.arange(len(alpha)) % 2, -1e308, 1e308)
+    with pytest.raises(DataError, match="corrupt: kernel coefficients sum past the float range"):
+        deserialize_model(serialize_model(model))
+
+
 def _set_header_value(model, field, value):
     """``gamma`` and ``clip_bound`` are written once, in the header."""
     if field == "gamma":
