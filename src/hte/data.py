@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .rng import STREAM_DATA, philox_generator, standard_normal
+from .transform import rowwise
 
 NOISE_STD = 0.1  # observation noise of both synthetic generators
 
@@ -31,8 +32,8 @@ class Dataset:
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
-            raise DataError("X must be (n, d) and y (n,) with matching n")
+        if X.ndim != 2 or X.shape[1] < 1 or y.ndim != 1 or len(X) != len(y):
+            raise DataError("X must be (n, d) with d >= 1 and y (n,) with matching n")
         if len(y) < 1:
             raise DataError("dataset is empty")
         if not np.isfinite(X).all() or not np.isfinite(y).all():
@@ -69,13 +70,17 @@ class Standardizer:
         return self.target_mean is not None
 
     def transform(self, X: np.ndarray) -> np.ndarray:
+        """``(X - mean) / std`` of one point (d,) or a batch (n, d), with the
+        bits of the broadcast but on widened rows (``transform.rowwise``): a
+        new array, C-ordered whatever the layout of X."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != len(self.mean):
             raise DataError(
                 f"feature dimension mismatch: model expects d={len(self.mean)}, "
                 f"data has d={X.shape[-1]}"
             )
-        return (X - self.mean) / self.std
+        out = rowwise(np.subtract, X, self.mean)
+        return rowwise(np.divide, out, self.std, out=out)
 
     def transform_target(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
@@ -117,16 +122,18 @@ def read_matrix(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
 
     Blank lines are skipped.  Any cell that does not parse as a finite
     decimal number is a hard error reported with its 1-based row and column;
-    so are text that is not UTF-8 and a cell longer than
-    ``csv.field_size_limit()``.
+    so are text that is not UTF-8, a cell longer than
+    ``csv.field_size_limit()`` and a header with more or fewer cells than
+    the rows.
 
     The file is read once.  Text with no ``"``, at least one data row and no
     line longer than the field limit is first parsed by ``np.loadtxt``, and
     that matrix is returned only if it has one row per non-empty line and
-    every value is finite: then it equals what the ``csv.reader`` loop
-    (``_parse_rows``) returns.  Anything else (a parse error, a ragged row,
-    a whitespace-only line, a quote, a non-finite value, ``1_0``) runs that
-    loop on the same text, which accepts or reports it as it always has.
+    every value is finite and the header is as wide as the rows: then it
+    equals what the ``csv.reader`` loop (``_parse_rows``) returns.  Anything
+    else (a parse error, a ragged row, a whitespace-only line, a quote, a
+    non-finite value, ``1_0``, a header of another width) runs that loop on
+    the same text, which accepts or reports it.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -158,6 +165,8 @@ def _parse_fast(text: str, has_header: bool) -> tuple[np.ndarray, list[str] | No
     # every non-empty line is a csv.reader row: a line loadtxt skipped would shift them
     if len(values) != len(lines) or not np.isfinite(values).all():
         return None
+    if header is not None and len(header) != values.shape[1]:  # the row loop reports it
+        return None
     return values, header
 
 
@@ -178,6 +187,8 @@ def _parse_rows(path, text: str, has_header: bool) -> tuple[np.ndarray, list[str
             raise DataError(f"{path}: no data rows after header")
     offset = 2 if has_header else 1
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise DataError(f"{path}: header width {len(header)} != row width {width}")
     values = np.empty((len(rows), width), dtype=np.float64)
     for r, row in enumerate(rows):
         if len(row) != width:
@@ -217,7 +228,7 @@ def target_column(path, header: list[str] | None, width: int,
         raise DataError(f"{path}: target column {target!r} not found in header")
     else:
         index = int(target)
-    if not 0 <= index < width:  # a header may be wider than the rows
+    if not 0 <= index < width:
         raise DataError(f"{path}: target index {index} out of range for {width} columns")
     by_index = not isinstance(target, str) or target.isdecimal() and int(target) == index
     return index, index if by_index else target

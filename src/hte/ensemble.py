@@ -30,7 +30,7 @@ from .local_models import fit_kernel_cell  # noqa: F401  (benchmarks/perf.py tra
 from .partition import AdaptiveTree, GridPartition, assign_many, build_grid, grow_adaptive
 from .partition import build_adaptive  # noqa: F401  (benchmarks/perf.py traces it here)
 from .rng import STREAM_CANDIDATE0, STREAM_ROTATION, STREAM_SPLIT, member_generator
-from .transform import HistogramTransform, sample_rotation, sample_stretch
+from .transform import HistogramTransform, first_nonfinite_row, sample_rotation, sample_stretch
 
 MODES = ("nht", "kht")
 PARTITIONS = ("grid", "adaptive")
@@ -374,11 +374,11 @@ def _standardize_queries(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
     Raises ``DataError`` naming the first query row that has a NaN or inf
     or overflows to inf when standardized.
     """
-    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     with np.errstate(over="ignore"):
         X_std = model.standardizer.transform(X)
-    if not np.isfinite(X_std).all():  # NaN and inf stay non-finite when standardized
-        row = int(np.argmin(np.isfinite(X_std).all(axis=1)))
+    row = first_nonfinite_row(X_std)  # NaN and inf stay non-finite when standardized
+    if row is not None:
         finite_input = np.isfinite(X[row]).all()
         problem = "overflows when standardized" if finite_input else "has a non-finite feature"
         raise DataError(f"query row {row} {problem}")

@@ -104,6 +104,9 @@ class StudySetup:
             check_type(name, getattr(self, name), "int")
         for key, values in check_type("grid", self.grid, "dict").items():
             check_type(f"grid key {key!r}", values, "list")
+            if key in _SETUP_KEYS:
+                for value in values:
+                    check_type(f"grid value of {key!r}", value, "int")
         unknown = set(self.grid) - {f.name for f in fields(TrainConfig)} - _SETUP_KEYS - {"pair"}
         if unknown:
             raise ConfigError(f"unknown grid keys: {', '.join(sorted(map(str, unknown)))}")
@@ -135,7 +138,7 @@ def _apply_point(setup: StudySetup, point: dict) -> StudySetup:
     setup_updates = {}
     for key, value in point.items():
         if key in _SETUP_KEYS:
-            setup_updates[key] = int(value)
+            setup_updates[key] = value
         elif key == "pair":
             config_updates["s_min"] = float(value[0])
             config_updates["s_max"] = float(value[1])

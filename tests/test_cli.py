@@ -726,7 +726,7 @@ _EXIT_CASES = [
      lambda t, d, m: _train(t, _text(t / "bad.csv", "x,y\n3,oops\n"))),
     ("train-unwritable-out", 2, _ABSENT,
      lambda t, d, m: ["train", "--data", d, "--target", "y", "--out", str(t / "no" / "m.hte")]),
-    ("train-header-wider-than-rows", 2, "target index 2 out of range for 2 columns",
+    ("train-header-wider-than-rows", 2, "header width 3 != row width 2",
      lambda t, d, m: _train(t, _text(t / "wide.csv", "x,z,y\n1,2\n3,4\n"))),
     ("train-fails", 3, "empty",
      lambda t, d, m: _train(t, _text(t / "tiny.csv", "x,y\n0.1,1\n0.9,2\n"), n_candidates=5)),
@@ -742,6 +742,11 @@ _EXIT_CASES = [
     # the stored target's column in place of a feature is not read as one
     ("predict-target-in-place-of-a-feature", 2, "feature dimension mismatch",
      lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "y.csv", "y\n0.5\n")]),
+    # a header of another width than the rows would let the columns be misread
+    ("predict-header-wider-than-rows", 2, "header width 2 != row width 1",
+     lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "h.csv", "a,b\n0.5\n")]),
+    ("predict-header-narrower-than-rows", 2, "header width 1 != row width 2",
+     lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "h.csv", "y\n0.5,0.2\n")]),
     ("predict-unwritable-out", 2, _ABSENT,
      lambda t, d, m: ["predict", "--model", m, "--data", d, "--out", str(t / "no" / "p.csv")]),
     ("bench-unknown-preset", 1, "warp-speed", lambda t, d, m: ["bench", "warp-speed"]),
@@ -764,6 +769,8 @@ _EXIT_CASES = [
      lambda t, d, m: _study(t, grid={"n_transfroms": [1]})),
     ("study-grid-value-not-list", 1, "n_transforms",
      lambda t, d, m: _study(t, grid={"n_transforms": 2})),
+    ("study-grid-size-not-int", 1, "grid value of 'n_train'",
+     lambda t, d, m: _study(t, grid={"n_train": [60, 50.9]})),
     ("study-unwritable-out", 2, _ABSENT,
      lambda t, d, m: _study(t) + ["--out", str(t / "no" / "t.csv")]),
     ("study-unwritable-json-out", 2, _ABSENT,

@@ -35,6 +35,10 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.zeros((0, 2)), np.zeros(0))
 
+    def test_rejects_no_feature_columns(self):
+        with pytest.raises(DataError, match="d >= 1"):
+            Dataset(np.zeros((3, 0)), np.zeros(3))
+
 
 class TestLoadCsv:
     def test_header_and_named_target(self, tmp_path):
@@ -89,6 +93,19 @@ class TestLoadCsv:
         path.write_text("a,t\n1,2\n3\n")
         with pytest.raises(DataError, match="row 3"):
             load_csv(path, target="t")
+
+    # a plain file takes np.loadtxt's path, a quoted cell the csv.reader loop
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("header,named", [("x1,x2", "header width 2 != row width 3"),
+                                              ("x1,x2,x3,y", "header width 4 != row width 3")])
+    def test_header_of_another_width_is_a_data_error(self, tmp_path, quote, header, named):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\n{quote}1{quote},2,3\n4,5,6\n")
+        for load in (lambda: read_matrix(path, has_header=True),
+                     lambda: load_csv(path, target="x2")):
+            with pytest.raises(DataError, match=named):
+                load()
+        assert _parse_fast(path.read_text(), has_header=True) is None
 
     def test_named_target_requires_header(self, tmp_path):
         path = tmp_path / "plain.csv"

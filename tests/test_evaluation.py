@@ -167,6 +167,9 @@ class TestRunStudy:
         (StudySetup("sin16", {"n_transfroms": [3]}), "unknown grid keys: n_transfroms"),
         (StudySetup("sin16", {}, n_test="50"), "n_test must be an integer"),
         (StudySetup("sin16", {}, repetitions=0), "repetitions must be >= 1"),
+        # checked before the first point trains, not truncated by int()
+        (StudySetup("sin16", {"n_train": [60, 50.9]}), "grid value of 'n_train' must be an int"),
+        (StudySetup("sin16", {"n_test": [20, True]}), "grid value of 'n_test' must be an int"),
     ])
     def test_invalid_setup_is_a_config_error_naming_its_field(self, setup, named):
         with pytest.raises(ConfigError, match=named):

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hte.data import Standardizer
 from hte.errors import ConfigError, DataError
 from hte.rng import philox_generator
 from hte.transform import (
+    _ROW_WIDTH,
     HistogramTransform,
     apply_transform,
     bin_key,
     cell_volume,
+    rowwise,
     sample_rotation,
     sample_stretch,
     sample_transform,
@@ -207,6 +212,61 @@ class TestBinKey:
         same_key = (keys_x == keys_y).all(axis=1)
         same_floor = (floors_x == floors_y).all(axis=1)
         np.testing.assert_array_equal(same_key, same_floor)
+
+
+_SPECIALS = np.array([1e300, -1e300, np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324])
+
+
+class TestRowwise:
+    """The per-feature ops on widened rows keep the bits of numpy's broadcast."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 40), n=st.one_of(st.none(), st.integers(0, 3000)),
+           seed=st.integers(0, 2**32 - 1), specials=st.sampled_from([0.0, 0.01, 0.3]),
+           op=st.sampled_from([np.subtract, np.divide, np.multiply, np.add]),
+           in_place=st.booleans())
+    # a batch of fewer rows than one wide row, and one with leftover rows, at d=3 and d=12
+    @example(d=3, n=100, seed=1, specials=0.0, op=np.divide, in_place=False)
+    @example(d=12, n=2 * (_ROW_WIDTH // 12) + 5, seed=2, specials=0.01, op=np.subtract,
+             in_place=True)
+    def test_equals_the_broadcast(self, d, n, seed, specials, op, in_place):
+        """n=None draws one point of shape (d,)."""
+        rng = philox_generator(seed)
+        shape = (d,) if n is None else (n, d)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+        v = rng.normal(size=d) * 10.0 ** rng.integers(-5, 6, size=d)
+        for a in (x, v):  # a share of the entries become huge, infinite, NaN or zero
+            hit = rng.random(a.shape) < specials
+            a[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+        with np.errstate(all="ignore"):
+            expected = op(x, v)
+            got = rowwise(op, x, v, out=x if in_place else None)
+        assert got.shape == expected.shape and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        if in_place:
+            assert got is x
+
+    @pytest.mark.parametrize("d", [3, 12])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_every_layout_gets_the_c_ordered_bits(self, d, layout):
+        """Standardizer.transform, apply_transform and bin_key on any layout
+        equal the broadcast formulas on C-ordered rows, and return C rows."""
+        rng = philox_generator(d, 5)
+        n = 3 * (_ROW_WIDTH // d) + 7  # three wide rows and 7 left over
+        big = rng.normal(size=(2 * n, 2 * d))
+        view = {"C": np.ascontiguousarray(big[::2, ::2]),
+                "F": np.asfortranarray(big[::2, ::2]), "strided": big[::2, ::2]}[layout]
+        X = np.ascontiguousarray(view)
+        t = sample_transform(d, 0.2, 0.8, philox_generator(d, 6))
+        standardizer = Standardizer(rng.normal(size=d), rng.random(d) + 0.5)
+        image = np.einsum("ij,...j->...i", t.rotation, X * t.scales)
+        image += t.translation
+        cases = [(standardizer.transform(view), (X - standardizer.mean) / standardizer.std),
+                 (apply_transform(t, view), image),
+                 (bin_key(t, view), np.floor(image).astype(np.int64))]
+        for got, expected in cases:
+            assert got.flags.c_contiguous and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestCellVolume:
