@@ -113,7 +113,8 @@ def _cmd_train(args) -> None:
     t0 = time.perf_counter()
     model = train_ensemble(dataset, config, n_threads=n_threads)
     seconds = time.perf_counter() - t0
-    save_model(model, args.out, {"target": dataset.target_column, "has_header": has_header})
+    model.data_info = {"target": dataset.target_column, "has_header": has_header}
+    save_model(model, args.out)
 
     summary = {
         "mode": config.mode,
@@ -134,14 +135,13 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_predict(args) -> None:
-    data_info = read_metadata(args.model).get("data", {})
     model = load_model(args.model)
-    has_header = False if args.no_header else bool(data_info.get("has_header", True))
+    has_header = False if args.no_header else bool(model.data_info.get("has_header", True))
     X, header = read_matrix(args.data, has_header=has_header)
     # the target column, for the MSE: the one --target names, else the stored
     # target in a file whose header holds its name or that has one column
     # more than the model's features
-    target = args.target if args.target is not None else data_info.get("target")
+    target = args.target if args.target is not None else model.data_info.get("target")
     named = args.target is not None or header is not None and target in header
     y = None
     if named or target is not None and X.shape[1] == model.d + 1:

@@ -192,12 +192,15 @@ class Member:
 
 @dataclass
 class EnsembleModel:
-    """Trained ensemble: members, the shared standardizer, config snapshot."""
+    """Trained ensemble: members, the shared standardizer, config snapshot,
+    and ``data_info``, a JSON object on the training file (``hte train``
+    puts the target column's key and ``has_header`` there)."""
 
     members: list[Member]
     standardizer: Standardizer
     config: TrainConfig
     clip_bound: float
+    data_info: dict = dataclasses.field(default_factory=dict)
 
     @property
     def d(self) -> int:

@@ -1,4 +1,4 @@
-"""Versioned binary model container.
+"""Versioned binary model container, format 5.
 
 Layout (all integers little-endian):
 
@@ -6,19 +6,24 @@ Layout (all integers little-endian):
     standardizer block | one block per member | sha256 of everything above
 
 Arrays are written as a dtype tag (0 = float64, 1 = int64), a u8 rank, u64
-dimensions and raw C-order bytes, so the round trip is bit-exact.  The
-header carries the effective train config, enough to reproduce the model
-byte-for-byte from the same data.  Loading verifies magic, version and
-checksum before touching any payload, then that the header is a JSON
-object with integer ``d`` and ``n_transforms``, an object ``config`` (a
-valid ``TrainConfig``, so a ``gamma`` that training accepts) and a finite
-positive ``clip_bound``, then checks the shapes of the grid key tables,
-tree arrays and regressor arrays against ``d`` and the cell counts, and
-that every value prediction reads is finite (with std positive); a payload
-the model classes reject (a repeated grid key, say) is reported as corrupt
-too.
+dimensions and raw C-order bytes, so the round trip is bit-exact.  Every
+fact has one home, on the model or in this build, so a file the writer made
+loads and saves to the same bytes.  The header holds this build's
+``format_version``, ``rng`` and ``normal_method``; ``d``, ``n_transforms``
+and ``total_cells`` (for ``read_metadata``; checked against the members);
+``clip_bound``; the effective ``config``, enough to reproduce the model
+byte-for-byte from the same data; and ``data``, the model's ``data_info``.
+Loading verifies magic, version and checksum before touching any payload,
+then those header values and each field's JSON type, a valid ``config``
+(so a ``gamma`` that training accepts) and a finite positive
+``clip_bound``, then checks the shapes of the standardizer, grid key
+tables, tree arrays and regressor arrays against ``d`` and the cell counts,
+and that every value prediction reads is finite (with std positive); a
+payload the model classes reject (a repeated grid key, say) is reported as
+corrupt too.
 
-A member is its partition block then its regressor block.  A grid block
+A member is its partition block then its regressor block, untagged: the
+config's ``partition`` and ``mode`` give their kinds.  A grid block
 holds the transform and the ``(n_cells, d)`` key table; a tree block holds
 the ``(d, d)`` rotation and the breadth-first node arrays ``split_dim`` and
 ``threshold``.  Every member's regressor is a ``KernelCellModel``; its
@@ -40,7 +45,7 @@ import struct
 import numpy as np
 
 from .data import Standardizer
-from .ensemble import EnsembleModel, Member, TrainConfig
+from .ensemble import EnsembleModel, Member, TrainConfig, check_type
 from .errors import ConfigError, DataError
 from .local_models import KernelCellModel
 from .partition import AdaptiveTree, GridPartition
@@ -48,18 +53,18 @@ from .rng import NORMAL_METHOD, RNG_ALGORITHM
 from .transform import HistogramTransform
 
 MAGIC = b"HTEN"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _CHECKSUM_BYTES = 32
 
 _DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64)}
 _TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
 
-# header fields the loader reads, with the JSON types they must have
-_HEADER_FIELDS = {"d": (int,), "n_transforms": (int,), "config": (dict,),
-                  "clip_bound": (float, int)}
-
-_PARTITION_GRID = 0
-_PARTITION_TREE = 1
+# header fields every file of this build holds with these values
+_HEADER_CONSTANTS = {"format_version": FORMAT_VERSION, "rng": RNG_ALGORITHM,
+                     "normal_method": NORMAL_METHOD}
+# header fields the loader reads or checks, with their JSON types
+_HEADER_FIELDS = {"d": "int", "n_transforms": "int", "total_cells": "int", "config": "dict",
+                  "clip_bound": "float", "data": "dict"}
 
 
 def _w_u8(buf: io.BytesIO, v: int) -> None:
@@ -138,8 +143,10 @@ def _write_standardizer(buf: io.BytesIO, stz: Standardizer) -> None:
         _w_f64(buf, stz.target_std)
 
 
-def _read_standardizer(r: _Reader) -> Standardizer:
+def _read_standardizer(r: _Reader, d: int) -> Standardizer:
     stz = Standardizer(r.array(), r.array())
+    _require(all(v.dtype == np.float64 and v.shape == (d,) for v in (stz.mean, stz.std)),
+             f"standardizer mean or std is not float64 of shape ({d},)")
     if r.u8():
         stz.target_mean, stz.target_std = r.f64(), r.f64()
         _require_finite("standardizer target statistics", stz.target_mean, stz.target_std)
@@ -149,9 +156,18 @@ def _read_standardizer(r: _Reader) -> Standardizer:
     return stz
 
 
-def _write_partition(buf: io.BytesIO, part) -> None:
+def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel) -> None:
+    # the loader takes what the blocks leave out from the header: the kinds
+    # of partition and regressor, gamma and clip_bound
+    part, model, config = member.partition, member.model, ensemble.config
+    kernel = config.mode == "kht"
+    if isinstance(part, GridPartition) != (config.partition == "grid"):
+        raise DataError("a member's partition kind differs from the ensemble's")
+    if (model.gamma, model.clip_bound) != (config.gamma, ensemble.clip_bound):
+        raise DataError("a member's gamma or clip_bound differs from the ensemble's")
+    if not kernel and len(model.alpha):
+        raise DataError("an nht member cannot hold kernel cells")
     if isinstance(part, GridPartition):
-        _w_u8(buf, _PARTITION_GRID)
         t = part.transform
         _w_array(buf, t.rotation)
         _w_array(buf, t.scales)
@@ -160,15 +176,18 @@ def _write_partition(buf: io.BytesIO, part) -> None:
         _w_f64(buf, t.h_upper)
         _w_array(buf, part.keys)
     else:
-        _w_u8(buf, _PARTITION_TREE)
         _w_array(buf, part.rotation)
         _w_array(buf, part.split_dim)
         _w_array(buf, part.threshold)
+    _w_f64(buf, model.fallback)
+    _w_array(buf, model.means)
+    if kernel:
+        for arr in (model.offsets, model.support, model.alpha):
+            _w_array(buf, arr)
 
 
-def _read_partition(r: _Reader, d: int):
-    kind = r.u8()
-    if kind == _PARTITION_GRID:
+def _read_member(r: _Reader, d: int, config: TrainConfig, clip_bound: float) -> Member:
+    if config.partition == "grid":
         rotation = r.array()
         scales = r.array()
         translation = r.array()
@@ -182,39 +201,20 @@ def _read_partition(r: _Reader, d: int):
             f"grid key table of shape {keys.shape} is not (n_cells, {d}) int64",
         )
         transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)
-        return GridPartition(transform, keys)
-    if kind != _PARTITION_TREE:
-        raise DataError(f"unknown partition tag {kind}")
-    rotation = r.array()
-    _require(rotation.shape == (d, d),
-             f"tree rotation of shape {rotation.shape} is not ({d}, {d})")
-    tree = AdaptiveTree(rotation, split_dim=r.array(), threshold=r.array())
-    _require_finite("tree rotation or internal threshold",
-                    rotation, tree.threshold[tree.split_dim >= 0])
-    return tree
-
-
-def _write_model(buf: io.BytesIO, model: KernelCellModel, ensemble: EnsembleModel) -> None:
-    # what the block leaves out, the loader takes from the header
-    kernel = ensemble.config.mode == "kht"
-    if (model.gamma, model.clip_bound) != (ensemble.config.gamma, ensemble.clip_bound):
-        raise DataError("a member's gamma or clip_bound differs from the ensemble's")
-    if not kernel and len(model.alpha):
-        raise DataError("an nht member cannot hold kernel cells")
-    _w_f64(buf, model.fallback)
-    _w_array(buf, model.means)
-    if kernel:
-        for arr in (model.offsets, model.support, model.alpha):
-            _w_array(buf, arr)
-
-
-def _read_model(r: _Reader, d: int, n_cells: int, kernel: bool, gamma: float,
-                clip_bound: float) -> KernelCellModel:
+        part = GridPartition(transform, keys)
+    else:
+        rotation = r.array()
+        _require(rotation.shape == (d, d),
+                 f"tree rotation of shape {rotation.shape} is not ({d}, {d})")
+        part = AdaptiveTree(rotation, split_dim=r.array(), threshold=r.array())
+        _require_finite("tree rotation or internal threshold",
+                        rotation, part.threshold[part.split_dim >= 0])
+    n_cells = part.n_cells
     fallback, means = r.f64(), r.array()
     _require(means.dtype == np.float64 and means.shape == (n_cells,),
              f"cell means are not float64 of shape ({n_cells},)")
     _require_finite("fallback or cell means", fallback, means)
-    if kernel:
+    if config.mode == "kht":
         offsets, support, alpha = r.array(), r.array(), r.array()
         _require(alpha.ndim == 1, "kernel coefficients are not a vector")
         _require(
@@ -233,31 +233,26 @@ def _read_model(r: _Reader, d: int, n_cells: int, kernel: bool, gamma: float,
     else:
         offsets = np.zeros(n_cells + 1, dtype=np.int64)
         support, alpha = np.empty((0, d)), np.empty(0)
-    return KernelCellModel(
+    return Member(part, KernelCellModel(
         offsets=offsets,
         support=support,
         alpha=alpha,
         means=means,
-        gamma=gamma,
+        gamma=config.gamma,
         clip_bound=clip_bound,
         fallback=fallback,
-    )
+    ))
 
 
-def serialize_model(model: EnsembleModel, data_info: dict | None = None) -> bytes:
+def serialize_model(model: EnsembleModel) -> bytes:
     header = {
-        "format_version": FORMAT_VERSION,
-        "mode": model.config.mode,
-        "partition": model.config.partition,
+        **_HEADER_CONSTANTS,
         "d": model.d,
         "n_transforms": model.n_transforms,
-        "seed": model.config.master_seed,
-        "rng": RNG_ALGORITHM,
-        "normal_method": NORMAL_METHOD,
-        "clip_bound": model.clip_bound,
         "total_cells": model.total_cells,
+        "clip_bound": model.clip_bound,
         "config": model.config.to_dict(),
-        "data": data_info or {},
+        "data": model.data_info,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     buf = io.BytesIO()
@@ -267,18 +262,18 @@ def serialize_model(model: EnsembleModel, data_info: dict | None = None) -> byte
     buf.write(header_bytes)
     _write_standardizer(buf, model.standardizer)
     for member in model.members:
-        _write_partition(buf, member.partition)
-        _write_model(buf, member.model, model)
+        _write_member(buf, member, model)
     payload = buf.getvalue()
     return payload + hashlib.sha256(payload).digest()
 
 
-def save_model(model: EnsembleModel, path, data_info: dict | None = None) -> None:
+def save_model(model: EnsembleModel, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(serialize_model(model, data_info))
+        fh.write(serialize_model(model))
 
 
-def _verify(data: bytes) -> dict:
+def _verify(data: bytes) -> tuple[dict, int]:
+    """The checked header of a model file and the offset of its payload."""
     if len(data) < len(MAGIC) + 4 + 8 + _CHECKSUM_BYTES:
         raise DataError("not a model file (too short)")
     if data[: len(MAGIC)] != MAGIC:
@@ -296,49 +291,46 @@ def _verify(data: bytes) -> dict:
     start = len(MAGIC) + 4 + 8
     try:
         header = json.loads(data[start : start + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+    except (ValueError, RecursionError) as exc:  # a too long integer; nested too deep
         raise DataError(f"model file corrupt: header is not JSON ({exc})") from exc
     _require(isinstance(header, dict), "header is not a JSON object")
-    for key, kinds in _HEADER_FIELDS.items():
-        value = header.get(key)
-        _require(isinstance(value, kinds) and not isinstance(value, bool),
-                 f"header field {key!r} is missing or not {kinds[0].__name__}")
+    for key, value in _HEADER_CONSTANTS.items():
+        _require(header.get(key) == value, f"header field {key!r} is not {value!r}")
+    try:
+        for key, kind in _HEADER_FIELDS.items():
+            _require(key in header, f"header field {key!r} is missing")
+            check_type(f"header field {key!r}", header[key], kind)
+    except ConfigError as exc:
+        raise DataError(f"model file corrupt: {exc}") from exc
     _require(header["d"] >= 1 and header["n_transforms"] >= 1,
              "header d and n_transforms must be >= 1")
     _require(0 < header["clip_bound"] < math.inf, "header clip_bound must be finite and positive")
-    _require(isinstance(header.get("data", {}), dict), "header field 'data' is not an object")
-    header["_payload_offset"] = start + header_len
-    return header
+    return header, start + header_len
 
 
 def read_metadata(path) -> dict:
     """Header of a model file (verified), without loading the members."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    header = _verify(data)
-    header.pop("_payload_offset")
-    return header
+        return _verify(fh.read())[0]
 
 
 def deserialize_model(data: bytes) -> EnsembleModel:
-    header = _verify(data)
-    reader = _Reader(data[:-_CHECKSUM_BYTES], header.pop("_payload_offset"))
+    header, offset = _verify(data)
+    reader = _Reader(data[:-_CHECKSUM_BYTES], offset)
     d = header["d"]
-    members = []
     try:
         config = TrainConfig.from_dict(header["config"])
-        standardizer = _read_standardizer(reader)
-        kernel = config.mode == "kht"
-        for _ in range(header["n_transforms"]):
-            partition = _read_partition(reader, d)
-            model = _read_model(reader, d, partition.n_cells, kernel, config.gamma,
-                                header["clip_bound"])
-            members.append(Member(partition, model))
+        standardizer = _read_standardizer(reader, d)
+        members = [_read_member(reader, d, config, header["clip_bound"])
+                   for _ in range(header["n_transforms"])]
     except ConfigError as exc:  # the config, a transform or a tree rejected the file
         raise DataError(f"model file corrupt: {exc}") from exc
     _require(reader.pos == len(reader.data),
              f"{len(reader.data) - reader.pos} trailing bytes after the last member")
-    return EnsembleModel(members, standardizer, config, header["clip_bound"])
+    model = EnsembleModel(members, standardizer, config, header["clip_bound"], header["data"])
+    _require(model.total_cells == header["total_cells"],
+             f"header total_cells {header['total_cells']} != the members' {model.total_cells}")
+    return model
 
 
 def load_model(path) -> EnsembleModel:

@@ -24,7 +24,7 @@ from hte.ensemble import TrainConfig
 from hte.errors import ConfigError, DataError
 from hte.evaluation import StudySetup, mse, run_study, write_study_csv
 from hte.rng import philox_generator
-from hte.serialize import FORMAT_VERSION, load_model, read_metadata, save_model
+from hte.serialize import FORMAT_VERSION, load_model, read_metadata, save_model, serialize_model
 
 
 def _write_sin_csv(path, n=300, seed=4):
@@ -169,7 +169,17 @@ class TestTrain:
         out = tmp_path / "m.hte"
         assert main(["train", "--config", cfg, "--data", sin_csv, "--out", str(out),
                      "--seed", "99"]) == 0
-        assert read_metadata(out)["seed"] == 99
+        assert read_metadata(out)["config"]["master_seed"] == 99
+
+    @pytest.mark.parametrize("mode", ["nht", "kht"])
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_model_file_loads_and_saves_to_the_same_bytes(self, tmp_path, sin_csv, mode,
+                                                          partition):
+        cfg = _write_config(tmp_path / "cfg.json", mode=mode, partition=partition,
+                            n_transforms=2, min_samples_split=50, target="y")
+        out = tmp_path / "m.hte"
+        assert main(["train", "--config", cfg, "--data", sin_csv, "--out", str(out)]) == 0
+        assert serialize_model(load_model(out)) == out.read_bytes()
 
     @pytest.mark.parametrize("header, target, column, recorded", [
         ("3,2,1,0", "0", 3, "0"),  # a header name, though it reads as an index
@@ -262,6 +272,46 @@ class TestPredict:
                      "--out", str(out)]) == 0
         return out
 
+    def test_headerless_model_saved_again_predicts_every_row(self, tmp_path, capsys):
+        # a library save used to drop the stored has_header, so predict read
+        # the first row of a headerless file as its header
+        ds = gen_counter3d(500, seed=11)
+        train_csv, features_csv = tmp_path / "train.csv", tmp_path / "features.csv"
+        np.savetxt(train_csv, np.column_stack([ds.X, ds.y]), delimiter=",")
+        np.savetxt(features_csv, ds.X, delimiter=",")
+        cfg = _write_config(tmp_path / "cfg.json", has_header=False, target=3)
+        trained, saved = tmp_path / "trained.hte", tmp_path / "saved.hte"
+        assert main(["train", "--config", cfg, "--data", str(train_csv),
+                     "--out", str(trained)]) == 0
+        save_model(load_model(trained), saved)
+        assert saved.read_bytes() == trained.read_bytes()
+        for model in (trained, saved):
+            out = tmp_path / f"{model.stem}.csv"
+            assert main(["predict", "--model", str(model), "--data", str(features_csv),
+                         "--out", str(out)]) == 0
+        assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "trained.csv").read_bytes()
+        assert np.loadtxt(tmp_path / "saved.csv", skiprows=1).shape == (500,)
+        capsys.readouterr()  # discard the train summary
+        # the file that also holds the target: its MSE, not a dimension mismatch
+        assert main(["predict", "--model", str(saved), "--data", str(train_csv),
+                     "--out", str(tmp_path / "with_target.csv"), "--json"]) == 0
+        expected = lib_predict(load_model(saved), ds.X)
+        assert json.loads(capsys.readouterr().out)["mse"] == mse(expected, ds.y)
+
+    def test_model_file_is_read_once(self, tmp_path, sin_csv, monkeypatch):
+        model_path = self._trained(tmp_path, sin_csv)
+        out = tmp_path / "preds.csv"
+        args = ["predict", "--model", str(model_path), "--data", sin_csv, "--out", str(out)]
+        assert main(args) == 0
+        expected = out.read_bytes()
+
+        def header_read(path):
+            raise AssertionError("predict read the model header on its own")
+
+        monkeypatch.setattr(hte.cli, "read_metadata", header_read)
+        assert main(args) == 0
+        assert out.read_bytes() == expected
+
     def test_training_file_mse_matches_library(self, tmp_path, sin_csv, capsys):
         model_path = self._trained(tmp_path, sin_csv)
         preds_path = tmp_path / "preds.csv"
@@ -343,11 +393,21 @@ class TestPredict:
         pytest.param(lambda h: b"[1, 2]", "header is not a JSON object", id="list"),
         *[pytest.param(lambda h, k=key: _dump({f: v for f, v in h.items() if f != k}),
                        f"header field '{key}' is missing", id=f"no-{key}")
-          for key in ("d", "n_transforms", "config", "clip_bound")],
+          for key in ("d", "n_transforms", "total_cells", "config", "clip_bound", "data")],
         *[pytest.param(lambda h, k=key, v=value: _dump({**h, k: v}),
                        f"header field '{key}'", id=f"{key}={value!r}")
           for key, value in (("d", "1"), ("d", True), ("n_transforms", 2.0),
-                             ("config", []), ("clip_bound", "big"), ("data", [1, 2]))],
+                             ("total_cells", 1.5), ("config", []), ("clip_bound", "big"),
+                             ("data", [1, 2]))],
+        # an integer past the float range used to pass and end in an OverflowError
+        pytest.param(lambda h: _dump({**h, "clip_bound": 10**400}), "header field 'clip_bound'",
+                     id="clip_bound=10**400"),
+        # one with too many digits to convert ended in a ValueError traceback
+        pytest.param(lambda h: _dump({**h, "clip_bound": 0}).replace(
+                         b'"clip_bound": 0', b'"clip_bound": 1' + b"0" * 5000),
+                     "header is not JSON", id="clip_bound=10**5000"),
+        pytest.param(lambda h: _dump({**h, "rng": "mt19937"}),
+                     "header field 'rng' is not 'philox4x64'", id="rng=mt19937"),
         pytest.param(lambda h: _dump({**h, "n_transforms": 0}),
                      "header d and n_transforms must be >= 1", id="n_transforms=0"),
         # a config value of the wrong type used to end in a TypeError traceback

@@ -1,4 +1,3 @@
-import io
 import math
 from collections import deque
 
@@ -22,7 +21,6 @@ from hte.partition import (
     grow_adaptive,
 )
 from hte.rng import philox_generator
-from hte.serialize import _write_partition
 from hte.transform import HistogramTransform, bin_key, sample_rotation, sample_transform
 
 
@@ -511,10 +509,9 @@ class TestBuildAdaptive:
         walked = assign_many(tree, X)
         assert cells.dtype == walked.dtype and cells.tobytes() == walked.tobytes()
 
-        def tree_bytes(tree):
-            buf = io.BytesIO()
-            _write_partition(buf, tree)
-            return buf.getvalue()
+        def tree_bytes(tree):  # what a model file stores of the tree
+            return [(a.dtype, a.shape, a.tobytes())
+                    for a in (tree.rotation, tree.split_dim, tree.threshold)]
 
         assert tree_bytes(tree) == tree_bytes(build_adaptive(rotation, X, min_leaf))
 

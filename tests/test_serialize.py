@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -109,20 +110,45 @@ def test_reserialization_is_byte_stable():
 
 def test_file_round_trip(tmp_path):
     ds, model = _train("nht", "grid")
+    model.data_info = {"target": "y", "has_header": True}
     path = tmp_path / "model.hte"
-    save_model(model, path, {"target": "y", "has_header": True})
+    save_model(model, path)
     loaded = load_model(path)
     np.testing.assert_array_equal(predict(loaded, ds.X), predict(model, ds.X))
+    assert loaded.data_info == {"target": "y", "has_header": True}
 
     metadata = read_metadata(path)
-    assert metadata["format_version"] == FORMAT_VERSION
-    assert metadata["mode"] == "nht"
-    assert metadata["n_transforms"] == 3
-    assert metadata["d"] == 3
-    assert metadata["rng"] == "philox4x64"
-    assert metadata["normal_method"] == "inverse_cdf"
-    assert metadata["data"] == {"target": "y", "has_header": True}
-    assert metadata["config"]["master_seed"] == 42
+    assert metadata == {
+        "format_version": FORMAT_VERSION,
+        "rng": "philox4x64",
+        "normal_method": "inverse_cdf",
+        "d": 3,
+        "n_transforms": 3,
+        "total_cells": model.total_cells,
+        "clip_bound": model.clip_bound,
+        "config": model.config.to_dict(),
+        "data": {"target": "y", "has_header": True},
+    }
+    assert metadata["config"]["mode"] == "nht" and metadata["config"]["master_seed"] == 42
+
+
+@pytest.mark.parametrize("partition", ["grid", "adaptive"])
+def test_member_block_has_no_partition_tag(partition):
+    # the config gives the kind: the first member block opens with its
+    # float64 rank-2 rotation, right after the standardizer block
+    _, model = _train("nht", partition, n=120)
+    blob = serialize_model(model)
+    standardizer_bytes = 2 * (1 + 1 + 8 + 8 * 3) + 1  # mean, std, no target statistics
+    at = _first_array_offset(blob) + standardizer_bytes
+    assert blob[at:at + 2] == bytes([0, 2])
+    assert struct.unpack_from("<QQ", blob, at + 2) == (3, 3)
+
+
+def test_member_partition_kind_must_match_the_config():
+    _, model = _train("nht", "grid", n=120)
+    model.config.partition = "adaptive"
+    with pytest.raises(DataError, match="a member's partition kind differs from the ensemble's"):
+        serialize_model(model)
 
 
 def test_checksum_detects_corruption(tmp_path):
@@ -317,7 +343,7 @@ def test_version_2_file_rejected_by_name():
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 2)
     with pytest.raises(DataError, match=r"unsupported model format version 2 "
-                                        r"\(this build reads version 4\)"):
+                                        r"\(this build reads version 5\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -329,7 +355,19 @@ def test_version_3_file_rejected_by_name(mode):
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 3)
     with pytest.raises(DataError, match=r"unsupported model format version 3 "
-                                        r"\(this build reads version 4\)"):
+                                        r"\(this build reads version 5\)"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+@pytest.mark.parametrize("partition", ["grid", "adaptive"])
+def test_version_4_file_rejected_by_name(partition):
+    # version 4 tagged each partition block and copied mode, partition and
+    # seed into the header; those files must be retrained
+    _, model = _train("nht", partition, n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[4:8] = struct.pack("<I", 4)
+    with pytest.raises(DataError, match=r"unsupported model format version 4 "
+                                        r"\(this build reads version 5\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -495,6 +533,30 @@ def test_standardizer_not_finite_is_corrupt(field, value):
         deserialize_model(serialize_model(model))
 
 
+_STANDARDIZER_SHAPE = r"corrupt: standardizer mean or std is not float64 of shape \(\d+,\)"
+
+
+@pytest.mark.parametrize("field,edit", [
+    # predict used to end in a reshape ValueError
+    pytest.param("std", lambda v: v[:2], id="std-short"),
+    pytest.param("mean", lambda v: np.append(v, 0.0), id="mean-long"),
+    pytest.param("std", lambda v: v[None, :], id="std-rank-2"),
+])
+def test_standardizer_shape_checked(field, edit):
+    _, model = _train("nht", "grid", n=120)
+    setattr(model.standardizer, field, edit(getattr(model.standardizer, field)))
+    with pytest.raises(DataError, match=_STANDARDIZER_SHAPE):
+        deserialize_model(serialize_model(model))
+
+
+def test_standardizer_dtype_checked():
+    _, model = _train("nht", "adaptive", n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[_first_array_offset(blob)] = 1  # the mean's bytes read as int64
+    with pytest.raises(DataError, match=_STANDARDIZER_SHAPE):
+        deserialize_model(_reseal(bytes(blob)))
+
+
 def test_standardizer_std_of_zero_is_corrupt():
     _, model = _train("nht", "adaptive", n=120)
     model.standardizer.std = np.zeros_like(model.standardizer.std)
@@ -535,3 +597,42 @@ def test_array_rank_above_two_is_corrupt():
     blob[_first_array_offset(blob) + 1] = 221
     with pytest.raises(DataError, match="corrupt: array of rank 221 above 2"):
         deserialize_model(_reseal(bytes(blob)))
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """A resealed copy of a model file whose header is ``edit(header)``."""
+    payload = blob[:-32]
+    size = struct.unpack_from("<Q", payload, 8)[0]
+    header = edit(json.loads(payload[16:16 + size]))
+    header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return _reseal(payload[:8] + struct.pack("<Q", len(header)) + header + payload[16 + size:])
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
+       n_transforms=st.integers(1, 3), seed=st.integers(0, 2**16),
+       data_info=st.dictionaries(st.text(), _JSON_VALUES, max_size=4),
+       field=st.sampled_from(["d", "n_transforms", "total_cells"]),
+       delta=st.integers(-3, 3).filter(bool))
+def test_load_then_save_keeps_the_bytes(mode, partition, n_transforms, seed, data_info,
+                                        field, delta):
+    cfg = TrainConfig(mode=mode, partition=partition, n_transforms=n_transforms,
+                      min_samples_split=30, master_seed=seed)
+    model = train_ensemble(gen_counter3d(120, seed=seed), cfg)
+    model.data_info = data_info
+    blob = serialize_model(model)
+    loaded = deserialize_model(blob)
+    assert serialize_model(loaded) == blob
+    assert loaded.data_info == data_info
+    assert serialize_model(deserialize_model(_with_header(blob, dict))) == blob
+    # the header's counts are checked against what the file holds
+    with pytest.raises(DataError):
+        deserialize_model(_with_header(blob, lambda h: {**h, field: h[field] + delta}))
