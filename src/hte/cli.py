@@ -136,12 +136,17 @@ def _cmd_train(args) -> None:
 
 def _cmd_predict(args) -> None:
     model = load_model(args.model)
-    has_header = False if args.no_header else bool(model.data_info.get("has_header", True))
+    try:  # what `hte train` stored, with the types a config gives these keys
+        stored = {k: check_type(k, v, *_CLI_KEYS[k])
+                  for k, v in model.data_info.items() if k in _CLI_KEYS}
+    except ConfigError as exc:
+        raise DataError(f"model file corrupt: stored data: {exc}") from None
+    has_header = False if args.no_header else stored.get("has_header", True)
     X, header = read_matrix(args.data, has_header=has_header)
     # the target column, for the MSE: the one --target names, else the stored
     # target in a file whose header holds its name or that has one column
     # more than the model's features
-    target = args.target if args.target is not None else model.data_info.get("target")
+    target = args.target if args.target is not None else stored.get("target")
     named = args.target is not None or header is not None and target in header
     y = None
     if named or target is not None and X.shape[1] == model.d + 1:

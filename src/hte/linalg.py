@@ -12,7 +12,8 @@ ladder, as a sub-stack: failed factorizations escalate a diagonal jitter
 proportional to the mean eigenvalue before giving up.  ``solve_spd`` checks
 one system for symmetry and finiteness and then solves it with the same
 stack solver, returning its ``(x, jitter, escalations)``.
-Prediction builds the cross kernels of equal-shape cells as one
+Prediction builds the cross kernels of its small cells in one flat pass,
+``gaussian_pairs``, with the elementwise operations of
 ``gaussian_cross_stack``.
 
 SciPy is imported on first use, so that loading the package (and a
@@ -93,6 +94,27 @@ def gaussian_cross_stack(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarr
         diff = A[:, :, None, k] - B[:, None, :, k]
         d2 += np.multiply(diff, diff, out=diff)
     return _exp_scaled(d2, square)
+
+
+def gaussian_pairs(A: np.ndarray, a_rows: np.ndarray, repeats: np.ndarray,
+                   B: np.ndarray, b_rows: np.ndarray, gamma: float) -> np.ndarray:
+    """Kernel values of row pairs, flat: entry k pairs row ``b_rows[k]`` of B
+    with a row of A, row ``a_rows[i]`` taking ``repeats[i]`` entries in turn.
+
+    The squared distances are built one column at a time (a repeat of A's
+    gathered column minus B's) and summed in dimension order, the
+    elementwise operations of ``gaussian_cross_stack``, so each value is
+    its ``gaussian_cross`` entry bit for bit; rows ``1e200`` apart give a
+    kernel value of 0 without a warning.
+    """
+    square = _gamma_square(gamma)
+    d2 = np.zeros(len(b_rows))
+    with np.errstate(over="ignore"):
+        for a, b in zip(A.T, B.T):
+            diff = np.repeat(a[a_rows], repeats)
+            diff -= b[b_rows]
+            d2 += np.multiply(diff, diff, out=diff)
+        return _exp_scaled(d2, square)
 
 
 def gaussian_cross(Xa: np.ndarray, Xb: np.ndarray, gamma: float) -> np.ndarray:

@@ -15,10 +15,12 @@ Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
 memory stays bounded however many cells share a size, and solves each
 stack with one LAPACK ``posv`` call per cell.  Every cell gets the solution
-it would get fitted alone.  Prediction batches the same way, by (queries,
-support size) shape, and every cell gets the values it would get predicted
+it would get fitted alone.  Prediction builds the kernels of all queried
+small cells in one flat pass (chunks of at most ``_STACK_ENTRIES``
+entries), then makes one stacked matrix-vector product per (queries,
+support size) shape; every cell gets the values it would get predicted
 alone.  Fit and predict share one rule, ``_builds_alone``, for the cells
-whose kernel is built by ``cdist`` on its own instead of in a stack.
+whose kernel is built by ``cdist`` on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IllConditionedError
-from .linalg import gaussian_cross, gaussian_cross_stack, solve_spd_stack_unchecked
+from .linalg import gaussian_cross, gaussian_cross_stack, gaussian_pairs
+from .linalg import solve_spd_stack_unchecked
 from .linalg import gaussian_gram, solve_spd  # noqa: F401  (benchmarks/perf.py traces them here)
 
 NO_CELL = -1
@@ -45,8 +48,8 @@ _STACK_CELL_ENTRIES = 1024
 
 def _builds_alone(q, m):
     """True where a cell's (q, m) kernel is built by ``gaussian_cross``
-    (``cdist``) on its own, which beats numpy's per-dimension stack loop
-    there; the rule of fit (q = m) and of predict, on ints or arrays."""
+    (``cdist``) on its own, which beats numpy's per-dimension loops there;
+    the one routing rule of fit (q = m) and of predict, on ints or arrays."""
     return q * m > _STACK_CELL_ENTRIES
 
 
@@ -82,10 +85,13 @@ class KernelCellModel:
 
         Mean cells and unseen rows (``NO_CELL``) are one gather of ``means``
         and one fallback fill; a model without kernel cells does nothing
-        else before the clip.  Queried kernel cells of one (q queries, m support rows)
-        shape that ``_builds_alone`` keeps in stacks are evaluated together,
-        as stacks of at most ``_STACK_ENTRIES`` kernel entries; the other
-        cells one by one.  Either way each cell's values are those of
+        else before the clip.  A queried kernel cell of q queries and m
+        support rows that ``_builds_alone`` picks is evaluated on its own.
+        The others, ordered by (q, m) shape, are evaluated together in
+        chunks of at most ``_STACK_ENTRIES`` kernel entries: one flat pass
+        (``gaussian_pairs``) builds every entry of the chunk, and each shape
+        group is a ``(g, q, m)`` view of it times a ``(g, m, 1)`` stack of
+        coefficients.  Either way each cell's values are those of
         ``gaussian_cross(X[queries], support, gamma) @ alpha`` bit for bit.
         """
         cells = np.asarray(cells, dtype=np.int64)
@@ -111,33 +117,57 @@ class KernelCellModel:
         queried = cells[rows[first]]
         lo = self.offsets[queried]
         m = self.offsets[queried + 1] - lo
-        shape_key = q * (m.max(initial=0) + 1) + m
-        by_shape = np.argsort(shape_key, kind="stable")
-        bounds = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
-        starts, ends = np.r_[0, bounds], np.r_[bounds, len(by_shape)]
-        stacked = ends - starts > 1
-        shared = by_shape[starts[stacked]]
-        stacked[stacked] = ~_builds_alone(q[shared], m[shared])
-        # a finite query far from its cell's support overflows its squared
-        # distances to inf, silently, as on the cdist path: its kernel is 0
-        with np.errstate(over="ignore"):
-            for start, end in zip(starts[stacked].tolist(), ends[stacked].tolist()):
-                group = by_shape[start:end]
-                n_q, n_m = int(q[group[0]]), int(m[group[0]])
-                step = max(1, _STACK_ENTRIES // (n_q * n_m))
-                for at in range(0, len(group), step):
-                    part = group[at : at + step]
-                    query = rows[first[part, None] + np.arange(n_q)]
-                    expansion = lo[part, None] + np.arange(n_m)
-                    K = gaussian_cross_stack(X[query], self.support[expansion], self.gamma)
-                    # per slice, the same BLAS gemv as one cell's ``K @ alpha``
-                    out[query] = np.matmul(K, self.alpha[expansion][:, :, None])[:, :, 0]
-        alone = by_shape[np.repeat(~stacked, ends - starts)]
+        alone = _builds_alone(q, m)
         for at, n_q, base, n_m in zip(first[alone].tolist(), q[alone].tolist(),
                                       lo[alone].tolist(), m[alone].tolist()):
             query = rows[at : at + n_q]
             k = gaussian_cross(X[query], self.support[base : base + n_m], self.gamma)
             out[query] = k @ self.alpha[base : base + n_m]
+        # the other cells in shape order, in chunks of at most _STACK_ENTRIES
+        # kernel entries (and at least one cell)
+        flat = np.flatnonzero(~alone)
+        flat = flat[np.argsort(_shape_key(q, m)[flat], kind="stable")]
+        entries = q[flat] * m[flat]
+        ends = np.cumsum(entries)
+        at = 0
+        while at < len(flat):
+            limit = ends[at] - entries[at] + _STACK_ENTRIES
+            stop = max(at + 1, int(np.searchsorted(ends, limit, side="right")))
+            part = flat[at:stop]
+            self._predict_flat(out, rows[_spans(first[part], q[part])], X,
+                               q[part], lo[part], m[part])
+            at = stop
+
+    def _predict_flat(self, out, query, X, q, lo, m) -> None:
+        """Write the raw values of the cells given in shape order into ``out``
+        at their query rows: every kernel in one flat pass, then one gemv per
+        shape, as ``gaussian_cross(X[rows], support, gamma) @ alpha`` per cell."""
+        m_row = np.repeat(m, q)
+        expansion = _spans(np.repeat(lo, q), m_row)
+        K = gaussian_pairs(X, query, m_row, self.support, expansion, self.gamma)
+        coef = self.alpha[_spans(lo, m)]
+        values = np.empty(len(query))
+        group = np.flatnonzero(np.diff(_shape_key(q, m), prepend=-1)).tolist()
+        row, entry, c = 0, 0, 0
+        for a, b in zip(group, [*group[1:], len(q)]):
+            g, n_q, n_m = b - a, int(q[a]), int(m[a])
+            # per slice, the same BLAS gemv as one cell's ``K @ alpha``
+            np.matmul(K[entry : entry + g * n_q * n_m].reshape(g, n_q, n_m),
+                      coef[c : c + g * n_m].reshape(g, n_m, 1),
+                      out=values[row : row + g * n_q].reshape(g, n_q, 1))
+            row, entry, c = row + g * n_q, entry + g * n_q * n_m, c + g * n_m
+        out[query] = values
+
+
+def _shape_key(q, m):
+    """One int per (q, m) shape that sorts like the pairs."""
+    return q * (m.max(initial=0) + 1) + m
+
+
+def _spans(starts, sizes):
+    """The concatenated ranges ``starts[i] : starts[i] + sizes[i]`` (at least one)."""
+    at = np.cumsum(sizes) - sizes
+    return np.repeat(starts - at, sizes) + np.arange(at[-1] + sizes[-1])
 
 
 ConstantModel = KernelCellModel  # the same class (benchmarks/perf.py traces it here)

@@ -50,7 +50,7 @@ from .errors import ConfigError, DataError
 from .local_models import KernelCellModel
 from .partition import AdaptiveTree, GridPartition
 from .rng import NORMAL_METHOD, RNG_ALGORITHM
-from .transform import HistogramTransform
+from .transform import HistogramTransform, check_rotation
 
 MAGIC = b"HTEN"
 FORMAT_VERSION = 5
@@ -323,6 +323,8 @@ def deserialize_model(data: bytes) -> EnsembleModel:
         standardizer = _read_standardizer(reader, d)
         members = [_read_member(reader, d, config, header["clip_bound"])
                    for _ in range(header["n_transforms"])]
+        if config.partition == "adaptive":  # a grid transform checks its own
+            check_rotation(np.array([m.partition.rotation for m in members]))
     except ConfigError as exc:  # the config, a transform or a tree rejected the file
         raise DataError(f"model file corrupt: {exc}") from exc
     _require(reader.pos == len(reader.data),

@@ -51,15 +51,10 @@ class HistogramTransform:
         r = np.asarray(self.rotation, dtype=np.float64)
         s = np.asarray(self.scales, dtype=np.float64)
         b = np.asarray(self.translation, dtype=np.float64)
+        check_rotation(r)
         d = r.shape[0]
-        if r.shape != (d, d) or s.shape != (d,) or b.shape != (d,):
+        if s.shape != (d,) or b.shape != (d,):
             raise ConfigError("inconsistent transform dimensions")
-        gram_err = np.abs(r.T @ r - np.eye(d)).max()
-        if gram_err > _ORTHO_TOL:
-            raise ConfigError(f"rotation not orthonormal (max error {gram_err:.2e})")
-        det_err = abs(np.linalg.det(r) - 1.0)
-        if det_err > _ORTHO_TOL:
-            raise ConfigError(f"rotation determinant differs from 1 by {det_err:.2e}")
         if not (0 < self.h_lower <= self.h_upper):
             raise ConfigError("need 0 < h_lower <= h_upper")
         widths = 1.0 / s
@@ -76,6 +71,24 @@ class HistogramTransform:
     @property
     def dim(self) -> int:
         return self.rotation.shape[0]
+
+
+def check_rotation(r: np.ndarray) -> None:
+    """``ConfigError`` unless r, a (d, d) float matrix or a stack of them, is
+    orthonormal with determinant 1 within ``_ORTHO_TOL``: the one rule for
+    grid transforms and tree rotations.  Entries are bounded first, so the
+    Gram product of a finite but huge entry cannot overflow."""
+    d = r.shape[-1] if r.ndim >= 2 else 0
+    if not d or r.shape[-2] != d:
+        raise ConfigError(f"rotation of shape {r.shape} is not (d, d) with d >= 1")
+    if not np.abs(r).max() <= 1.0 + _ORTHO_TOL:  # NaN fails too
+        raise ConfigError("rotation entry outside [-1, 1]")
+    gram_err = np.abs(np.matmul(r.swapaxes(-1, -2), r) - np.eye(d)).max()
+    if gram_err > _ORTHO_TOL:
+        raise ConfigError(f"rotation not orthonormal (max error {gram_err:.2e})")
+    det_err = np.abs(np.linalg.det(r) - 1.0).max()
+    if det_err > _ORTHO_TOL:
+        raise ConfigError(f"rotation determinant differs from 1 by {det_err:.2e}")
 
 
 def sample_rotation(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -761,6 +761,14 @@ def _train(t, data, **config):
     return ["train", "--config", cfg, "--data", data, "--out", str(t / "m.hte")]
 
 
+def _stored(t, m, **data_info):
+    """The model m re-saved with the given stored ``data``."""
+    model = load_model(m)
+    model.data_info = data_info
+    save_model(model, t / "stored.hte")
+    return str(t / "stored.hte")
+
+
 def _study(t, **config):
     base = {"generator": "sin16", "grid": {"n_transforms": [1]}, "n_train": 60, "n_test": 20}
     return ["study", "--config", _write_config(t / "study.json", **{**base, **config})]
@@ -807,6 +815,13 @@ _EXIT_CASES = [
      lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "h.csv", "a,b\n0.5\n")]),
     ("predict-header-narrower-than-rows", 2, "header width 1 != row width 2",
      lambda t, d, m: ["predict", "--model", m, "--data", _text(t / "h.csv", "y\n0.5,0.2\n")]),
+    # a stored data key of another JSON type than a config gives it
+    ("predict-stored-target-list", 2, "target",
+     lambda t, d, m: ["predict", "--model", _stored(t, m, target=[1]), "--data", d]),
+    ("predict-stored-target-float", 2, "target",
+     lambda t, d, m: ["predict", "--model", _stored(t, m, target=1.5), "--data", d]),
+    ("predict-stored-has_header-as-text", 2, "has_header",
+     lambda t, d, m: ["predict", "--model", _stored(t, m, has_header="false"), "--data", d]),
     ("predict-unwritable-out", 2, _ABSENT,
      lambda t, d, m: ["predict", "--model", m, "--data", d, "--out", str(t / "no" / "p.csv")]),
     ("bench-unknown-preset", 1, "warp-speed", lambda t, d, m: ["bench", "warp-speed"]),

@@ -15,6 +15,7 @@ from hte.linalg import (
     gaussian_cross,
     gaussian_cross_stack,
     gaussian_gram,
+    gaussian_pairs,
     solve_spd,
     solve_spd_stack_unchecked,
     valid_gamma,
@@ -125,6 +126,19 @@ class TestGaussianGram:
         assert stack.shape == (g, q, m)
         for Xa, Xb, K in zip(A, B, stack):
             assert K.tobytes() == gaussian_cross(Xa, Xb, gamma).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.integers(1, 12), m=st.integers(1, 12), d=st.integers(1, 8),
+           gamma=st.floats(0.05, 20.0), scale=st.sampled_from([1e-3, 1.0, 1e3, 1e200]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_pairs_equal_cross_kernel_bitwise(self, q, m, d, gamma, scale, seed):
+        # every query row against every support row, support rows shuffled;
+        # at scale 1e200 the distances overflow to kernel 0, with no warning
+        rng = philox_generator(seed)
+        A, B = rng.normal(size=(q, d)) * scale, rng.normal(size=(m, d))
+        order = rng.permutation(m)
+        K = gaussian_pairs(A, np.arange(q), np.full(q, m), B, np.tile(order, q), gamma)
+        assert K.tobytes() == gaussian_cross(A, B[order], gamma).tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 30)),

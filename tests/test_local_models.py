@@ -375,6 +375,26 @@ def _query_layout(seed, shapes, d, n_fallback=0):
     return model, cells, rng.normal(size=(len(cells), d))
 
 
+def _record_kernel_builds(monkeypatch):
+    """Record the entry count of every flat kernel pass, and the (q, m)
+    shape of every cell built alone, during ``predict``."""
+    flat, alone = [], []
+    pairs, cross = hte.local_models.gaussian_pairs, hte.local_models.gaussian_cross
+
+    def recording_pairs(A, a_rows, repeats, B, b_rows, gamma):
+        flat.append(len(b_rows))
+        return pairs(A, a_rows, repeats, B, b_rows, gamma)
+
+    def recording_cross(Xa, Xb, gamma):
+        alone.append((len(Xa), len(Xb)))
+        return cross(Xa, Xb, gamma)
+
+    monkeypatch.setattr(hte.local_models, "gaussian_pairs", recording_pairs)
+    monkeypatch.setattr(hte.local_models, "gaussian_cross", recording_cross)
+    monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", None)  # fit's stacks only
+    return flat, alone
+
+
 class TestBatchedKernelPredict:
     @settings(max_examples=80, deadline=None)
     @given(distinct=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -397,24 +417,16 @@ class TestBatchedKernelPredict:
         assert model.predict(np.empty(0, dtype=np.int64), np.empty((0, 2))).shape == (0,)
 
     def test_stacks_only_shared_small_shapes(self, monkeypatch):
-        shapes = [(2, 3)] * 5 + [(3, 2)] + [(_STACK_CELL_ENTRIES // 31 + 1, 31)] * 2
+        # every cell of at most _STACK_CELL_ENTRIES kernel entries, lone
+        # shapes included, is built in one flat pass; only larger cells reach
+        # gaussian_cross, and no cell a cross stack
+        shapes = [(2, 3)] * 5 + [(3, 2), (32, 32)] + [(25, 41)] * 2
+        assert 32 * 32 == _STACK_CELL_ENTRIES == 25 * 41 - 1
         model, cells, X = _query_layout(2, shapes, 3)
-        stacked, alone = [], []
-        cross_stack, cross = hte.local_models.gaussian_cross_stack, hte.local_models.gaussian_cross
-
-        def recording_stack(A, B, gamma):
-            stacked.append(A.shape[:2] + B.shape[1:2])
-            return cross_stack(A, B, gamma)
-
-        def recording_cross(Xa, Xb, gamma):
-            alone.append((len(Xa), len(Xb)))
-            return cross(Xa, Xb, gamma)
-
-        monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording_stack)
-        monkeypatch.setattr(hte.local_models, "gaussian_cross", recording_cross)
+        flat, alone = _record_kernel_builds(monkeypatch)
         out = model.predict(cells, X)
-        assert stacked == [(5, 2, 3)]
-        assert sorted(alone) == sorted(shapes[5:])
+        assert flat == [5 * 6 + 6 + 1024]
+        assert alone == [(25, 41)] * 2
         assert out.tobytes() == _predict_cell_by_cell(model, cells, X).tobytes()
 
     @pytest.mark.parametrize("q,m", [(3, 5), (16, 32)])
@@ -422,17 +434,31 @@ class TestBatchedKernelPredict:
         monkeypatch.setattr(hte.local_models, "_STACK_ENTRIES", 64)
         n_cells = 64 // (q * m) * 3 + 4
         model, cells, X = _query_layout(3, [(q, m)] * n_cells, 2)
-        stacks, build = [], hte.local_models.gaussian_cross_stack
-
-        def recording(A, B, gamma):
-            stacks.append(len(A))
-            return build(A, B, gamma)
-
-        monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording)
+        flat, alone = _record_kernel_builds(monkeypatch)
         out = model.predict(cells, X)
-        assert len(stacks) > 1 and sum(stacks) == n_cells
-        assert max(stacks) * q * m <= max(64, q * m)
+        # whole cells per chunk, and at most the budget or one cell
+        assert len(flat) > 1 and sum(flat) == n_cells * q * m and not alone
+        assert all(n % (q * m) == 0 and n <= max(64, q * m) for n in flat)
         assert out.tobytes() == _predict_cell_by_cell(model, cells, X).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(shapes=st.lists(st.one_of(st.tuples(st.integers(1, 6), st.integers(0, 6)),
+                                     st.sampled_from([(32, 32), (25, 41), (1, 1024), (1, 1025)])),
+                           min_size=1, max_size=6),
+           repeats=st.integers(1, 4), budget=st.integers(1, 200), far=st.booleans(),
+           d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_chunks_of_any_budget_match_cells_predicted_one_by_one(self, shapes, repeats, budget,
+                                                                   far, d, seed):
+        # a small budget splits shape groups across chunks; q * m of 1024 is
+        # in the flat pass, 1025 goes alone; a query 1e200 away warns nowhere
+        model, cells, X = _query_layout(seed, shapes * repeats, d, n_fallback=1)
+        if far:
+            X[philox_generator(seed).integers(len(X)), 0] = 1e200
+        expected = _predict_cell_by_cell(model, cells, X, clipped=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hte.local_models, "_STACK_ENTRIES", budget)
+            out = model.predict(cells, X, clipped=False)
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("overrides", [
         dict(partition="adaptive", min_samples_split=100),

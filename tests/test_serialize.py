@@ -523,6 +523,22 @@ def test_grid_transform_not_finite_is_corrupt(field):
         deserialize_model(serialize_model(model))
 
 
+@pytest.mark.parametrize("partition", ["grid", "adaptive"])
+@pytest.mark.parametrize("entry", [0.5, 1e200])
+def test_rotation_not_orthonormal_is_corrupt(partition, entry):
+    # a tree rotation was never checked, so an adaptive file loaded and
+    # predicted wrong; a grid file warned of an overflow in the Gram product
+    # before its DataError (an error under this suite's warning filter)
+    _, model = _train("nht", partition)
+    part = model.members[0].partition
+    owner = part.transform if partition == "grid" else part
+    rotation = owner.rotation.copy()
+    rotation[0, 1] = entry
+    object.__setattr__(owner, "rotation", rotation)
+    with pytest.raises(DataError, match="corrupt: rotation"):
+        deserialize_model(serialize_model(model))
+
+
 @pytest.mark.parametrize("field,value", [("mean", np.nan), ("std", np.inf)])
 def test_standardizer_not_finite_is_corrupt(field, value):
     _, model = _train("nht", "adaptive", n=120)

@@ -14,6 +14,7 @@ from hte.transform import (
     apply_transform,
     bin_key,
     cell_volume,
+    check_rotation,
     rowwise,
     sample_rotation,
     sample_stretch,
@@ -67,6 +68,31 @@ class TestSampleRotation:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ConfigError):
             sample_rotation(0, philox_generator(0))
+
+
+class TestCheckRotation:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_sampled_rotations_pass(self, d):
+        check_rotation(sample_rotation(d, philox_generator(d)))
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda r: r[:, :2], "not \\(d, d\\)"),
+        (lambda r: r[:0, :0], "not \\(d, d\\)"),
+        (lambda r: np.where(np.eye(3) > 0, np.nan, r), "outside"),
+        (lambda r: np.where(np.eye(3) > 0, 1e200, r), "outside"),  # no overflow warning
+        (lambda r: r + np.diag([0.0, 1e-6, 0.0]), "not orthonormal"),
+        (lambda r: r * np.array([1.0, 1.0, -1.0]), "determinant"),  # a reflection
+    ], ids=["not-square", "empty", "nan", "huge", "stretched", "reflection"])
+    def test_rejects(self, edit, problem):
+        with pytest.raises(ConfigError, match=problem):
+            check_rotation(edit(sample_rotation(3, philox_generator(5))))
+
+    def test_a_stack_fails_on_its_one_bad_rotation(self):
+        stack = np.array([sample_rotation(3, philox_generator(seed)) for seed in range(4)])
+        check_rotation(stack)
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(ConfigError, match="not orthonormal"):
+            check_rotation(stack)
 
 
 class TestSampleTransform:
