@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, Standardizer, default_scale, fit_standardizer
 from .errors import ConfigError, DataError, TrainingError
 from .linalg import valid_gamma
-from .local_models import KernelCellModel, fit_constant, fit_kernel_cells
+from .local_models import KernelCellModel, fit_constant, fit_kernel_cells, narrow_keys
 from .local_models import fit_kernel_cell  # noqa: F401  (benchmarks/perf.py traces it here)
 from .partition import AdaptiveTree, GridPartition, assign_many, build_grid, grow_adaptive
 from .partition import build_adaptive  # noqa: F401  (benchmarks/perf.py traces it here)
@@ -215,10 +215,27 @@ class EnsembleModel:
         return sum(m.partition.n_cells for m in self.members)
 
 
-def _window(h_hat: float, pair: tuple[float, float]) -> tuple[float, float]:
-    """Bin-width bounds for an offset pair around the heuristic scale."""
-    s_min, s_max = pair
-    return h_hat * math.exp(-s_max), h_hat * math.exp(-s_min)
+def _window(h_hat: float, pair: tuple[float, float],
+            names: tuple[str, str]) -> tuple[float, float]:
+    """Bin-width bounds ``h_hat * exp(-s_max) <= h_hat * exp(-s_min)`` for an
+    offset pair ``(s_min, s_max)`` around the heuristic scale.
+
+    Raises ``ConfigError`` naming the offset (``names`` holds the pair's
+    field names) whose bin width is not a positive normal float; only then
+    is its reciprocal, a stretch factor bound, finite too.
+    """
+    widths = []
+    for offset, name in zip(pair, names):
+        try:
+            width = h_hat * math.exp(-offset)
+        except OverflowError:  # math.exp raises past the float range
+            width = math.inf
+        if not sys.float_info.min <= width <= sys.float_info.max:
+            raise ConfigError(f"{name} {offset!r} gives the bin width {h_hat!r} * exp({-offset!r})"
+                              f" = {width!r}, not a positive normal float")
+        widths.append(width)
+    h_upper, h_lower = widths
+    return h_lower, h_upper
 
 
 def _fit_cells(
@@ -245,7 +262,8 @@ def _fit_cells(
         is_kernel = counts >= config.k_min
         means[is_kernel] = 0.0
         offsets[1:] = np.cumsum(np.where(is_kernel, counts, 0))
-        support_rows = np.argsort(cells, kind="stable")[np.repeat(is_kernel, counts)]
+        by_cell = np.argsort(narrow_keys(cells, n_cells - 1), kind="stable")
+        support_rows = by_cell[np.repeat(is_kernel, counts)]
         support = X[support_rows]
         alpha = fit_kernel_cells(support, y[support_rows], counts[is_kernel],
                                  config.gamma, lambda2, n_fit)
@@ -295,7 +313,9 @@ def train_member(
 
     def grid_candidate(i: int, X: np.ndarray, y: np.ndarray) -> Member:
         """Candidate i: its window, stretch draw and grid, fit on (X, y)."""
-        h_lower, h_upper = _window(h_hat, pairs[i])
+        names = ("s_min", "s_max") if config.candidate_pairs is None else (
+            f"candidate_pairs[{i}][0]", f"candidate_pairs[{i}][1]")
+        h_lower, h_upper = _window(h_hat, pairs[i], names)
         rng = member_generator(config.master_seed, member_index, STREAM_CANDIDATE0 + i)
         scales, translation = sample_stretch(d, h_lower, h_upper, rng)
         transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)

@@ -6,12 +6,13 @@ member is thousands of tiny systems whose cost is per-call overhead, not
 flops.  Equal-size systems are therefore built and solved as stacks: a Gram
 stack is ``gaussian_cross_stack(P, P, gamma)`` (or one ``gaussian_cross``
 per cell for large cells), and ``solve_spd_stack_unchecked`` solves it with
-one LAPACK ``posv`` call per system and residuals checked in one batched
-product.  Only the systems that this plain rung rejects climb the jitter
-ladder, as a sub-stack: failed factorizations escalate a diagonal jitter
-proportional to the mean eigenvalue before giving up.  ``solve_spd`` checks
-one system for symmetry and finiteness and then solves it with the same
-stack solver, returning its ``(x, jitter, escalations)``.
+one in-place LAPACK ``posv`` call per system, on one transposed copy of the
+stack, and residuals checked in one batched product.  Only the systems
+that this plain rung rejects climb the jitter ladder, as a sub-stack:
+failed factorizations escalate a diagonal jitter proportional to the mean
+eigenvalue before giving up.  ``solve_spd`` checks one system for symmetry
+and finiteness and then solves it with the same stack solver, returning
+its ``(x, jitter, escalations)``.
 Prediction builds the cross kernels of its small cells in one flat pass,
 ``gaussian_pairs``, with the elementwise operations of
 ``gaussian_cross_stack``.
@@ -88,9 +89,9 @@ def gaussian_cross_stack(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarr
     give inf, and a kernel value of 0, with numpy's overflow warning.
     """
     square = _gamma_square(gamma)
-    g, q, d = A.shape
-    d2 = np.zeros((g, q, B.shape[1]))
-    for k in range(d):
+    diff = A[:, :, None, 0] - B[:, None, :, 0]
+    d2 = np.multiply(diff, diff, out=diff)  # the first square, as 0.0 + x is x for x >= +0
+    for k in range(1, A.shape[2]):
         diff = A[:, :, None, k] - B[:, None, :, k]
         d2 += np.multiply(diff, diff, out=diff)
     return _exp_scaled(d2, square)
@@ -107,13 +108,17 @@ def gaussian_pairs(A: np.ndarray, a_rows: np.ndarray, repeats: np.ndarray,
     its ``gaussian_cross`` entry bit for bit; rows ``1e200`` apart give a
     kernel value of 0 without a warning.
     """
+    def column_square(a, b):
+        diff = np.repeat(a[a_rows], repeats)
+        diff -= b[b_rows]
+        return np.multiply(diff, diff, out=diff)
+
     square = _gamma_square(gamma)
-    d2 = np.zeros(len(b_rows))
+    columns = zip(A.T, B.T)
     with np.errstate(over="ignore"):
-        for a, b in zip(A.T, B.T):
-            diff = np.repeat(a[a_rows], repeats)
-            diff -= b[b_rows]
-            d2 += np.multiply(diff, diff, out=diff)
+        d2 = column_square(*next(columns))  # the first square, as 0.0 + x is x for x >= +0
+        for a, b in columns:
+            d2 += column_square(a, b)
         return _exp_scaled(d2, square)
 
 
@@ -134,13 +139,18 @@ def _cholesky_rung(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     from scipy.linalg.lapack import dposv
 
-    X = np.zeros_like(B)
-    solved = np.zeros(len(B), dtype=bool)
+    # posv factors and solves in place, on float64 C-ordered copies: F[i].T is
+    # A[i] in Fortran order, the layout LAPACK reads, so each call copies
+    # nothing and reads the lower triangle of A[i] itself (a copy of A would
+    # hand it A[i].T, whose lower triangle differs in the last bits where A is
+    # symmetric only within 1e-10)
+    F = np.array(np.swapaxes(A, 1, 2), dtype=np.float64, order="C")
+    X = np.array(B, dtype=np.float64, order="C")
     # a solution that overflows here is only "not solved"
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(B)):
-            _, X[i], info = dposv(A[i], B[i], lower=1)
-            solved[i] = info == 0
+        info = [dposv(F[i].T, X[i], lower=1, overwrite_a=1, overwrite_b=1)[2]
+                for i in range(len(B))]
+        solved = np.array(info) == 0
         # batched `A @ x` and `norm`: per slice, the same BLAS gemv and dot as one system
         idx = np.flatnonzero(solved)
         r = np.matmul(A[idx], X[idx, :, None])[:, :, 0] - B[idx]

@@ -15,12 +15,14 @@ Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
 memory stays bounded however many cells share a size, and solves each
 stack with one LAPACK ``posv`` call per cell.  Every cell gets the solution
-it would get fitted alone.  Prediction builds the kernels of all queried
-small cells in one flat pass (chunks of at most ``_STACK_ENTRIES``
-entries), then makes one stacked matrix-vector product per (queries,
-support size) shape; every cell gets the values it would get predicted
-alone.  Fit and predict share one rule, ``_builds_alone``, for the cells
-whose kernel is built by ``cdist`` on its own.
+it would get fitted alone.  Prediction sorts its query rows by cell, then
+builds the kernels of all queried small cells in one flat pass (chunks of
+at most ``_STACK_ENTRIES`` entries), then makes one stacked matrix-vector
+product per (queries, support size) shape; every cell gets the values it
+would get predicted alone.  Rows, cells and shapes are sorted on
+``narrow_keys``, which numpy sorts faster, in the same order.  Fit and
+predict share one rule, ``_builds_alone``, for the cells whose kernel is
+built by ``cdist`` on its own.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class KernelCellModel:
         """Write the raw values of the queried kernel cells' rows into ``out``."""
         in_kernel = self.offsets[cells[seen] + 1] > self.offsets[cells[seen]]
         rows = seen[in_kernel]
-        rows = rows[np.argsort(cells[rows], kind="stable")]
+        rows = rows[np.argsort(narrow_keys(cells[rows], self.n_cells - 1), kind="stable")]
         # per queried kernel cell: its first position in rows, its query
         # count q, and the start lo and size m of its expansion
         first = np.flatnonzero(np.diff(cells[rows], prepend=NO_CELL))
@@ -126,7 +128,8 @@ class KernelCellModel:
         # the other cells in shape order, in chunks of at most _STACK_ENTRIES
         # kernel entries (and at least one cell)
         flat = np.flatnonzero(~alone)
-        flat = flat[np.argsort(_shape_key(q, m)[flat], kind="stable")]
+        shape = _shape_key(q[flat], m[flat])
+        flat = flat[np.argsort(narrow_keys(shape, shape.max(initial=0)), kind="stable")]
         entries = q[flat] * m[flat]
         ends = np.cumsum(entries)
         at = 0
@@ -147,21 +150,34 @@ class KernelCellModel:
         K = gaussian_pairs(X, query, m_row, self.support, expansion, self.gamma)
         coef = self.alpha[_spans(lo, m)]
         values = np.empty(len(query))
-        group = np.flatnonzero(np.diff(_shape_key(q, m), prepend=-1)).tolist()
+        # per shape group: its cell count g, its shape (q, m), and where its
+        # rows, kernel entries and coefficients end
+        first = np.flatnonzero(np.diff(_shape_key(q, m), prepend=-1))
+        g = np.diff(first, append=len(q))
+        q, m = q[first], m[first]
+        groups = zip(g.tolist(), q.tolist(), m.tolist(), np.cumsum(g * q).tolist(),
+                     np.cumsum(g * q * m).tolist(), np.cumsum(g * m).tolist())
         row, entry, c = 0, 0, 0
-        for a, b in zip(group, [*group[1:], len(q)]):
-            g, n_q, n_m = b - a, int(q[a]), int(m[a])
+        for n_g, n_q, n_m, row_end, entry_end, c_end in groups:
             # per slice, the same BLAS gemv as one cell's ``K @ alpha``
-            np.matmul(K[entry : entry + g * n_q * n_m].reshape(g, n_q, n_m),
-                      coef[c : c + g * n_m].reshape(g, n_m, 1),
-                      out=values[row : row + g * n_q].reshape(g, n_q, 1))
-            row, entry, c = row + g * n_q, entry + g * n_q * n_m, c + g * n_m
+            np.matmul(K[entry:entry_end].reshape(n_g, n_q, n_m),
+                      coef[c:c_end].reshape(n_g, n_m, 1),
+                      out=values[row:row_end].reshape(n_g, n_q, 1))
+            row, entry, c = row_end, entry_end, c_end
         out[query] = values
 
 
 def _shape_key(q, m):
     """One int per (q, m) shape that sorts like the pairs."""
     return q * (m.max(initial=0) + 1) + m
+
+
+def narrow_keys(keys: np.ndarray, top: int) -> np.ndarray:
+    """Int ``keys`` in ``0..top`` on the narrowest unsigned dtype that holds
+    ``top``, to sort on.  numpy's stable sort of 8- and 16-bit keys is a
+    radix sort, and a stable sort's permutation does not depend on the
+    algorithm, so the stable argsort of the narrowed keys is the keys' own."""
+    return keys.astype(np.min_scalar_type(top))
 
 
 def _spans(starts, sizes):
@@ -226,7 +242,7 @@ def fit_kernel_cells(
         raise IllConditionedError("kernel cell rows, targets or ridge not finite")
     starts = np.cumsum(sizes) - sizes
     alpha = np.empty(len(y_support), dtype=np.float64)
-    by_size = np.argsort(sizes, kind="stable")
+    by_size = np.argsort(narrow_keys(sizes, sizes.max(initial=0)), kind="stable")
     for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
         if len(group) == 0:  # no kernel cells at all
             continue

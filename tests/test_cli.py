@@ -787,6 +787,10 @@ _EXIT_CASES = [
      lambda t, d, m: _train(t, d, has_header="false")),
     ("train-threads-as-text", 1, "threads", lambda t, d, m: _train(t, d, threads="2")),
     ("train-target-bool", 1, "target", lambda t, d, m: _train(t, d, target=True)),
+    # bin widths past the float range: exp(710) overflows, exp(-745) is subnormal
+    ("train-s_min-width-overflows", 1, "s_min -710", lambda t, d, m: _train(t, d, s_min=-710)),
+    ("train-candidate-width-subnormal", 1, "candidate_pairs[1][1] 745",
+     lambda t, d, m: _train(t, d, n_candidates=2, candidate_pairs=[[-700, 0], [30, 745]])),
     ("train-missing-data", 2, _ABSENT,
      lambda t, d, m: ["train", "--data", str(t / "none.csv"), "--target", "y",
                       "--out", str(t / "m.hte")]),

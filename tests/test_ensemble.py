@@ -118,6 +118,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys: bogus"):
             TrainConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("changes, named", [
+        ({"s_min": -710}, "s_min -710 "),  # exp(710) overflows
+        ({"s_min": 744, "s_max": 745}, "s_min 744 "),  # exp(-744) is subnormal
+        ({"n_candidates": 2, "candidate_pairs": [(-700.0, 0.0), (30.0, 745.0)]},
+         r"candidate_pairs\[1\]\[1\] 745.0 "),
+    ], ids=["exp-overflows", "width-subnormal", "candidate-width-subnormal"])
+    def test_bin_width_outside_the_normal_floats_names_its_offset(self, changes, named):
+        # both used to end in OverflowError, from math.exp and rng.uniform
+        with pytest.raises(ConfigError, match=named):
+            train_ensemble(gen_counter3d(300, seed=1), TrainConfig(n_transforms=2, **changes),
+                           n_threads=1)
+
+    @pytest.mark.parametrize("changes", [{"s_min": -700.0},
+                                         {"s_min": -710.0, "partition": "adaptive"}])
+    def test_normal_bin_widths_and_unused_windows_train(self, changes):
+        model = train_ensemble(gen_counter3d(300, seed=1), TrainConfig(n_transforms=1, **changes),
+                               n_threads=1)
+        assert np.isfinite(predict(model, gen_counter3d(50, seed=2).X)).all()
+
     def test_round_trips_through_dict(self):
         cfg = TrainConfig(
             mode="kht", n_candidates=2, candidate_pairs=[(0.0, 1.0), (1.0, 2.0)],
@@ -582,6 +601,77 @@ def test_every_valid_config_trains_clips_and_round_trips(cfg, n, d, scale, data_
         again = deserialize_model(blob)
         assert serialize_model(again) == blob
         assert predict(again, queries).tobytes() == predict(model, queries).tobytes()
+
+
+# reals at the edges of the float range: zeros, subnormals, the least normal,
+# offsets whose exp overflows or leaves the normal floats, and huge values
+_EDGE_REAL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1e300,
+                     2.0**62, 709.7, -709.7, 710.0, -710.0, 745.0, -745.0]),
+    st.floats(-745.0, -700.0), st.floats(700.0, 745.0), st.floats(-5.0, 5.0),
+)
+
+
+@st.composite
+def _edge_configs(draw):
+    """A ``TrainConfig`` of the right JSON types, its numbers drawn at the
+    edges; mostly with s_min < s_max, so that most draws reach training."""
+    partition = draw(st.sampled_from(["grid", "adaptive"]))
+    n_candidates = draw(st.integers(1, 2)) if partition == "grid" else 1
+
+    def pair():  # lo + w rounds to lo itself where |lo| is huge
+        lo = draw(_EDGE_REAL)
+        return lo, lo + draw(st.floats(0.05, 3.0))
+
+    pairs = None
+    if n_candidates > 1 or draw(st.booleans()):
+        pairs = [pair() for _ in range(n_candidates)]
+    s_min, s_max = pair()
+    moderate_or_edge = st.one_of(st.floats(0.05, 20.0), _EDGE_REAL.map(abs))
+    return TrainConfig(
+        mode=draw(st.sampled_from(["nht", "kht"])),
+        partition=partition,
+        n_transforms=draw(st.integers(1, 3)),
+        n_candidates=n_candidates,
+        candidate_pairs=pairs,
+        s_min=s_min,
+        s_max=s_max,
+        min_samples_split=draw(st.sampled_from([1, 40, 300, 2**62])),
+        gamma=draw(moderate_or_edge),
+        lambda2=draw(st.one_of(st.none(), moderate_or_edge)),
+        clip_bound=draw(st.one_of(st.none(), moderate_or_edge)),
+        fallback=draw(st.sampled_from(["zero", "global_mean"])),
+        k_min=draw(st.sampled_from([1, 3, 2**62])),
+        validation_fraction=draw(st.sampled_from([0.3, 0.5, 5e-324, 0.999999])),
+        master_seed=draw(st.sampled_from([0, 1, 2**62, 2**100])),
+        standardize_features=draw(st.booleans()),
+        standardize_target=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_edge_configs())
+@example(cfg=TrainConfig(s_min=-710.0, n_transforms=1))
+@example(cfg=TrainConfig(n_candidates=2, candidate_pairs=[(-700.0, 0.0), (30.0, 745.0)]))
+def test_configs_at_the_float_edges_train_or_raise_an_hte_error(cfg):
+    # each draw raises ConfigError, TrainingError or DataError, or trains a
+    # model whose predictions are finite, clipped and kept by a round trip;
+    # a numpy warning or any other exception is a failure
+    data = gen_counter3d(300, seed=5)
+    queries = gen_counter3d(200, seed=6).X
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = train_ensemble(data, cfg, n_threads=1)
+        except (ConfigError, TrainingError, DataError):
+            return
+        out = predict(model, queries)
+        assert np.isfinite(out).all()
+        X_std = model.standardizer.transform(queries)
+        for member in model.members:  # fit units
+            assert np.abs(member_predict(member, X_std)).max() <= model.clip_bound
+        again = deserialize_model(serialize_model(model))
+        assert predict(again, queries).tobytes() == out.tobytes()
 
 
 # values of the wrong JSON type, per field type: a bool is not a number, and a

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hte.errors import ConfigError, IllConditionedError
@@ -11,6 +11,7 @@ from hte.linalg import (
     _JITTER_STOP,
     _RESIDUAL_TOL,
     _SYM_TOL,
+    _cholesky_rung,
     _exp_scaled,
     gaussian_cross,
     gaussian_cross_stack,
@@ -41,6 +42,20 @@ def _potrf_potrs_rung(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if info != 0:
         return None
     x, info = dpotrs(factor, b, lower=1)
+    return x if info == 0 else None
+
+
+def _posv(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """SciPy's own ``posv`` call on one system, copies and all; returns ``(x, info)``."""
+    from scipy.linalg.lapack import dposv
+
+    _, x, info = dposv(A, b, lower=1)
+    return x, info
+
+
+def _posv_rung(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """LAPACK ``posv``, one call; None when it fails."""
+    x, info = _posv(A, b)
     return x if info == 0 else None
 
 
@@ -311,6 +326,37 @@ class TestSolveSpdStack:
                 assert X[i].tobytes() == x.tobytes()
                 assert jitter[i] == expected_jitter
                 assert escalations[i] == expected_escalations
+
+    @settings(max_examples=80, deadline=None)
+    @given(ridges=st.lists(st.sampled_from([1.0, 1e-3, 1e-12, -0.25]), min_size=1, max_size=6),
+           m=st.integers(1, 24), d=st.integers(1, 4), duplicate_share=st.floats(0.0, 0.7),
+           skew=st.sampled_from([0.0, 1e-12, 1e-11]), seed=st.integers(0, 2**32 - 1))
+    @example(ridges=[1.0, 1e-12, 1e-3], m=9, d=2, duplicate_share=0.5, skew=1e-11, seed=7)
+    def test_in_place_rung_is_scipy_posv_bitwise(self, ridges, m, d, duplicate_share, skew,
+                                                 seed):
+        # Gram stacks (exactly symmetric) with a drawn ridge, some on the jitter
+        # ladder and some indefinite; with a skew, the strict upper triangle is
+        # moved by up to that much, symmetric only within solve_spd's 1e-10, so
+        # a rung that read the upper triangle would change the bits
+        A, B = _ridge_stack(seed, ridges, m, d, duplicate_share)
+        A += np.triu(philox_generator(seed + 1).uniform(-skew, skew, size=A.shape), 1)
+        X, solved = _cholesky_rung(A, B)
+        for i in range(len(B)):
+            x, info = _posv(A[i], B[i])
+            assert X[i].tobytes() == x.tobytes()
+            fits = np.linalg.norm(A[i] @ x - B[i]) <= _RESIDUAL_TOL * np.linalg.norm(B[i])
+            assert solved[i] == (info == 0 and fits)
+        # the whole ladder: each system as posv and the same ladder alone
+        try:
+            expected = [_reference_solve_spd(a, b, _posv_rung) for a, b in zip(A, B)]
+        except IllConditionedError:
+            with pytest.raises(IllConditionedError):
+                solve_spd_stack_unchecked(A, B)
+            return
+        X, jitter, escalations = solve_spd_stack_unchecked(A, B)
+        for i, (x, expected_jitter, expected_escalations) in enumerate(expected):
+            assert X[i].tobytes() == x.tobytes()
+            assert (jitter[i], escalations[i]) == (expected_jitter, expected_escalations)
 
     def test_drawn_stacks_reach_the_ladder(self):
         # drawn stacks reach the ladder, and only the systems that need it escalate

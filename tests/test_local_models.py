@@ -16,6 +16,7 @@ from hte.local_models import (
     fit_constant,
     fit_kernel_cell,
     fit_kernel_cells,
+    narrow_keys,
 )
 from hte.partition import assign_many
 from hte.rng import philox_generator
@@ -474,3 +475,48 @@ class TestBatchedKernelPredict:
             cells = assign_many(member.partition, X)
             expected = _predict_cell_by_cell(member.model, cells, X)
             assert member.model.predict(cells, X).tobytes() == expected.tobytes()
+
+
+class TestNarrowKeys:
+    @pytest.mark.parametrize("n_cells, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                                (65_536, np.uint16), (65_537, np.uint32)])
+    def test_narrowest_unsigned_dtype_that_holds_every_cell(self, n_cells, dtype):
+        keys = narrow_keys(np.arange(n_cells, dtype=np.int64), n_cells - 1)
+        assert keys.dtype == dtype
+        assert keys.tolist() == list(range(n_cells))
+
+    @settings(max_examples=60, deadline=None)
+    @given(top=st.sampled_from([0, 1, 255, 256, 65_535, 65_536, 2**40]),
+           n=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_stable_argsort_of_narrowed_keys_is_the_int64_one(self, top, n, seed):
+        rng = philox_generator(seed)
+        # half the keys tie on one small value, and top itself is drawn
+        keys = rng.integers(0, top + 1, size=n)
+        keys[rng.integers(0, 2, size=n) == 1] = rng.integers(0, min(top, 3) + 1)
+        keys[: min(n, 1)] = top
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(np.argsort(narrow_keys(keys, top), kind="stable"), expected)
+
+    @pytest.mark.parametrize("n_cells", [300, 70_000])
+    def test_kernel_predict_past_8_and_16_bit_cell_ids(self, n_cells):
+        # mostly mean cells; kernel cells of drawn support sizes 1-40
+        # scattered over all ids, the last one included, queried in shuffled
+        # order with unseen rows
+        rng = philox_generator(n_cells)
+        kernel = {n_cells - 1, *rng.choice(n_cells, size=60, replace=False).tolist()}
+
+        def entry(cell):
+            if cell not in kernel:
+                return float(rng.normal())
+            m = int(rng.integers(1, 41))
+            return rng.normal(size=(m, 2)), rng.normal(size=m)
+
+        model = _kernel_model([entry(c) for c in range(n_cells)], clip_bound=2.0, fallback=0.5,
+                              gamma=0.8)
+        cells = np.concatenate([np.repeat(sorted(kernel), rng.integers(1, 12, size=len(kernel))),
+                                rng.integers(0, n_cells, size=2000), np.full(10, NO_CELL)])
+        cells = rng.permutation(cells)
+        X = rng.normal(size=(len(cells), 2))
+        for clipped in (True, False):
+            expected = _predict_cell_by_cell(model, cells, X, clipped)
+            assert model.predict(cells, X, clipped=clipped).tobytes() == expected.tobytes()
