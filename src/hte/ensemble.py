@@ -239,19 +239,32 @@ def _window(h_hat: float, pair: tuple[float, float],
 
 
 def _fit_cells(
-    X: np.ndarray,
+    rows: np.ndarray,
     y: np.ndarray,
     cells: np.ndarray,
     n_cells: int,
     config: TrainConfig,
     clip_bound: float,
+    fit_rows: np.ndarray | None = None,
 ) -> KernelCellModel:
     """Every cell's mean; in kht each cell of at least ``k_min`` rows is a
-    kernel cell instead, with mean 0."""
+    kernel cell instead, with mean 0.
+
+    ``y`` and ``cells`` belong to the fitted rows ``rows[fit_rows]`` (all of
+    ``rows`` when None); a kernel cell's ids index ``rows`` itself.
+    """
     fallback = float(y.mean()) if config.fallback == "global_mean" else 0.0
     means, fallback = fit_constant(cells, y, n_cells, fallback=fallback, clip_bound=clip_bound)
-    offsets = np.zeros(n_cells + 1, dtype=np.int64)
-    support, alpha = np.empty((0, X.shape[1])), np.empty(0)
+    model = KernelCellModel(
+        offsets=np.zeros(n_cells + 1, dtype=np.int64),
+        rows=np.empty((0, rows.shape[1])),
+        ids=np.empty(0, dtype=np.intp),
+        alpha=np.empty(0),
+        means=means,
+        gamma=config.gamma,
+        clip_bound=clip_bound,
+        fallback=fallback,
+    )
     if config.mode == "kht":
         n_fit = len(y)
         lambda2 = config.lambda2 if config.lambda2 is not None else 1.0 / n_fit
@@ -261,21 +274,14 @@ def _fit_cells(
         counts = np.bincount(cells, minlength=n_cells)
         is_kernel = counts >= config.k_min
         means[is_kernel] = 0.0
-        offsets[1:] = np.cumsum(np.where(is_kernel, counts, 0))
+        model.offsets[1:] = np.cumsum(np.where(is_kernel, counts, 0))
         by_cell = np.argsort(narrow_keys(cells, n_cells - 1), kind="stable")
         support_rows = by_cell[np.repeat(is_kernel, counts)]
-        support = X[support_rows]
-        alpha = fit_kernel_cells(support, y[support_rows], counts[is_kernel],
-                                 config.gamma, lambda2, n_fit)
-    return KernelCellModel(
-        offsets=offsets,
-        support=support,
-        alpha=alpha,
-        means=means,
-        gamma=config.gamma,
-        clip_bound=clip_bound,
-        fallback=fallback,
-    )
+        ids = support_rows if fit_rows is None else fit_rows[support_rows]
+        model = dataclasses.replace(model, rows=rows, ids=ids)
+        model.alpha = fit_kernel_cells(model.support, y[support_rows], counts[is_kernel],
+                                       config.gamma, lambda2, n_fit)
+    return model
 
 
 def member_predict(member: Member, X_std: np.ndarray, clipped: bool = True) -> np.ndarray:
@@ -306,13 +312,14 @@ def train_member(
 
     if config.partition == "adaptive":
         tree, cells = grow_adaptive(rotation, X_std, config.min_samples_split)
-        model = _fit_cells(X_std, y_fit, cells, tree.n_cells, config, clip_bound)
-        return Member(tree, model)
+        return Member(tree, _fit_cells(X_std, y_fit, cells, tree.n_cells, config, clip_bound))
 
     pairs = config.resolved_pairs()
 
-    def grid_candidate(i: int, X: np.ndarray, y: np.ndarray) -> Member:
-        """Candidate i: its window, stretch draw and grid, fit on (X, y)."""
+    def grid_candidate(i: int, X: np.ndarray, y: np.ndarray,
+                       fit_rows: np.ndarray | None = None) -> Member:
+        """Candidate i: its window, stretch draw and grid, fit on (X, y), the
+        rows ``fit_rows`` of ``X_std`` (all of them when None)."""
         names = ("s_min", "s_max") if config.candidate_pairs is None else (
             f"candidate_pairs[{i}][0]", f"candidate_pairs[{i}][1]")
         h_lower, h_upper = _window(h_hat, pairs[i], names)
@@ -320,7 +327,8 @@ def train_member(
         scales, translation = sample_stretch(d, h_lower, h_upper, rng)
         transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)
         grid, cells = build_grid(transform, X)
-        return Member(grid, _fit_cells(X, y, cells, grid.n_cells, config, clip_bound))
+        return Member(grid, _fit_cells(X_std, y, cells, grid.n_cells, config, clip_bound,
+                                       fit_rows))
 
     if config.n_candidates == 1:
         return grid_candidate(0, X_std, y_fit)
@@ -341,7 +349,7 @@ def train_member(
     best: Member | None = None
     best_score = math.inf
     for i in range(len(pairs)):
-        candidate = grid_candidate(i, X_fit, y_fit_rows)
+        candidate = grid_candidate(i, X_fit, y_fit_rows, fit_rows)
         residual = member_predict(candidate, X_val) - y_val
         score = float(residual @ residual) / len(val_rows)
         if score < best_score:  # strict: ties keep the lowest candidate index

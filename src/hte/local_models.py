@@ -17,7 +17,7 @@ memory stays bounded however many cells share a size, and solves each
 stack with one LAPACK ``posv`` call per cell.  Every cell gets the solution
 it would get fitted alone.  Prediction sorts its query rows by cell, then
 builds the kernels of all queried small cells in one flat pass (chunks of
-at most ``_STACK_ENTRIES`` entries), then makes one stacked matrix-vector
+at most ``_FLAT_ENTRIES`` entries), then makes one stacked matrix-vector
 product per (queries, support size) shape; every cell gets the values it
 would get predicted alone.  Rows, cells and shapes are sorted on
 ``narrow_keys``, which numpy sorts faster, in the same order.  Fit and
@@ -28,7 +28,7 @@ built by ``cdist`` on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,12 @@ NO_CELL = -1
 # Most Gram-matrix entries built at once (8 MiB of float64).  A size group
 # with more is fit in chunks; a single larger cell is one chunk of its own.
 _STACK_ENTRIES = 2**20
+
+# Most kernel entries of prediction's flat pass built at once (256 KiB of
+# float64).  Each of the pass's temporaries has this many entries, so they
+# stay small enough for the allocator to reuse from call to call instead
+# of mapping and faulting in fresh pages.
+_FLAT_ENTRIES = 2**15
 
 # Largest q * m kernel (q rows against m support rows; q = m for a Gram) of
 # a cell built in a stack with the other cells of its shape.
@@ -60,21 +66,31 @@ class KernelCellModel:
     """Per-cell regressors stored as flat arrays: mean cells and kernel cells.
 
     Cell c's expansion is ``support[offsets[c]:offsets[c + 1]]`` with the
-    matching slice of ``alpha``.  Cells below the small-cell threshold skip
-    the kernel solve (a one- or two-point expansion is a shrunk constant
-    anyway), so their range is empty and they predict ``means[c]``, the
-    mean of their training targets; ``means`` is 0 at kernel cells.  An nht
-    model has no kernel cells: ``offsets`` is all 0, ``support`` and
-    ``alpha`` are empty, and ``means`` holds every cell's value.
+    matching slice of ``alpha``.  ``support`` is ``rows[ids]``, gathered
+    once when the model is built: ``ids`` are the kernel cells' training
+    rows in ``rows``, a matrix that every kht member of one ensemble shares
+    (the standardized training features after training, the file's shared
+    block after loading), so a model file stores each row once.  Cells
+    below the small-cell threshold skip the kernel solve (a one- or
+    two-point expansion is a shrunk constant anyway), so their range is
+    empty and they predict ``means[c]``, the mean of their training
+    targets; ``means`` is 0 at kernel cells.  An nht model has no kernel
+    cells: ``offsets`` is all 0, ``rows``, ``ids`` and ``alpha`` are empty,
+    and ``means`` holds every cell's value.
     """
 
     offsets: np.ndarray
-    support: np.ndarray
+    rows: np.ndarray
+    ids: np.ndarray
     alpha: np.ndarray
     means: np.ndarray
     gamma: float
     clip_bound: float
     fallback: float = 0.0
+    support: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.support = self.rows.take(self.ids, axis=0)
 
     @property
     def n_cells(self) -> int:
@@ -90,7 +106,7 @@ class KernelCellModel:
         else before the clip.  A queried kernel cell of q queries and m
         support rows that ``_builds_alone`` picks is evaluated on its own.
         The others, ordered by (q, m) shape, are evaluated together in
-        chunks of at most ``_STACK_ENTRIES`` kernel entries: one flat pass
+        chunks of at most ``_FLAT_ENTRIES`` kernel entries: one flat pass
         (``gaussian_pairs``) builds every entry of the chunk, and each shape
         group is a ``(g, q, m)`` view of it times a ``(g, m, 1)`` stack of
         coefficients.  Either way each cell's values are those of
@@ -114,8 +130,7 @@ class KernelCellModel:
         rows = rows[np.argsort(narrow_keys(cells[rows], self.n_cells - 1), kind="stable")]
         # per queried kernel cell: its first position in rows, its query
         # count q, and the start lo and size m of its expansion
-        first = np.flatnonzero(np.diff(cells[rows], prepend=NO_CELL))
-        q = np.diff(first, append=len(rows))
+        first, q = _runs(cells[rows])
         queried = cells[rows[first]]
         lo = self.offsets[queried]
         m = self.offsets[queried + 1] - lo
@@ -125,7 +140,7 @@ class KernelCellModel:
             query = rows[at : at + n_q]
             k = gaussian_cross(X[query], self.support[base : base + n_m], self.gamma)
             out[query] = k @ self.alpha[base : base + n_m]
-        # the other cells in shape order, in chunks of at most _STACK_ENTRIES
+        # the other cells in shape order, in chunks of at most _FLAT_ENTRIES
         # kernel entries (and at least one cell)
         flat = np.flatnonzero(~alone)
         shape = _shape_key(q[flat], m[flat])
@@ -134,7 +149,7 @@ class KernelCellModel:
         ends = np.cumsum(entries)
         at = 0
         while at < len(flat):
-            limit = ends[at] - entries[at] + _STACK_ENTRIES
+            limit = ends[at] - entries[at] + _FLAT_ENTRIES
             stop = max(at + 1, int(np.searchsorted(ends, limit, side="right")))
             part = flat[at:stop]
             self._predict_flat(out, rows[_spans(first[part], q[part])], X,
@@ -152,8 +167,7 @@ class KernelCellModel:
         values = np.empty(len(query))
         # per shape group: its cell count g, its shape (q, m), and where its
         # rows, kernel entries and coefficients end
-        first = np.flatnonzero(np.diff(_shape_key(q, m), prepend=-1))
-        g = np.diff(first, append=len(q))
+        first, g = _runs(_shape_key(q, m))
         q, m = q[first], m[first]
         groups = zip(g.tolist(), q.tolist(), m.tolist(), np.cumsum(g * q).tolist(),
                      np.cumsum(g * q * m).tolist(), np.cumsum(g * m).tolist())
@@ -165,6 +179,15 @@ class KernelCellModel:
                       out=values[row:row_end].reshape(n_g, n_q, 1))
             row, entry, c = row_end, entry_end, c_end
         out[query] = values
+
+
+def _runs(keys):
+    """The start and length of each run of equal consecutive ``keys``."""
+    edge = np.empty(len(keys) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    at = np.flatnonzero(edge)  # the run starts, then len(keys)
+    return at[:-1], at[1:] - at[:-1]
 
 
 def _shape_key(q, m):

@@ -1,26 +1,32 @@
-"""Versioned binary model container, format 5.
+"""Versioned binary model container, format 6.
 
 Layout (all integers little-endian):
 
     magic b"HTEN" | u32 version | u64 header length | header JSON (utf-8)
-    standardizer block | one block per member | sha256 of everything above
+    standardizer block | kht: shared support rows | one block per member
+    sha256 of everything above
 
-Arrays are written as a dtype tag (0 = float64, 1 = int64), a u8 rank, u64
-dimensions and raw C-order bytes, so the round trip is bit-exact.  Every
-fact has one home, on the model or in this build, so a file the writer made
-loads and saves to the same bytes.  The header holds this build's
-``format_version``, ``rng`` and ``normal_method``; ``d``, ``n_transforms``
-and ``total_cells`` (for ``read_metadata``; checked against the members);
-``clip_bound``; the effective ``config``, enough to reproduce the model
-byte-for-byte from the same data; and ``data``, the model's ``data_info``.
-Loading verifies magic, version and checksum before touching any payload,
-then those header values and each field's JSON type, a valid ``config``
-(so a ``gamma`` that training accepts) and a finite positive
-``clip_bound``, then checks the shapes of the standardizer, grid key
-tables, tree arrays and regressor arrays against ``d`` and the cell counts,
-and that every value prediction reads is finite (with std positive); a
-payload the model classes reject (a repeated grid key, say) is reported as
-corrupt too.
+Arrays are written as a dtype tag (0 = float64, 1 = int64, 2 = int32), a
+u8 rank, u64 dimensions and raw C-order bytes, so the round trip is
+bit-exact.  Every fact has one home, on the model or in this build, so a
+file the writer made loads and saves to the same bytes.  The header holds
+this build's ``format_version``, ``rng`` and ``normal_method``; ``d``,
+``n_transforms`` and ``total_cells`` (for ``read_metadata``; checked
+against the members); ``clip_bound``; the effective ``config``, enough to
+reproduce the model byte-for-byte from the same data; and ``data``, the
+model's ``data_info``.  Loading verifies magic, version and checksum before
+touching any payload, then those header values and each field's JSON type,
+a valid ``config`` (so a ``gamma`` that training accepts) and a finite
+positive ``clip_bound``, then checks the shapes of the standardizer, grid
+key tables, tree arrays and regressor arrays against ``d`` and the cell
+counts, that every value prediction reads is finite (with std positive),
+and that every kernel row id lies in the shared block; a payload the model
+classes reject (a repeated grid key, say) is reported as corrupt too.
+
+A kht file stores the kernel support rows once: a ``(k, d)`` float64 block
+of the rows that the members' ids use, in the order of the matrix they
+share (the standardized training features, for a trained model), each of
+them used by some member.  An nht file has no such block.
 
 A member is its partition block then its regressor block, untagged: the
 config's ``partition`` and ``mode`` give their kinds.  A grid block
@@ -28,10 +34,10 @@ holds the transform and the ``(n_cells, d)`` key table; a tree block holds
 the ``(d, d)`` rotation and the breadth-first node arrays ``split_dim`` and
 ``threshold``.  Every member's regressor is a ``KernelCellModel``; its
 block holds ``fallback`` and ``means``, and in a kht file then the flat
-kernel arrays ``offsets``, ``support`` and ``alpha``.  An nht member has no
-kernel cells, so the loader rebuilds zero ``offsets`` and empty ``support``
-and ``alpha``.  ``gamma`` and ``clip_bound`` are the header's, shared by
-every member.
+kernel arrays ``offsets``, the int32 row ``ids`` into the shared block and
+``alpha``.  An nht member has no kernel cells, so the loader rebuilds zero
+``offsets`` and empty ``rows``, ``ids`` and ``alpha``.  ``gamma`` and
+``clip_bound`` are the header's, shared by every member.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ from .rng import NORMAL_METHOD, RNG_ALGORITHM
 from .transform import HistogramTransform, check_rotation
 
 MAGIC = b"HTEN"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _CHECKSUM_BYTES = 32
 
-_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64)}
+_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64), 2: np.dtype(np.int32)}
 _TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
 
 # header fields every file of this build holds with these values
@@ -87,15 +93,15 @@ def _w_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     _w_u8(buf, arr.ndim)
     for dim in arr.shape:
         _w_u64(buf, dim)
-    buf.write(arr.tobytes(order="C"))
+    buf.write(arr)
 
 
 class _Reader:
-    def __init__(self, data: bytes, offset: int):
+    def __init__(self, data: memoryview, offset: int):
         self.data = data
         self.pos = offset
 
-    def _take(self, size: int) -> bytes:
+    def _take(self, size: int) -> memoryview:
         if self.pos + size > len(self.data):
             raise DataError("model file truncated")
         chunk = self.data[self.pos : self.pos + size]
@@ -120,7 +126,7 @@ class _Reader:
         if ndim > 2:  # every array the format writes has rank at most 2
             raise DataError(f"model file corrupt: array of rank {ndim} above 2")
         shape = tuple(self.u64() for _ in range(ndim))
-        raw = self._take(math.prod(shape) * 8)
+        raw = self._take(math.prod(shape) * dtype.itemsize)
         little_endian = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
         return little_endian.astype(dtype).reshape(shape)
 
@@ -156,16 +162,38 @@ def _read_standardizer(r: _Reader, d: int) -> Standardizer:
     return stz
 
 
-def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel) -> None:
+def _used_rows(n_rows: int, kernels: list[KernelCellModel]) -> np.ndarray:
+    """Which of the ``n_rows`` shared rows the kernels' ids use."""
+    used = np.zeros(n_rows, dtype=bool)
+    for kernel in kernels:
+        used[kernel.ids] = True
+    return used
+
+
+def _shared_rows(ensemble: EnsembleModel) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that the kht members' ids use, once and in order, and each
+    row's new id: its position among them (as int32)."""
+    kernels = [member.model for member in ensemble.members]
+    rows = kernels[0].rows
+    if any(kernel.rows is not rows for kernel in kernels):
+        raise DataError("the kht members do not share one rows matrix")
+    used = _used_rows(len(rows), kernels)
+    new_ids = np.cumsum(used) - 1
+    if len(rows) and new_ids[-1] > np.iinfo(np.int32).max:
+        raise DataError("more shared support rows than int32 ids can address")
+    return rows[used], new_ids.astype(np.int32)
+
+
+def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel,
+                  new_ids: np.ndarray | None) -> None:
     # the loader takes what the blocks leave out from the header: the kinds
     # of partition and regressor, gamma and clip_bound
     part, model, config = member.partition, member.model, ensemble.config
-    kernel = config.mode == "kht"
     if isinstance(part, GridPartition) != (config.partition == "grid"):
         raise DataError("a member's partition kind differs from the ensemble's")
     if (model.gamma, model.clip_bound) != (config.gamma, ensemble.clip_bound):
         raise DataError("a member's gamma or clip_bound differs from the ensemble's")
-    if not kernel and len(model.alpha):
+    if new_ids is None and len(model.alpha):
         raise DataError("an nht member cannot hold kernel cells")
     if isinstance(part, GridPartition):
         t = part.transform
@@ -181,12 +209,21 @@ def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel) -> N
         _w_array(buf, part.threshold)
     _w_f64(buf, model.fallback)
     _w_array(buf, model.means)
-    if kernel:
-        for arr in (model.offsets, model.support, model.alpha):
+    if new_ids is not None:
+        for arr in (model.offsets, new_ids[model.ids], model.alpha):
             _w_array(buf, arr)
 
 
-def _read_member(r: _Reader, d: int, config: TrainConfig, clip_bound: float) -> Member:
+def _read_shared_rows(r: _Reader, d: int) -> np.ndarray:
+    rows = r.array()
+    _require(rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1:] == (d,),
+             f"shared support rows of shape {rows.shape} are not (k, {d}) float64")
+    _require_finite("shared support rows", rows)
+    return rows
+
+
+def _read_member(r: _Reader, d: int, config: TrainConfig, clip_bound: float,
+                 rows: np.ndarray) -> Member:
     if config.partition == "grid":
         rotation = r.array()
         scales = r.array()
@@ -215,27 +252,31 @@ def _read_member(r: _Reader, d: int, config: TrainConfig, clip_bound: float) -> 
              f"cell means are not float64 of shape ({n_cells},)")
     _require_finite("fallback or cell means", fallback, means)
     if config.mode == "kht":
-        offsets, support, alpha = r.array(), r.array(), r.array()
-        _require(alpha.ndim == 1, "kernel coefficients are not a vector")
+        offsets, ids, alpha = r.array(), r.array(), r.array()
+        _require(alpha.dtype == np.float64 and alpha.ndim == 1,
+                 "kernel coefficients are not a float64 vector")
         _require(
             offsets.dtype == np.int64 and offsets.shape == (n_cells + 1,)
             and offsets[0] == 0 and (np.diff(offsets) >= 0).all()
             and offsets[-1] == len(alpha),
             f"kernel offsets must run from 0 up to {len(alpha)} in {n_cells + 1} steps",
         )
-        _require(support.shape == (len(alpha), d),
-                 f"kernel support of shape {support.shape} is not ({len(alpha)}, {d})")
-        _require_finite("kernel support or alpha", support, alpha)
+        _require(ids.dtype == np.int32 and ids.shape == alpha.shape,
+                 f"kernel row ids are not int32 of shape ({len(alpha)},)")
+        _require(ids.min(initial=0) >= 0 and ids.max(initial=-1) < len(rows),
+                 f"kernel row id outside [0, {len(rows)})")
+        _require_finite("kernel coefficients", alpha)
         # kernel values lie in [0, 1]: a finite sum of |alpha| bounds every K @ alpha
         with np.errstate(over="ignore"):
             _require(np.isfinite(np.abs(alpha).sum()),
                      "kernel coefficients sum past the float range")
     else:
         offsets = np.zeros(n_cells + 1, dtype=np.int64)
-        support, alpha = np.empty((0, d)), np.empty(0)
+        ids, alpha = np.empty(0, dtype=np.intp), np.empty(0)
     return Member(part, KernelCellModel(
         offsets=offsets,
-        support=support,
+        rows=rows,
+        ids=ids,
         alpha=alpha,
         means=means,
         gamma=config.gamma,
@@ -261,8 +302,12 @@ def serialize_model(model: EnsembleModel) -> bytes:
     _w_u64(buf, len(header_bytes))
     buf.write(header_bytes)
     _write_standardizer(buf, model.standardizer)
+    new_ids = None
+    if model.config.mode == "kht":
+        shared, new_ids = _shared_rows(model)
+        _w_array(buf, shared)
     for member in model.members:
-        _write_member(buf, member, model)
+        _write_member(buf, member, model, new_ids)
     payload = buf.getvalue()
     return payload + hashlib.sha256(payload).digest()
 
@@ -284,7 +329,7 @@ def _verify(data: bytes) -> tuple[dict, int]:
             f"unsupported model format version {version} "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    digest = hashlib.sha256(data[:-_CHECKSUM_BYTES]).digest()
+    digest = hashlib.sha256(memoryview(data)[:-_CHECKSUM_BYTES]).digest()
     if digest != data[-_CHECKSUM_BYTES:]:
         raise DataError("model file corrupt: checksum mismatch")
     header_len = struct.unpack_from("<Q", data, len(MAGIC) + 4)[0]
@@ -316,13 +361,18 @@ def read_metadata(path) -> dict:
 
 def deserialize_model(data: bytes) -> EnsembleModel:
     header, offset = _verify(data)
-    reader = _Reader(data[:-_CHECKSUM_BYTES], offset)
+    reader = _Reader(memoryview(data)[:-_CHECKSUM_BYTES], offset)
     d = header["d"]
     try:
         config = TrainConfig.from_dict(header["config"])
         standardizer = _read_standardizer(reader, d)
-        members = [_read_member(reader, d, config, header["clip_bound"])
+        kernel = config.mode == "kht"
+        rows = _read_shared_rows(reader, d) if kernel else np.empty((0, d))
+        members = [_read_member(reader, d, config, header["clip_bound"], rows)
                    for _ in range(header["n_transforms"])]
+        if kernel:  # a row no member uses would be dropped by the next save
+            used = _used_rows(len(rows), [member.model for member in members])
+            _require(used.all(), "a shared support row is used by no member")
         if config.partition == "adaptive":  # a grid transform checks its own
             check_rotation(np.array([m.partition.rotation for m in members]))
     except ConfigError as exc:  # the config, a transform or a tree rejected the file

@@ -46,7 +46,8 @@ def _mean_model(means: np.ndarray, d: int, fallback: float = 0.0,
                 clip_bound: float = 10.0) -> KernelCellModel:
     """A regressor without kernel cells: each cell predicts ``means[c]``."""
     return KernelCellModel(offsets=np.zeros(len(means) + 1, dtype=np.int64),
-                           support=np.empty((0, d)), alpha=np.empty(0), means=means,
+                           rows=np.empty((0, d)), ids=np.empty(0, dtype=np.intp),
+                           alpha=np.empty(0), means=means,
                            gamma=1.0, clip_bound=clip_bound, fallback=fallback)
 
 

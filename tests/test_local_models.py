@@ -32,9 +32,10 @@ def _kernel_model(cells, clip_bound=10.0, fallback=0.0, gamma=1.0):
     kernel = [c for c in cells if isinstance(c, tuple)]
     sizes = [len(c[1]) if isinstance(c, tuple) else 0 for c in cells]
     d = kernel[0][0].shape[1] if kernel else 1
+    support = np.concatenate([s for s, _ in kernel]) if kernel else np.empty((0, d))
     return KernelCellModel(
         offsets=np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
-        support=np.concatenate([s for s, _ in kernel]) if kernel else np.empty((0, d)),
+        rows=support, ids=np.arange(len(support)),
         alpha=np.concatenate([a for _, a in kernel]) if kernel else np.empty(0),
         means=np.array([0.0 if isinstance(c, tuple) else c for c in cells]),
         gamma=gamma, clip_bound=clip_bound, fallback=fallback,
@@ -432,7 +433,7 @@ class TestBatchedKernelPredict:
 
     @pytest.mark.parametrize("q,m", [(3, 5), (16, 32)])
     def test_shape_group_beyond_the_stack_budget(self, monkeypatch, q, m):
-        monkeypatch.setattr(hte.local_models, "_STACK_ENTRIES", 64)
+        monkeypatch.setattr(hte.local_models, "_FLAT_ENTRIES", 64)
         n_cells = 64 // (q * m) * 3 + 4
         model, cells, X = _query_layout(3, [(q, m)] * n_cells, 2)
         flat, alone = _record_kernel_builds(monkeypatch)
@@ -457,7 +458,7 @@ class TestBatchedKernelPredict:
             X[philox_generator(seed).integers(len(X)), 0] = 1e200
         expected = _predict_cell_by_cell(model, cells, X, clipped=False)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hte.local_models, "_STACK_ENTRIES", budget)
+            patch.setattr(hte.local_models, "_FLAT_ENTRIES", budget)
             out = model.predict(cells, X, clipped=False)
         assert out.tobytes() == expected.tobytes()
 

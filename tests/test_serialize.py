@@ -1,6 +1,10 @@
+import functools
 import hashlib
+import io
 import json
 import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hte.data import Dataset, gen_counter3d, gen_sin16
-from hte.ensemble import TrainConfig, predict, train_ensemble
+from hte.ensemble import EnsembleModel, TrainConfig, predict, train_ensemble
 from hte.errors import DataError
 from hte.local_models import KernelCellModel
 from hte.partition import AdaptiveTree, GridPartition
 from hte.serialize import (
     FORMAT_VERSION,
+    _Reader,
+    _w_array,
     deserialize_model,
     load_model,
     read_metadata,
@@ -64,6 +70,7 @@ def _assert_round_trip_lossless(model):
             fa, fb = getattr(a.model, field), getattr(b.model, field)
             assert (fa.dtype, fa.shape) == (fb.dtype, fb.shape)
             assert fa.tobytes() == fb.tobytes()
+        assert b.model.rows is again.members[0].model.rows  # one shared block
 
     queries = gen_counter3d(100, seed=7).X
     np.testing.assert_array_equal(predict(model, queries), predict(again, queries))
@@ -331,11 +338,95 @@ def test_kernel_offsets_must_end_at_coefficient_count():
         deserialize_model(serialize_model(model))
 
 
+def _share_rows(model, rows):
+    """Point every member at ``rows``, the one matrix their ids index."""
+    for member in model.members:
+        member.model.rows = rows
+
+
 def test_kernel_support_width_checked():
     model, member = _kernel_grid_member()
-    member.model.support = member.model.support[:, :2]
-    with pytest.raises(DataError, match=r"support .* not \(\d+, 3\)"):
+    _share_rows(model, member.model.rows[:, :2])
+    with pytest.raises(DataError, match=r"shared support rows of shape \(\d+, 2\) are not "
+                                        r"\(k, 3\) float64"):
         deserialize_model(serialize_model(model))
+
+
+def _record(arr: np.ndarray) -> bytes:
+    """The bytes the writer stores for ``arr``: tag, rank, dimensions, data."""
+    buf = io.BytesIO()
+    _w_array(buf, arr)
+    return buf.getvalue()
+
+
+def _with_record(blob: bytes, old: bytes, new: bytes) -> bytes:
+    """A resealed copy of a model file with its one record ``old`` replaced."""
+    payload = blob[:-32]
+    assert payload.count(old) == 1
+    return _reseal(payload.replace(old, new))
+
+
+def test_kht_file_stores_each_support_row_once():
+    model, _ = _kernel_grid_member()
+    blob = serialize_model(model)
+    again = deserialize_model(blob)
+    rows = again.members[0].model.rows
+    trained = np.unique(np.concatenate([m.model.ids for m in model.members]))
+    # the used rows in training order, right after the standardizer
+    assert rows.tobytes() == model.members[0].model.rows[trained].tobytes()
+    standardizer_bytes = 2 * (1 + 1 + 8 + 8 * 3) + 1
+    assert blob[_first_array_offset(blob) + standardizer_bytes:].startswith(_record(rows))
+    for a, b in zip(model.members, again.members):
+        assert b.model.ids.dtype == np.int32 and b.model.rows is rows
+        assert _record(b.model.ids) in blob
+        np.testing.assert_array_equal(rows[b.model.ids], a.model.support)
+    assert sum(len(m.model.ids) for m in model.members) > len(rows)
+
+
+@pytest.mark.parametrize("bad", ["negative", "k"])
+def test_kernel_row_id_outside_the_shared_rows_is_corrupt(bad):
+    model, _ = _kernel_grid_member()
+    blob = serialize_model(model)
+    kernel = deserialize_model(blob).members[1].model
+    k = len(kernel.rows)
+    ids = kernel.ids.copy()
+    ids[0] = -1 if bad == "negative" else k
+    with pytest.raises(DataError, match=rf"corrupt: kernel row id outside \[0, {k}\)"):
+        deserialize_model(_with_record(blob, _record(kernel.ids), _record(ids)))
+
+
+def test_kernel_row_ids_must_be_int32():
+    model, _ = _kernel_grid_member()
+    blob = serialize_model(model)
+    ids = deserialize_model(blob).members[0].model.ids
+    with pytest.raises(DataError, match=r"corrupt: kernel row ids are not int32 of shape"):
+        deserialize_model(_with_record(blob, _record(ids), _record(ids.astype(np.int64))))
+
+
+def test_kernel_row_ids_length_checked():
+    model, member = _kernel_grid_member()
+    member.model.ids = member.model.ids[:-1]
+    with pytest.raises(DataError, match=r"corrupt: kernel row ids are not int32 of shape \(\d+,\)"):
+        deserialize_model(serialize_model(model))
+
+
+def test_shared_row_used_by_no_member_is_corrupt():
+    # a load and save would drop such a row and change the bytes
+    model, _ = _kernel_grid_member()
+    blob = serialize_model(model)
+    rows = deserialize_model(blob).members[0].model.rows
+    extra = np.vstack([rows, np.zeros((1, 3))])
+    with pytest.raises(DataError, match="corrupt: a shared support row is used by no member"):
+        deserialize_model(_with_record(blob, _record(rows), _record(extra)))
+
+
+def test_members_of_two_models_do_not_share_one_file():
+    model, _ = _kernel_grid_member()
+    _, other = _train("kht", "grid", seed=43)
+    mixed = EnsembleModel([model.members[0], other.members[1]], model.standardizer,
+                          model.config, model.clip_bound)
+    with pytest.raises(DataError, match="the kht members do not share one rows matrix"):
+        serialize_model(mixed)
 
 
 def test_version_2_file_rejected_by_name():
@@ -343,7 +434,7 @@ def test_version_2_file_rejected_by_name():
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 2)
     with pytest.raises(DataError, match=r"unsupported model format version 2 "
-                                        r"\(this build reads version 5\)"):
+                                        r"\(this build reads version 6\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -355,7 +446,7 @@ def test_version_3_file_rejected_by_name(mode):
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 3)
     with pytest.raises(DataError, match=r"unsupported model format version 3 "
-                                        r"\(this build reads version 5\)"):
+                                        r"\(this build reads version 6\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -367,7 +458,19 @@ def test_version_4_file_rejected_by_name(partition):
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 4)
     with pytest.raises(DataError, match=r"unsupported model format version 4 "
-                                        r"\(this build reads version 5\)"):
+                                        r"\(this build reads version 6\)"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+@pytest.mark.parametrize("mode", ["nht", "kht"])
+def test_version_5_file_rejected_by_name(mode):
+    # version 5 stored each kht member's own float64 copy of its support
+    # rows; those files must be retrained
+    _, model = _train(mode, "grid", n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[4:8] = struct.pack("<I", 5)
+    with pytest.raises(DataError, match=r"unsupported model format version 5 "
+                                        r"\(this build reads version 6\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -454,11 +557,16 @@ def test_kernel_value_not_finite_is_corrupt(field):
     model, member = _kernel_grid_member()
     if field == "fallback":
         member.model.fallback = np.inf
+    elif field == "support":  # the member's last support row, in the shared rows
+        rows = member.model.rows.copy()
+        rows[member.model.ids[-1], -1] = np.nan
+        _share_rows(model, rows)
     else:
         values = getattr(member.model, field).copy()
         values.flat[-1] = np.nan
         setattr(member.model, field, values)
-    problem = "kernel support or alpha" if field in ("alpha", "support") else "fallback or cell means"
+    problem = {"alpha": "kernel coefficients", "support": "shared support rows"}.get(
+        field, "fallback or cell means")
     with pytest.raises(DataError, match=f"corrupt: {problem} not finite"):
         deserialize_model(serialize_model(model))
 
@@ -615,6 +723,11 @@ def test_array_rank_above_two_is_corrupt():
         deserialize_model(_reseal(bytes(blob)))
 
 
+def _read_header(blob: bytes) -> dict:
+    size = struct.unpack_from("<Q", blob, 8)[0]
+    return json.loads(blob[16:16 + size])
+
+
 def _with_header(blob: bytes, edit) -> bytes:
     """A resealed copy of a model file whose header is ``edit(header)``."""
     payload = blob[:-32]
@@ -652,3 +765,103 @@ def test_load_then_save_keeps_the_bytes(mode, partition, n_transforms, seed, dat
     # the header's counts are checked against what the file holds
     with pytest.raises(DataError):
         deserialize_model(_with_header(blob, lambda h: {**h, field: h[field] + delta}))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["grid", "adaptive", "best-scored"]), d=st.integers(1, 3),
+       n=st.integers(10, 80), k_min=st.one_of(st.integers(1, 8), st.just(200)),
+       n_transforms=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_kht_load_then_save_keeps_the_bytes_and_the_predictions(kind, d, n, k_min,
+                                                                n_transforms, seed):
+    # k_min above n leaves no kernel cell: the shared block is (0, d)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = np.sin(X.sum(axis=1)) + rng.normal(size=n) * 0.1
+    cfg = TrainConfig(mode="kht", partition="adaptive" if kind == "adaptive" else "grid",
+                      n_candidates=3 if kind == "best-scored" else 1, n_transforms=n_transforms,
+                      min_samples_split=10, k_min=k_min, master_seed=seed)
+    model = train_ensemble(Dataset(X, y), cfg, n_threads=1)
+    blob = serialize_model(model)
+    again = deserialize_model(blob)
+    assert serialize_model(again) == blob
+    rows = again.members[0].model.rows
+    assert rows.shape[1] == d and (k_min <= n or len(rows) == 0)
+    queries = np.vstack([X, rng.normal(size=(20, d)) * 3.0])
+    assert predict(again, queries).tobytes() == predict(model, queries).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _small_model_file(mode: str, partition: str, seed: int) -> bytes:
+    cfg = TrainConfig(mode=mode, partition=partition, n_transforms=1 + seed % 2,
+                      min_samples_split=30, k_min=3, master_seed=seed)
+    return serialize_model(train_ensemble(gen_counter3d(150, seed=seed), cfg, n_threads=1))
+
+
+def _array_spans(blob: bytes) -> list[tuple[int, int]]:
+    """(start, end) of every array record of a valid model file, in file order."""
+    spans, read = [], _Reader.array
+
+    def logged(reader):
+        start = reader.pos
+        out = read(reader)
+        spans.append((start, reader.pos))
+        return out
+
+    with mock.patch.object(_Reader, "array", logged):
+        deserialize_model(blob)
+    return spans
+
+
+_QUERIES = np.vstack([gen_counter3d(60, seed=99).X, np.full((1, 3), 1e6)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
+       seed=st.integers(0, 3), mutation=st.sampled_from(["bytes", "record", "ids", "header"]),
+       truncate=st.booleans(), data=st.data())
+def test_a_corrupted_file_raises_a_data_error_or_predicts_clipped(mode, partition, seed,
+                                                                  mutation, truncate, data):
+    blob = _small_model_file(mode, partition, seed)
+    payload = blob[:-32]
+
+    def replace_bytes(start, end):  # 1-3 bytes in [start, end) set to drawn values
+        edited = bytearray(payload)
+        for _ in range(data.draw(st.integers(1, 3))):
+            edited[data.draw(st.integers(start, end - 1))] = data.draw(st.integers(0, 255))
+        return _reseal(bytes(edited))
+
+    if mutation == "bytes":  # anywhere after the version field
+        corrupt = replace_bytes(8, len(payload))
+    elif mutation in ("record", "ids"):  # one array record: any, or a kht member's row ids
+        spans = _array_spans(blob)
+        if mutation == "ids":
+            spans = [(a, b) for a, b in spans if payload[a] == 2] or spans
+        start, end = data.draw(st.sampled_from(spans))
+        if truncate:  # drop the record's tail
+            cut = data.draw(st.integers(1, end - start))
+            corrupt = _reseal(payload[:end - cut] + payload[end:])
+        else:
+            corrupt = replace_bytes(start, end)
+    else:  # set one header or config field to a drawn JSON value
+        header = _read_header(blob)
+        keys = [("header", k) for k in header] + [("config", k) for k in header["config"]]
+        where, key = data.draw(st.sampled_from(keys))
+        value = data.draw(_JSON_VALUES)
+
+        def edit(h):
+            if where == "header":
+                return {**h, key: value}
+            return {**h, "config": {**h["config"], key: value}}
+
+        corrupt = _with_header(blob, edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a failure, not a rejection
+        try:
+            model = deserialize_model(corrupt)
+            predictions = predict(model, _QUERIES)
+        except DataError:
+            return
+    # the drawn files do not scale the target, and T <= 2 averages exactly
+    assert not model.standardizer.scales_target
+    assert np.isfinite(predictions).all()
+    assert np.abs(predictions).max() <= model.clip_bound
