@@ -104,8 +104,15 @@ def fit_standardizer(dataset: Dataset, features: bool, target: bool) -> Standard
     """
     X, y = dataset.X, dataset.y
     if features:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0, ddof=1) if len(X) > 1 else np.zeros(X.shape[1])
+        # the bits of X.mean(axis=0) and X.std(axis=0, ddof=1), in numpy's
+        # own operations, with the column sums of the mean taken once
+        n = len(X)
+        mean = np.add.reduce(X, axis=0) / n
+        std = np.zeros(X.shape[1])
+        if n > 1:
+            dev = X - mean
+            np.square(dev, out=dev)
+            std = np.sqrt(np.add.reduce(dev, axis=0) / (n - 1))
         std = np.where(std == 0.0, 1.0, std)
     else:
         mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])

@@ -1,4 +1,4 @@
-"""Versioned binary model container, format 6.
+"""Versioned binary model container, format 7.
 
 Layout (all integers little-endian):
 
@@ -6,22 +6,28 @@ Layout (all integers little-endian):
     standardizer block | kht: shared support rows | one block per member
     sha256 of everything above
 
-Arrays are written as a dtype tag (0 = float64, 1 = int64, 2 = int32), a
-u8 rank, u64 dimensions and raw C-order bytes, so the round trip is
-bit-exact.  Every fact has one home, on the model or in this build, so a
-file the writer made loads and saves to the same bytes.  The header holds
-this build's ``format_version``, ``rng`` and ``normal_method``; ``d``,
-``n_transforms`` and ``total_cells`` (for ``read_metadata``; checked
-against the members); ``clip_bound``; the effective ``config``, enough to
-reproduce the model byte-for-byte from the same data; and ``data``, the
-model's ``data_info``.  Loading verifies magic, version and checksum before
+Arrays are written as a dtype tag (0 = float64, 1 = int64, 2-5 = uint8,
+uint16, uint32, uint64), a u8 rank, u64 dimensions and raw C-order bytes,
+so the round trip is bit-exact.  An integer array is an unsigned record on
+the narrowest of the four widths that holds its largest value (the grid
+key base is the one int64 array); the loader rejects a record stored wider
+than that, and one whose values the model's own dtype cannot hold, then
+widens it to that dtype.  Every fact has one home, on the model or in this
+build, so a file the writer made loads and saves to the same bytes.  The
+header holds this build's ``format_version``, ``rng`` and
+``normal_method``; ``d``, ``n_transforms`` and ``total_cells`` (for
+``read_metadata``; checked against the members); ``clip_bound``; the
+effective ``config``, enough to reproduce the model byte-for-byte from the
+same data; and ``data``, the model's ``data_info``.  Loading verifies magic, version and checksum before
 touching any payload, then those header values and each field's JSON type,
 a valid ``config`` (so a ``gamma`` that training accepts) and a finite
 positive ``clip_bound``, then checks the shapes of the standardizer, grid
 key tables, tree arrays and regressor arrays against ``d`` and the cell
 counts, that every value prediction reads is finite (with std positive),
-and that every kernel row id lies in the shared block; a payload the model
-classes reject (a repeated grid key, say) is reported as corrupt too.
+that a grid key base is its keys' minimum, that a tree has one threshold
+per internal node, and that every kernel row id lies in the shared block;
+a payload the model classes reject (a repeated grid key, say) is reported
+as corrupt too.
 
 A kht file stores the kernel support rows once: a ``(k, d)`` float64 block
 of the rows that the members' ids use, in the order of the matrix they
@@ -30,12 +36,16 @@ them used by some member.  An nht file has no such block.
 
 A member is its partition block then its regressor block, untagged: the
 config's ``partition`` and ``mode`` give their kinds.  A grid block
-holds the transform and the ``(n_cells, d)`` key table; a tree block holds
-the ``(d, d)`` rotation and the breadth-first node arrays ``split_dim`` and
-``threshold``.  Every member's regressor is a ``KernelCellModel``; its
-block holds ``fallback`` and ``means``, and in a kht file then the flat
-kernel arrays ``offsets``, the int32 row ``ids`` into the shared block and
-``alpha``.  An nht member has no kernel cells, so the loader rebuilds zero
+holds the transform, then the ``(n_cells, d)`` key table as the int64
+``(d,)`` base ``lo``, each column's minimum, and the offsets ``keys - lo``,
+both taken in uint64 so that a span of 2**63 (keys at -2**62 and 2**62)
+does not wrap.  A tree block holds the ``(d, d)`` rotation, ``split_dim +
+1`` of the breadth-first nodes (0 at a leaf) and the thresholds of the
+internal nodes only; the loader puts NaN back at the leaves.  Every
+member's regressor is a ``KernelCellModel``; its block holds ``fallback``
+and ``means``, and in a kht file then the flat kernel arrays ``offsets``,
+the row ``ids`` into the shared block (int32 once loaded) and ``alpha``.
+An nht member has no kernel cells, so the loader rebuilds zero
 ``offsets`` and empty ``rows``, ``ids`` and ``alpha``.  ``gamma`` and
 ``clip_bound`` are the header's, shared by every member.
 """
@@ -59,11 +69,13 @@ from .rng import NORMAL_METHOD, RNG_ALGORITHM
 from .transform import HistogramTransform, check_rotation
 
 MAGIC = b"HTEN"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _CHECKSUM_BYTES = 32
 
-_DTYPES = {0: np.dtype(np.float64), 1: np.dtype(np.int64), 2: np.dtype(np.int32)}
+_DTYPES = dict(enumerate(map(np.dtype, (np.float64, np.int64,
+                                          np.uint8, np.uint16, np.uint32, np.uint64))))
 _TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
+_UNSIGNED = [_DTYPES[tag] for tag in range(2, 6)]  # narrowest first
 
 # header fields every file of this build holds with these values
 _HEADER_CONSTANTS = {"format_version": FORMAT_VERSION, "rng": RNG_ALGORITHM,
@@ -89,11 +101,22 @@ def _w_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _TAGS:
         raise DataError(f"unsupported array dtype {arr.dtype}")
-    _w_u8(buf, _TAGS[arr.dtype])
-    _w_u8(buf, arr.ndim)
-    for dim in arr.shape:
-        _w_u64(buf, dim)
+    buf.write(struct.pack(f"<BB{arr.ndim}Q", _TAGS[arr.dtype], arr.ndim, *arr.shape))
     buf.write(arr)
+
+
+def _narrowest(top: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every value up to ``top``."""
+    return next(dtype for dtype in _UNSIGNED if top < 1 << 8 * dtype.itemsize)
+
+
+def _w_unsigned(buf: io.BytesIO, arr: np.ndarray) -> None:
+    """Integers >= 0 as a record on the narrowest unsigned dtype that holds them."""
+    if arr.dtype.kind not in "iu":
+        raise DataError(f"an unsigned record cannot hold {arr.dtype} values")
+    if arr.min(initial=0) < 0:
+        raise DataError("an unsigned record cannot hold a negative value")
+    _w_array(buf, arr.astype(_narrowest(int(arr.max(initial=0)))))
 
 
 class _Reader:
@@ -111,29 +134,45 @@ class _Reader:
     def u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
 
     def array(self) -> np.ndarray:
-        tag = self.u8()
+        tag, ndim = self._take(2)
         if tag not in _DTYPES:
-            raise DataError(f"model file corrupt: unknown array dtype tag {tag}")
+            raise _corrupt(f"unknown array dtype tag {tag}")
         dtype = _DTYPES[tag]
-        ndim = self.u8()
         if ndim > 2:  # every array the format writes has rank at most 2
-            raise DataError(f"model file corrupt: array of rank {ndim} above 2")
-        shape = tuple(self.u64() for _ in range(ndim))
+            raise _corrupt(f"array of rank {ndim} above 2")
+        shape = struct.unpack(f"<{ndim}Q", self._take(8 * ndim))
         raw = self._take(math.prod(shape) * dtype.itemsize)
         little_endian = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
         return little_endian.astype(dtype).reshape(shape)
 
+    def unsigned(self, what: str, dtype: type, below: int | None = None) -> np.ndarray:
+        """An unsigned record on the narrowest width that holds its largest
+        value, widened to ``dtype``; every value must lie below ``below``,
+        by default the range of ``dtype``, so the widening cannot wrap."""
+        arr = self.array()
+        if arr.dtype.kind != "u":  # each message is formatted only on failure
+            raise _corrupt(f"{what} are stored as {arr.dtype}, not unsigned")
+        top = int(arr.max(initial=0))
+        if arr.dtype != _narrowest(top):
+            raise _corrupt(f"{what} are stored as {arr.dtype}, not on the narrowest "
+                           f"width {_narrowest(top)}")
+        below = np.iinfo(dtype).max + 1 if below is None else below
+        if top >= below and arr.size:
+            raise _corrupt(f"{what} outside [0, {below})")
+        return arr.astype(dtype)
+
+
+def _corrupt(problem: str) -> DataError:
+    return DataError(f"model file corrupt: {problem}")
+
 
 def _require(ok: bool, problem: str) -> None:
     if not ok:
-        raise DataError(f"model file corrupt: {problem}")
+        raise _corrupt(problem)
 
 
 def _require_finite(what: str, *values) -> None:
@@ -202,16 +241,20 @@ def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel,
         _w_array(buf, t.translation)
         _w_f64(buf, t.h_lower)
         _w_f64(buf, t.h_upper)
-        _w_array(buf, part.keys)
+        lo = part._lo + 1  # the keys' per-axis minimum: the box without its guard layer
+        _w_array(buf, lo)
+        # in uint64, so a span of 2**63 (keys at -2**62 and 2**62) does not wrap
+        _w_unsigned(buf, part.keys.view(np.uint64) - lo.view(np.uint64))
     else:
         _w_array(buf, part.rotation)
-        _w_array(buf, part.split_dim)
-        _w_array(buf, part.threshold)
+        _w_unsigned(buf, part.split_dim + 1)  # 0 at a leaf
+        _w_array(buf, part.threshold[part.split_dim >= 0])
     _w_f64(buf, model.fallback)
     _w_array(buf, model.means)
     if new_ids is not None:
-        for arr in (model.offsets, new_ids[model.ids], model.alpha):
-            _w_array(buf, arr)
+        _w_unsigned(buf, model.offsets)
+        _w_unsigned(buf, new_ids[model.ids])
+        _w_array(buf, model.alpha)
 
 
 def _read_shared_rows(r: _Reader, d: int) -> np.ndarray:
@@ -230,41 +273,52 @@ def _read_member(r: _Reader, d: int, config: TrainConfig, clip_bound: float,
         translation = r.array()
         h_lower = r.f64()
         h_upper = r.f64()
-        keys = r.array()
+        lo = r.array()
+        keys = r.unsigned("grid key offsets", np.uint64)
         _require_finite("grid transform", rotation, scales, translation, h_lower, h_upper)
-        _require(
-            keys.dtype == np.int64 and keys.ndim == 2 and keys.shape[1] == d
-            and len(keys) > 0,
-            f"grid key table of shape {keys.shape} is not (n_cells, {d}) int64",
-        )
+        _require(lo.dtype == np.int64 and lo.shape == (d,),
+                 f"grid key base is not int64 of shape ({d},)")
+        _require(keys.ndim == 2 and keys.shape[1] == d and len(keys) > 0,
+                 f"grid key table of shape {keys.shape} is not (n_cells, {d})")
+        keys += lo.view(np.uint64)  # offsets to keys: uint64 sums wrap to the int64 bits
         transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)
-        part = GridPartition(transform, keys)
+        part = GridPartition(transform, keys.view(np.int64))
+        # the box rejected keys outside +-2**62; a base that is not the
+        # keys' minimum, or an offset that wrapped (to a key below the
+        # base), moves the minimum off the base
+        _require((part._lo + 1 == lo).all(), "grid key base is not the keys' minimum")
     else:
         rotation = r.array()
         _require(rotation.shape == (d, d),
                  f"tree rotation of shape {rotation.shape} is not ({d}, {d})")
-        part = AdaptiveTree(rotation, split_dim=r.array(), threshold=r.array())
-        _require_finite("tree rotation or internal threshold",
-                        rotation, part.threshold[part.split_dim >= 0])
+        split_dim = r.unsigned("tree split dimensions", np.int64) - 1
+        cuts = r.array()
+        internal = split_dim >= 0
+        n_internal = int(np.count_nonzero(internal))
+        _require(cuts.dtype == np.float64 and cuts.shape == (n_internal,),
+                 f"tree thresholds of shape {cuts.shape} for {n_internal} internal nodes")
+        threshold = np.full(split_dim.shape, np.nan)  # NaN at a leaf
+        threshold[internal] = cuts
+        part = AdaptiveTree(rotation, split_dim, threshold)
+        _require_finite("tree rotation or internal threshold", rotation, cuts)
     n_cells = part.n_cells
     fallback, means = r.f64(), r.array()
     _require(means.dtype == np.float64 and means.shape == (n_cells,),
              f"cell means are not float64 of shape ({n_cells},)")
     _require_finite("fallback or cell means", fallback, means)
     if config.mode == "kht":
-        offsets, ids, alpha = r.array(), r.array(), r.array()
+        offsets = r.unsigned("kernel offsets", np.int64)
+        ids = r.unsigned("kernel row ids", np.int32, below=len(rows))
+        alpha = r.array()
         _require(alpha.dtype == np.float64 and alpha.ndim == 1,
                  "kernel coefficients are not a float64 vector")
         _require(
-            offsets.dtype == np.int64 and offsets.shape == (n_cells + 1,)
-            and offsets[0] == 0 and (np.diff(offsets) >= 0).all()
-            and offsets[-1] == len(alpha),
+            offsets.shape == (n_cells + 1,) and offsets[0] == 0
+            and (np.diff(offsets) >= 0).all() and offsets[-1] == len(alpha),
             f"kernel offsets must run from 0 up to {len(alpha)} in {n_cells + 1} steps",
         )
-        _require(ids.dtype == np.int32 and ids.shape == alpha.shape,
+        _require(ids.shape == alpha.shape,
                  f"kernel row ids are not int32 of shape ({len(alpha)},)")
-        _require(ids.min(initial=0) >= 0 and ids.max(initial=-1) < len(rows),
-                 f"kernel row id outside [0, {len(rows)})")
         _require_finite("kernel coefficients", alpha)
         # kernel values lie in [0, 1]: a finite sum of |alpha| bounds every K @ alpha
         with np.errstate(over="ignore"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hte.data import (
@@ -304,6 +304,31 @@ class TestStandardizer:
         else:
             assert stz.target_mean is None and stz.target_std is None
             assert stz.transform_target(ds.y).tobytes() == ds.y.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 400), d=st.integers(1, 9), seed=st.integers(0, 2**16),
+           constant=st.integers(-1, 8), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e150]),
+           fortran=st.booleans())
+    @example(n=2, d=3, seed=0, constant=1, scale=1.0, fortran=False)
+    @example(n=2, d=3, seed=0, constant=1, scale=1e150, fortran=True)
+    def test_feature_statistics_equal_numpy_bitwise(self, n, d, seed, constant, scale,
+                                                    fortran):
+        # the mean's column sums are taken once, with numpy's own operations
+        X = philox_generator(seed).normal(loc=3.0, size=(n, d)) * scale
+        if 0 <= constant < d:  # -1 draws no constant column
+            X[:, constant] = 7.0
+        ds = Dataset(X, np.zeros(n))
+        if fortran:  # Dataset stores C order; the statistics do not depend on it
+            ds.X = np.asfortranarray(ds.X)
+        stz = fit_standardizer(ds, True, False)
+        assert stz.mean.tobytes() == ds.X.mean(axis=0).tobytes()
+        if n > 1:
+            std = ds.X.std(axis=0, ddof=1)
+            assert stz.std.tobytes() == np.where(std == 0.0, 1.0, std).tobytes()
+        else:
+            assert stz.std.tolist() == [1.0] * d
+        if 0 <= constant < d:
+            assert stz.std[constant] == 1.0
 
 
 class TestDefaultScale:

@@ -232,11 +232,21 @@ def _kernel_grid_member():
     return model, member
 
 
+def _key_records(keys: np.ndarray) -> bytes:
+    """The records the writer stores for a grid key table: the int64 base
+    (each column's minimum), then the offsets from it as an unsigned record."""
+    lo = keys.min(axis=0)
+    return _record(lo) + _unsigned_record(keys.view(np.uint64) - lo.view(np.uint64))
+
+
 def test_grid_key_table_width_checked():
     model, member = _kernel_grid_member()
-    member.partition.keys = member.partition.keys[:, :2]
+    blob = serialize_model(model)
+    keys = member.partition.keys
+    offsets = keys.view(np.uint64) - keys.min(axis=0).view(np.uint64)
+    narrow = _with_record(blob, _unsigned_record(offsets), _unsigned_record(offsets[:, :2]))
     with pytest.raises(DataError, match=r"key table .* not \(n_cells, 3\)"):
-        deserialize_model(serialize_model(model))
+        deserialize_model(narrow)
 
 
 def test_grid_repeated_key_is_corrupt():
@@ -253,13 +263,31 @@ def test_grid_key_outside_bin_key_range_is_corrupt(key):
     # the guard layers around such a key would wrap, so it must not load
     _, model = _train("nht", "grid", n=120)
     keys = model.members[0].partition.keys
-    blob = bytearray(serialize_model(model)[:-32])
-    at = bytes(blob).index(keys.tobytes())
     bad = keys.copy()
     bad[-1, 0] = key
-    blob[at:at + keys.nbytes] = bad.tobytes()
+    blob = _with_record(serialize_model(model), _key_records(keys), _key_records(bad))
     with pytest.raises(DataError, match=r"corrupt: grid key outside \[-2\*\*62, 2\*\*62\]"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(blob)
+
+
+@pytest.mark.parametrize("edit", ["lower base", "wrapped offset"])
+def test_grid_key_base_must_be_the_keys_minimum(edit):
+    # a lower base with larger offsets gives the same keys, but a save
+    # would write other bytes; an offset whose sum with the base passes
+    # 2**63 - 1 wraps to a key below the base
+    _, model = _train("nht", "grid", n=120)
+    keys = model.members[0].partition.keys
+    lo = keys.min(axis=0)
+    offsets = keys.view(np.uint64) - lo.view(np.uint64)
+    if edit == "lower base":
+        lo[1] -= 1
+        offsets[:, 1] += np.uint64(1)
+    else:
+        offsets[0, 0] = np.uint64(2**64 - 1)  # lo + 2**64 - 1 wraps to lo - 1
+    blob = _with_record(serialize_model(model), _key_records(keys),
+                        _record(lo) + _unsigned_record(offsets))
+    with pytest.raises(DataError, match="corrupt: grid key base is not the keys' minimum"):
+        deserialize_model(blob)
 
 
 _MEANS_SHAPE = r"corrupt: cell means are not float64 of shape \(\d+,\)"
@@ -359,6 +387,14 @@ def _record(arr: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
+def _unsigned_record(arr: np.ndarray) -> bytes:
+    """The bytes the writer stores for integers >= 0: the narrowest unsigned
+    dtype that holds them (numpy's ``min_scalar_type`` of the largest)."""
+    narrow = np.min_scalar_type(int(arr.max(initial=0)))
+    assert narrow.kind == "u"
+    return _record(arr.astype(narrow))
+
+
 def _with_record(blob: bytes, old: bytes, new: bytes) -> bytes:
     """A resealed copy of a model file with its one record ``old`` replaced."""
     payload = blob[:-32]
@@ -378,7 +414,7 @@ def test_kht_file_stores_each_support_row_once():
     assert blob[_first_array_offset(blob) + standardizer_bytes:].startswith(_record(rows))
     for a, b in zip(model.members, again.members):
         assert b.model.ids.dtype == np.int32 and b.model.rows is rows
-        assert _record(b.model.ids) in blob
+        assert _unsigned_record(b.model.ids) in blob
         np.testing.assert_array_equal(rows[b.model.ids], a.model.support)
     assert sum(len(m.model.ids) for m in model.members) > len(rows)
 
@@ -389,18 +425,47 @@ def test_kernel_row_id_outside_the_shared_rows_is_corrupt(bad):
     blob = serialize_model(model)
     kernel = deserialize_model(blob).members[1].model
     k = len(kernel.rows)
-    ids = kernel.ids.copy()
-    ids[0] = -1 if bad == "negative" else k
-    with pytest.raises(DataError, match=rf"corrupt: kernel row id outside \[0, {k}\)"):
-        deserialize_model(_with_record(blob, _record(kernel.ids), _record(ids)))
+    ids = kernel.ids.astype(np.uint32)
+    ids[0] = 2**32 - 1 if bad == "negative" else k  # the bits of int32 -1: no wrap on load
+    with pytest.raises(DataError, match=rf"corrupt: kernel row ids outside \[0, {k}\)"):
+        deserialize_model(_with_record(blob, _unsigned_record(kernel.ids),
+                                       _unsigned_record(ids)))
 
 
-def test_kernel_row_ids_must_be_int32():
-    model, _ = _kernel_grid_member()
+def _integer_records(blob: bytes) -> dict[str, bytes]:
+    """The first unsigned record of each kind in a model file, by name."""
+    records = {}
+    for start, end, what in _array_spans(blob):
+        if what is not None:
+            records.setdefault(what, blob[start:end])
+    return records
+
+
+_INTEGER_RECORDS = [("kht", "grid", "grid key offsets"), ("kht", "grid", "kernel offsets"),
+                    ("kht", "grid", "kernel row ids"), ("nht", "adaptive", "tree split dimensions")]
+
+
+@pytest.mark.parametrize("mode,partition,what", _INTEGER_RECORDS,
+                         ids=[what.replace(" ", "-") for *_, what in _INTEGER_RECORDS])
+def test_integer_record_wider_than_needed_is_corrupt(mode, partition, what):
+    # one width per set of values keeps load -> save byte-stable
+    _, model = _train(mode, partition)
     blob = serialize_model(model)
-    ids = deserialize_model(blob).members[0].model.ids
-    with pytest.raises(DataError, match=r"corrupt: kernel row ids are not int32 of shape"):
-        deserialize_model(_with_record(blob, _record(ids), _record(ids.astype(np.int64))))
+    record = _integer_records(blob)[what]
+    values = _record_values(record)
+    wider = np.dtype(f"u{2 * values.itemsize}")
+    with pytest.raises(DataError, match=rf"corrupt: {what} are stored as {wider}, not on the "
+                                        rf"narrowest width {values.dtype}"):
+        deserialize_model(_with_record(blob, record, _record(values.astype(wider))))
+    for signed in (np.int64, np.float64):  # a signed or float record where unsigned belongs
+        with pytest.raises(DataError, match=rf"corrupt: {what} are stored as "
+                                            rf"{np.dtype(signed)}, not unsigned"):
+            deserialize_model(_with_record(blob, record, _record(values.astype(signed))))
+    if what != "grid key offsets":  # a value that would wrap when widened to int64 or int32
+        past = values.astype(np.uint64)
+        past[-1] = 2**63
+        with pytest.raises(DataError, match=rf"corrupt: {what} outside \[0, \d+\)"):
+            deserialize_model(_with_record(blob, record, _unsigned_record(past)))
 
 
 def test_kernel_row_ids_length_checked():
@@ -433,8 +498,8 @@ def test_version_2_file_rejected_by_name():
     _, model = _train("nht", "adaptive", n=120)
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 2)
-    with pytest.raises(DataError, match=r"unsupported model format version 2 "
-                                        r"\(this build reads version 6\)"):
+    with pytest.raises(DataError, match=rf"unsupported model format version 2 "
+                                        rf"\(this build reads version {FORMAT_VERSION}\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -445,8 +510,8 @@ def test_version_3_file_rejected_by_name(mode):
     _, model = _train(mode, "grid", n=120)
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 3)
-    with pytest.raises(DataError, match=r"unsupported model format version 3 "
-                                        r"\(this build reads version 6\)"):
+    with pytest.raises(DataError, match=rf"unsupported model format version 3 "
+                                        rf"\(this build reads version {FORMAT_VERSION}\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -457,8 +522,8 @@ def test_version_4_file_rejected_by_name(partition):
     _, model = _train("nht", partition, n=120)
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 4)
-    with pytest.raises(DataError, match=r"unsupported model format version 4 "
-                                        r"\(this build reads version 6\)"):
+    with pytest.raises(DataError, match=rf"unsupported model format version 4 "
+                                        rf"\(this build reads version {FORMAT_VERSION}\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -469,8 +534,20 @@ def test_version_5_file_rejected_by_name(mode):
     _, model = _train(mode, "grid", n=120)
     blob = bytearray(serialize_model(model)[:-32])
     blob[4:8] = struct.pack("<I", 5)
-    with pytest.raises(DataError, match=r"unsupported model format version 5 "
-                                        r"\(this build reads version 6\)"):
+    with pytest.raises(DataError, match=rf"unsupported model format version 5 "
+                                        rf"\(this build reads version {FORMAT_VERSION}\)"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+@pytest.mark.parametrize("partition", ["grid", "adaptive"])
+def test_version_6_file_rejected_by_name(partition):
+    # version 6 stored every integer array as int64 (kht row ids as int32)
+    # and a NaN threshold at each tree leaf; those files must be retrained
+    _, model = _train("nht", partition, n=120)
+    blob = bytearray(serialize_model(model)[:-32])
+    blob[4:8] = struct.pack("<I", 6)
+    with pytest.raises(DataError, match=r"unsupported model format version 6 "
+                                        rf"\(this build reads version {FORMAT_VERSION}\)"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -507,11 +584,15 @@ def test_tree_node_before_its_children_checked():
 
 
 def test_tree_threshold_length_checked():
+    # a file holds one threshold per internal node; leaves load as NaN
     model, member = _tree_member()
-    member.partition.threshold = member.partition.threshold[:-1]
-    with pytest.raises(DataError,
-                       match=r"corrupt: tree thresholds of shape \(\d+,\) for \d+ nodes"):
-        deserialize_model(serialize_model(model))
+    blob = serialize_model(model)
+    tree = member.partition
+    internal = tree.threshold[tree.split_dim >= 0]
+    for wrong in (internal[:-1], np.append(internal, 0.5)):
+        with pytest.raises(DataError, match=rf"corrupt: tree thresholds of shape \(\d+,\) "
+                                            rf"for {len(internal)} internal nodes"):
+            deserialize_model(_with_record(blob, _record(internal), _record(wrong)))
 
 
 def test_tree_rotation_shape_checked():
@@ -531,9 +612,15 @@ def test_grid_scales_outside_window_are_corrupt():
 
 def test_tree_split_dim_dtype_checked():
     model, member = _tree_member()
+    blob = serialize_model(model)
+    stored = member.partition.split_dim + 1  # 0 at a leaf
+    as_float = _with_record(blob, _unsigned_record(stored), _record(stored.astype(np.float64)))
+    with pytest.raises(DataError, match="corrupt: tree split dimensions are stored as float64, "
+                                        "not unsigned"):
+        deserialize_model(as_float)
     member.partition.split_dim = member.partition.split_dim.astype(np.float64)
-    with pytest.raises(DataError, match="corrupt: tree split_dim must be an int64 vector"):
-        deserialize_model(serialize_model(model))
+    with pytest.raises(DataError, match="an unsigned record cannot hold float64 values"):
+        serialize_model(model)
 
 
 # Values that predict reads must be finite (and gamma, clip_bound, std
@@ -746,20 +833,23 @@ _JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=25, deadline=None)
-@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
+@given(mode=st.sampled_from(["nht", "kht"]),
+       partition=st.sampled_from(["grid", "adaptive", "best-scored"]),
        n_transforms=st.integers(1, 3), seed=st.integers(0, 2**16),
        data_info=st.dictionaries(st.text(), _JSON_VALUES, max_size=4),
        field=st.sampled_from(["d", "n_transforms", "total_cells"]),
        delta=st.integers(-3, 3).filter(bool))
 def test_load_then_save_keeps_the_bytes(mode, partition, n_transforms, seed, data_info,
                                         field, delta):
-    cfg = TrainConfig(mode=mode, partition=partition, n_transforms=n_transforms,
-                      min_samples_split=30, master_seed=seed)
+    cfg = TrainConfig(mode=mode, partition="adaptive" if partition == "adaptive" else "grid",
+                      n_candidates=3 if partition == "best-scored" else 1,
+                      n_transforms=n_transforms, min_samples_split=30, master_seed=seed)
     model = train_ensemble(gen_counter3d(120, seed=seed), cfg)
     model.data_info = data_info
     blob = serialize_model(model)
     loaded = deserialize_model(blob)
     assert serialize_model(loaded) == blob
+    _assert_narrowest(blob)
     assert loaded.data_info == data_info
     assert serialize_model(deserialize_model(_with_header(blob, dict))) == blob
     # the header's counts are checked against what the file holds
@@ -784,9 +874,68 @@ def test_kht_load_then_save_keeps_the_bytes_and_the_predictions(kind, d, n, k_mi
     blob = serialize_model(model)
     again = deserialize_model(blob)
     assert serialize_model(again) == blob
+    _assert_narrowest(blob)
     rows = again.members[0].model.rows
     assert rows.shape[1] == d and (k_min <= n or len(rows) == 0)
     queries = np.vstack([X, rng.normal(size=(20, d)) * 3.0])
+    assert predict(again, queries).tobytes() == predict(model, queries).tobytes()
+
+
+# spans that straddle each width's limit, up to keys at -2**62 and 2**62
+_SPANS = [0, 1, 254, 255, 256, 65_534, 65_535, 65_536, 2**32 - 1, 2**32, 2**62, 2**63]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n_cells=st.integers(1, 10), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_drawn_grid_key_tables_keep_their_bytes_on_the_narrowest_width(d, n_cells, seed,
+                                                                        data):
+    spans = [data.draw(st.sampled_from(_SPANS)) for _ in range(d)]
+    lo = [data.draw(st.integers(-2**62, 2**62 - span)) for span in spans]
+    rows = [lo, [a + span for a, span in zip(lo, spans)]]  # each axis's minimum and maximum
+    rows += [[a + data.draw(st.integers(0, span)) for a, span in zip(lo, spans)]
+             for _ in range(n_cells)]
+    keys = np.array(rows, dtype=np.int64)
+    keys = keys[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, d))
+    cfg = TrainConfig(mode="nht", n_transforms=1, master_seed=seed)
+    model = train_ensemble(Dataset(X, X.sum(axis=1)), cfg, n_threads=1)
+    member = model.members[0]
+    member.partition = GridPartition(member.partition.transform, keys)
+    member.model = KernelCellModel(
+        offsets=np.zeros(len(keys) + 1, dtype=np.int64), rows=np.empty((0, d)),
+        ids=np.empty(0, dtype=np.intp), alpha=np.empty(0), means=rng.normal(size=len(keys)),
+        gamma=cfg.gamma, clip_bound=model.clip_bound, fallback=0.25)
+    blob = serialize_model(model)
+    _assert_narrowest(blob)
+    offsets = _record_values(_integer_records(blob)["grid key offsets"])
+    assert offsets.dtype == np.min_scalar_type(max(spans))
+    again = deserialize_model(blob)
+    assert again.members[0].partition.keys.tobytes() == keys.tobytes()
+    assert serialize_model(again) == blob
+    queries = np.vstack([X, rng.normal(size=(20, d)) * 1e3])
+    assert predict(again, queries).tobytes() == predict(model, queries).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
+       seed=st.integers(0, 2**16))
+def test_one_leaf_trees_and_empty_row_ids_keep_their_bytes(mode, partition, seed):
+    # min_samples_split above n grows one-leaf trees (an empty threshold
+    # record), and k_min above n leaves no kernel cell (empty row ids)
+    ds = gen_counter3d(60, seed=seed)
+    cfg = TrainConfig(mode=mode, partition=partition, n_transforms=2, min_samples_split=100,
+                      k_min=100, master_seed=seed)
+    model = train_ensemble(ds, cfg, n_threads=1)
+    if partition == "adaptive":
+        assert all(m.partition.n_cells == 1 for m in model.members)
+    blob = serialize_model(model)
+    _assert_narrowest(blob)
+    again = deserialize_model(blob)
+    assert serialize_model(again) == blob
+    assert all(len(m.model.ids) == 0 for m in again.members)
+    queries = gen_counter3d(30, seed=seed + 1).X
     assert predict(again, queries).tobytes() == predict(model, queries).tobytes()
 
 
@@ -797,19 +946,84 @@ def _small_model_file(mode: str, partition: str, seed: int) -> bytes:
     return serialize_model(train_ensemble(gen_counter3d(150, seed=seed), cfg, n_threads=1))
 
 
-def _array_spans(blob: bytes) -> list[tuple[int, int]]:
-    """(start, end) of every array record of a valid model file, in file order."""
-    spans, read = [], _Reader.array
+def _array_spans(blob: bytes) -> list[tuple[int, int, str | None]]:
+    """(start, end, name) of every array record of a valid model file, in
+    file order; ``name`` is an unsigned record's, None for the others."""
+    spans, read, read_unsigned = [], _Reader.array, _Reader.unsigned
 
     def logged(reader):
         start = reader.pos
         out = read(reader)
-        spans.append((start, reader.pos))
+        spans.append((start, reader.pos, None))
         return out
 
-    with mock.patch.object(_Reader, "array", logged):
+    def logged_unsigned(reader, what, *args, **kwargs):
+        out = read_unsigned(reader, what, *args, **kwargs)  # through ``logged``
+        spans[-1] = (*spans[-1][:2], what)
+        return out
+
+    with mock.patch.object(_Reader, "array", logged), \
+            mock.patch.object(_Reader, "unsigned", logged_unsigned):
         deserialize_model(blob)
     return spans
+
+
+def _record_values(record: bytes) -> np.ndarray:
+    return _Reader(memoryview(record), 0).array()
+
+
+def _assert_narrowest(blob: bytes) -> None:
+    """Every unsigned record of a model file is on numpy's narrowest
+    unsigned dtype for its largest value."""
+    for start, end, what in _array_spans(blob):
+        if what is not None:
+            values = _record_values(blob[start:end])
+            assert values.dtype == np.min_scalar_type(int(values.max(initial=0))), what
+
+
+def _crafted_integer_record(blob: bytes, partition: str, data) -> bytes:
+    """A resealed copy of a model file with one integer record, or a tree's
+    thresholds, rewritten: on a wider width or as float64, a grid key base
+    that is not the keys' minimum, an offset that wraps past 2**63, or a
+    threshold count other than the number of internal nodes."""
+    payload = blob[:-32]
+    spans = _array_spans(blob)
+    kinds = ["widen", "float"] + (["base", "wrap"] if partition == "grid" else ["thresholds"])
+    kind = data.draw(st.sampled_from(kinds))
+    named = [i for i, (*_, what) in enumerate(spans) if what is not None]
+    if kind in ("base", "wrap"):
+        named = [i for i in named if spans[i][2] == "grid key offsets"]
+    elif kind == "thresholds":
+        named = [i for i in named if spans[i][2] == "tree split dimensions"]
+    at = data.draw(st.sampled_from(named))
+    if kind == "thresholds":  # the record after the split dimensions
+        start, end, _ = spans[at + 1]
+        cuts = _record_values(payload[start:end])
+        count = data.draw(st.integers(0, len(cuts) + 3).filter(lambda c: c != len(cuts)))
+        new = _record(np.resize(np.r_[cuts, 0.5], count))
+        return _reseal(payload[:start] + new + payload[end:])
+    start, end, _ = spans[at]
+    values = _record_values(payload[start:end])
+    if kind == "widen":
+        wider = np.int64 if values.itemsize == 8 else np.dtype(f"u{2 * values.itemsize}")
+        new = _record(values.astype(wider))
+    elif kind == "float":
+        new = _record(values.astype(np.float64))
+    else:  # the grid key base is the record before the offsets
+        start = spans[at - 1][0]
+        lo = _record_values(payload[start:spans[at - 1][1]])
+        offsets = values.astype(np.uint64)
+        j = data.draw(st.integers(0, offsets.shape[1] - 1))
+        if kind == "base":  # the same keys from a lower base
+            delta = data.draw(st.integers(1, 2**20))
+            offsets[:, j] += np.uint64(delta)
+            lo[j] -= delta
+        else:  # lo + offset past 2**63 - 1 wraps to a key below the base
+            i = data.draw(st.integers(0, len(offsets) - 1))
+            key = data.draw(st.integers(-2**63, int(lo[j]) - 1))
+            offsets[i, j] = np.uint64((key - int(lo[j])) % 2**64)
+        new = _record(lo) + _unsigned_record(offsets)
+    return _reseal(payload[:start] + new + payload[end:])
 
 
 _QUERIES = np.vstack([gen_counter3d(60, seed=99).X, np.full((1, 3), 1e6)])
@@ -817,7 +1031,8 @@ _QUERIES = np.vstack([gen_counter3d(60, seed=99).X, np.full((1, 3), 1e6)])
 
 @settings(max_examples=150, deadline=None)
 @given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
-       seed=st.integers(0, 3), mutation=st.sampled_from(["bytes", "record", "ids", "header"]),
+       seed=st.integers(0, 3),
+       mutation=st.sampled_from(["bytes", "record", "ids", "integer", "header"]),
        truncate=st.booleans(), data=st.data())
 def test_a_corrupted_file_raises_a_data_error_or_predicts_clipped(mode, partition, seed,
                                                                   mutation, truncate, data):
@@ -835,13 +1050,15 @@ def test_a_corrupted_file_raises_a_data_error_or_predicts_clipped(mode, partitio
     elif mutation in ("record", "ids"):  # one array record: any, or a kht member's row ids
         spans = _array_spans(blob)
         if mutation == "ids":
-            spans = [(a, b) for a, b in spans if payload[a] == 2] or spans
-        start, end = data.draw(st.sampled_from(spans))
+            spans = [span for span in spans if span[2] == "kernel row ids"] or spans
+        start, end, _ = data.draw(st.sampled_from(spans))
         if truncate:  # drop the record's tail
             cut = data.draw(st.integers(1, end - start))
             corrupt = _reseal(payload[:end - cut] + payload[end:])
         else:
             corrupt = replace_bytes(start, end)
+    elif mutation == "integer":
+        corrupt = _crafted_integer_record(blob, partition, data)
     else:  # set one header or config field to a drawn JSON value
         header = _read_header(blob)
         keys = [("header", k) for k in header] + [("config", k) for k in header["config"]]
