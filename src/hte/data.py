@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .rng import STREAM_DATA, philox_generator, standard_normal
-from .transform import rowwise
+from .transform import column_sums, rowwise
 
 NOISE_STD = 0.1  # observation noise of both synthetic generators
 
@@ -104,15 +104,8 @@ def fit_standardizer(dataset: Dataset, features: bool, target: bool) -> Standard
     """
     X, y = dataset.X, dataset.y
     if features:
-        # the bits of X.mean(axis=0) and X.std(axis=0, ddof=1), in numpy's
-        # own operations, with the column sums of the mean taken once
-        n = len(X)
-        mean = np.add.reduce(X, axis=0) / n
-        std = np.zeros(X.shape[1])
-        if n > 1:
-            dev = X - mean
-            np.square(dev, out=dev)
-            std = np.sqrt(np.add.reduce(dev, axis=0) / (n - 1))
+        mean, variance = column_moments(X)
+        std = np.sqrt(variance)  # X.std(axis=0, ddof=1) is this square root
         std = np.where(std == 0.0, 1.0, std)
     else:
         mean, std = np.zeros(X.shape[1]), np.ones(X.shape[1])
@@ -122,6 +115,29 @@ def fit_standardizer(dataset: Dataset, features: bool, target: bool) -> Standard
         standardizer.target_mean = float(y.mean())
         standardizer.target_std = target_std if target_std != 0.0 else 1.0
     return standardizer
+
+
+def column_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of ``X.mean(axis=0)`` and ``X.var(axis=0, ddof=1)`` of an (n, d) X.
+
+    numpy's own operations, with the column sums of the mean taken once:
+    sum, divide, subtract, square in place, sum, divide, each sum by
+    ``transform.column_sums``.  The deviations keep the layout numpy's
+    ``X - mean`` gives them, since the sums' order depends on it.  On
+    C-ordered X one buffer takes both folds and the deviations, formed on
+    widened rows (``rowwise``), so no more memory is touched than by
+    ``X.var``.  One row has variance 0, not numpy's NaN.
+    """
+    n = len(X)
+    if X.flags.c_contiguous:
+        dev = np.empty(X.shape)
+        mean = column_sums(X, work=dev) / n
+        rowwise(np.subtract, X, mean, out=dev)
+    else:
+        mean = column_sums(X) / n
+        dev = X - mean
+    np.square(dev, out=dev)
+    return mean, column_sums(dev, work=dev) / max(n - 1, 1)
 
 
 def read_matrix(path, has_header: bool) -> tuple[np.ndarray, list[str] | None]:
@@ -156,8 +172,11 @@ def _parse_fast(text: str, has_header: bool) -> tuple[np.ndarray, list[str] | No
         return None
     # without quotes a csv.reader row is one line split at commas, and its
     # line ends are "\r\n", a lone "\r" and "\n"
-    lines = [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if ln]
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = list(filter(None, text.split("\n")))
+    limit = csv.field_size_limit()
+    if not lines or len(text) > limit and max(map(len, lines)) > limit:
         return None
     header = None
     if has_header:
@@ -266,7 +285,7 @@ def default_scale(X: np.ndarray) -> float:
     n, d = X.shape
     if n < 2:
         raise DataError("scale heuristic needs at least 2 samples")
-    sigma = math.sqrt(float(X.var(axis=0, ddof=1).mean()))
+    sigma = math.sqrt(float(column_moments(X)[1].mean()))
     if sigma == 0.0:
         raise DataError("all points identical: scale heuristic degenerate")
     return 3.5 * sigma * n ** (-1.0 / (2 + d))

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .transform import _KEY_LIMIT, HistogramTransform, bin_key, check_finite_image
+from .transform import _KEY_LIMIT, HistogramTransform, bin_key, check_finite_image, column_sums
 
 _NO_CELL = -1
 
@@ -250,17 +251,16 @@ def _variances(block: np.ndarray) -> np.ndarray:
     bit-equal to ``ndarray.var(axis=0)`` on each node's (m, d) rows: sum,
     divide, subtract, square in place, sum, divide, with each sum taken in
     numpy's order (see ``grow_adaptive``).  For d >= 2 the block is copied
-    once into (m, d, g) order, whose axis-0 reduce folds row by row across
-    all d * g lanes at once."""
+    once into (m, d, g) order, whose axis-0 sums (``column_sums``) fold row
+    by row across all d * g lanes at once."""
     d, _, m = block.shape
     if d == 1:  # each node's column is contiguous, and numpy sums it pairwise
-        lanes, axis = block.copy(), -1
+        lanes, sums = block.copy(), partial(np.add.reduce, axis=-1, keepdims=True)
     else:
-        lanes, axis = np.ascontiguousarray(np.moveaxis(block, -1, 0)), 0
-    mean = np.add.reduce(lanes, axis=axis, keepdims=True) / m
-    np.subtract(lanes, mean, out=lanes)
+        lanes, sums = np.ascontiguousarray(np.moveaxis(block, -1, 0)), column_sums
+    np.subtract(lanes, sums(lanes) / m, out=lanes)
     np.square(lanes, out=lanes)
-    return np.add.reduce(lanes, axis=axis) / m
+    return sums(lanes).reshape(d, -1) / m
 
 
 def _split_level(
@@ -335,8 +335,8 @@ def grow_adaptive(
 
     * numpy folds the block's axis 0 one row at a time, so for d >= 2 each
       sum of a variance (of the values, then of the squared deviations) is
-      an axis-0 reduce of the block copied into (m, d, g) order, which
-      folds the g nodes' rows together, row by row;
+      an axis-0 sum (``column_sums``) of the block copied into (m, d, g)
+      order, which folds the g nodes' rows together, row by row;
     * for d = 1 the column is contiguous and numpy sums it pairwise, as
       ``np.add.reduce`` does along the last axis;
     * the split dimension is the first argmax of the variances;

@@ -22,6 +22,13 @@ _ORTHO_TOL = 1e-10
 _BOUND_SLACK = 1e-9  # relative slack on 1/s_i vs the bin-width bounds
 _KEY_LIMIT = 2.0**62  # bin keys are clipped to +-this; exact in float64 and int64
 _ROW_WIDTH = 512  # entries in one widened row of ``rowwise``
+# widest C-ordered row that ``column_sums`` folds by accumulate.  On 100k
+# rows (milliseconds, median of 25; numpy 2.4.6 on a shared 2-vCPU x86-64
+# machine) numpy's axis-0 reduce against the accumulate: d=2 2.09/0.71,
+# 3 2.12/1.05, 4 2.31/1.46, 6 2.50/2.49, 8 2.68/4.40, 12 3.33/7.53,
+# 32 4.63/45.1; blocks of 2**14 entries do not rescue wide rows (12.9 ms
+# at d=32)
+_FOLD_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,26 @@ def rowwise(op, x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> 
         op(rows[:m].reshape(-1, k * d), tiled, out=dest[:m].reshape(-1, k * d))
     op(rows[m:], v, out=dest[m:])
     return out
+
+
+def column_sums(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """``np.add.reduce(a, axis=0)`` of a float64 array, bit for bit.
+
+    On C-ordered input numpy's axis-0 reduce adds row after row, with one
+    inner-loop call per row; on narrow rows that call costs more than the
+    adds.  A C-contiguous array whose rows hold 2 to ``_FOLD_WIDTH`` values
+    is folded instead by ``np.add.accumulate``, whose last row is the same
+    sums in the same order, except that reduce starts from +0.0: ``+ 0.0``
+    turns an all -0.0 column's -0.0 into reduce's +0.0.  The running sums
+    go into ``work`` (C-contiguous, a's shape; a itself if it may be
+    overwritten) or a new array.  One-value rows (summed pairwise by
+    numpy), other layouts and wider rows keep the reduce, and leave
+    ``work`` as it is.
+    """
+    width = a.size // len(a) if a.ndim >= 2 and len(a) else 0
+    if 2 <= width <= _FOLD_WIDTH and a.flags.c_contiguous:
+        return np.add.accumulate(a, axis=0, out=work)[-1] + 0.0
+    return np.add.reduce(a, axis=0)
 
 
 def apply_transform(transform: HistogramTransform, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hte.data import (
     Dataset,
+    column_moments,
     counter3d_truth,
     default_scale,
     fit_standardizer,
@@ -308,15 +309,19 @@ class TestStandardizer:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 400), d=st.integers(1, 9), seed=st.integers(0, 2**16),
            constant=st.integers(-1, 8), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e150]),
-           fortran=st.booleans())
-    @example(n=2, d=3, seed=0, constant=1, scale=1.0, fortran=False)
-    @example(n=2, d=3, seed=0, constant=1, scale=1e150, fortran=True)
+           fortran=st.booleans(), value=st.sampled_from([7.0, -0.0]))
+    @example(n=2, d=3, seed=0, constant=1, scale=1.0, fortran=False, value=7.0)
+    @example(n=2, d=3, seed=0, constant=1, scale=1e150, fortran=True, value=7.0)
+    # an all -0.0 column has mean +0.0, as numpy's reduce starts from +0.0
+    @example(n=30, d=3, seed=0, constant=2, scale=1.0, fortran=False, value=-0.0)
+    # rows wider than column_sums folds
+    @example(n=300, d=6, seed=1, constant=-1, scale=1e-3, fortran=False, value=7.0)
     def test_feature_statistics_equal_numpy_bitwise(self, n, d, seed, constant, scale,
-                                                    fortran):
+                                                    fortran, value):
         # the mean's column sums are taken once, with numpy's own operations
         X = philox_generator(seed).normal(loc=3.0, size=(n, d)) * scale
         if 0 <= constant < d:  # -1 draws no constant column
-            X[:, constant] = 7.0
+            X[:, constant] = value
         ds = Dataset(X, np.zeros(n))
         if fortran:  # Dataset stores C order; the statistics do not depend on it
             ds.X = np.asfortranarray(ds.X)
@@ -351,6 +356,21 @@ class TestDefaultScale:
         h1 = default_scale(X)
         h2 = default_scale(10.0 * X)
         np.testing.assert_allclose(h2, 10.0 * h1, rtol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "one column"])
+    def test_equals_the_numpy_variance_bitwise(self, layout):
+        # magnitudes far apart: a pairwise sum and a row-by-row fold round differently
+        rng = philox_generator(7)
+        X = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-6, 7, size=(3000, 3))
+        X = {"C": X, "F": np.asfortranarray(X), "one column": X[:, :1].copy()}[layout]
+        n, d = X.shape
+        variance = X.var(axis=0, ddof=1)
+        if layout == "F":  # the layout decides the sums' order, and so their bits
+            assert variance.tobytes() != np.ascontiguousarray(X).var(axis=0, ddof=1).tobytes()
+        mean, got = column_moments(X)
+        assert mean.tobytes() == X.mean(axis=0).tobytes()
+        assert got.tobytes() == variance.tobytes()
+        assert default_scale(X) == 3.5 * math.sqrt(float(variance.mean())) * n ** (-1.0 / (2 + d))
 
     def test_identical_points_rejected(self):
         with pytest.raises(DataError):

@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -516,12 +516,22 @@ class TestBuildAdaptive:
         assert tree_bytes(tree) == tree_bytes(build_adaptive(rotation, X, min_leaf))
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), d=st.integers(1, 8), g=st.integers(1, 64), m=st.integers(1, 2000),
-           seed=st.integers(0, 2**32 - 1))
-    def test_variances_equal_ndarray_var_on_each_node(self, data, d, g, m, seed):
+    @given(d=st.integers(1, 8), g=st.integers(1, 64), m=st.integers(1, 2000),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e3, 1e-3]),
+           decimals=st.sampled_from([1, 3, 17]), zero_node=st.booleans())
+    # one node of 2 to 4 lanes, folded by accumulate as the root level of a low-d tree is
+    @example(d=2, g=1, m=1500, seed=1, scale=1e3, decimals=17, zero_node=False)
+    @example(d=3, g=1, m=777, seed=2, scale=1.0, decimals=17, zero_node=False)
+    @example(d=4, g=1, m=2000, seed=3, scale=1e-3, decimals=3, zero_node=False)
+    # a node of -0.0 only, alone and among others
+    @example(d=3, g=1, m=40, seed=4, scale=1.0, decimals=17, zero_node=True)
+    @example(d=2, g=5, m=40, seed=5, scale=1.0, decimals=17, zero_node=True)
+    def test_variances_equal_ndarray_var_on_each_node(self, d, g, m, seed, scale, decimals,
+                                                      zero_node):
         block = philox_generator(seed).normal(size=(d, g, m))
-        block = np.round(block * data.draw(st.sampled_from([1.0, 1e3, 1e-3])),
-                         data.draw(st.sampled_from([1, 3, 17])))
+        block = np.round(block * scale, decimals)
+        if zero_node:
+            block[:, 0] = -0.0
         variances = partition._variances(block)
         for i in range(g):
             rows = np.ascontiguousarray(block[:, i].T)  # a node's (m, d) rows, as Z[rows]

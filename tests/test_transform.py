@@ -9,12 +9,14 @@ from hte.data import Standardizer
 from hte.errors import ConfigError, DataError
 from hte.rng import philox_generator
 from hte.transform import (
+    _FOLD_WIDTH,
     _ROW_WIDTH,
     HistogramTransform,
     apply_transform,
     bin_key,
     cell_volume,
     check_rotation,
+    column_sums,
     rowwise,
     sample_rotation,
     sample_stretch,
@@ -293,6 +295,58 @@ class TestRowwise:
         for got, expected in cases:
             assert got.flags.c_contiguous and got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
+
+
+# signed zeros, subnormals and sums that overflow
+_SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e300, -1e300])
+
+
+class TestColumnSums:
+    """The axis-0 sums keep the bits of numpy's reduce on every shape and layout."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3000), lanes=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), specials=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           fortran=st.booleans(), zero_lane=st.booleans(),
+           work=st.sampled_from([None, "new", "self"]))
+    # a lane of -0.0 alone: numpy's reduce starts from +0.0, the accumulate from -0.0
+    @example(data=None, n=5, lanes=3, seed=0, specials=0.0, fortran=False, zero_lane=True,
+             work=None)
+    # one value a row: numpy sums the contiguous column pairwise
+    @example(data=None, n=3000, lanes=1, seed=1, specials=0.05, fortran=False,
+             zero_lane=False, work="self")
+    # no rows
+    @example(data=None, n=0, lanes=3, seed=2, specials=0.0, fortran=False, zero_lane=False,
+             work=None)
+    def test_equal_numpy_reduce_bitwise(self, data, n, lanes, seed, specials, fortran,
+                                        zero_lane, work):
+        """data=None keeps the 2-d shape; otherwise it may draw a 3-d (n, d, g) stack."""
+        rng = philox_generator(seed)
+        a = rng.normal(size=(n, lanes)) * 10.0 ** rng.integers(-8, 9, size=(n, lanes))
+        hit = rng.random(a.shape) < specials
+        a[hit] = rng.choice(_SUM_SPECIALS, size=int(hit.sum()))
+        if zero_lane:
+            a[:, 0] = -0.0
+        if data is not None and data.draw(st.booleans()):
+            d = data.draw(st.sampled_from([k for k in range(1, lanes + 1) if lanes % k == 0]))
+            a = a.reshape(n, d, lanes // d)
+        if fortran:
+            a = np.asfortranarray(a)
+        with np.errstate(all="ignore"):
+            expected = np.add.reduce(a, axis=0)
+            buffer = {None: None, "new": np.empty(a.shape), "self": a}[work]
+            got = column_sums(a, work=buffer)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_narrow_rows_take_the_fold_and_others_the_reduce(self):
+        # the fold writes its running sums into work; the reduce leaves it alone
+        for shape, order, folded in [((50, 2), "C", True), ((50, 2, 2), "C", True),
+                                     ((50, _FOLD_WIDTH + 1), "C", False), ((50, 1), "C", False),
+                                     ((50, 3), "F", False)]:
+            a = np.ones(shape, order=order)
+            work = np.zeros(shape)
+            assert column_sums(a, work=work).tobytes() == np.full(shape[1:], 50.0).tobytes()
+            assert (work[-1] == 50.0).all() == folded
 
 
 class TestCellVolume:
