@@ -21,9 +21,11 @@ Two partition kinds:
   of the rotated rows: a level's nodes are consecutive spans of one
   row-index array, and its splittable nodes of one size are split together
   as one block, with the same bits as splitting each node alone.  The
-  variances of such a block are folded across all its nodes at once.  A
-  row leaves the row-index array at the level where its node becomes a
-  leaf, so the build numbers every training row's leaf with no walk.
+  variances of such a block are folded across all its nodes at once, its
+  medians come from one selection per node, and one stable sort of
+  (node, side) keys moves all its rows to their children.  A row leaves
+  the row-index array at the level where its node becomes a leaf, so the
+  build numbers every training row's leaf with no walk.
   The tree is full and stored breadth-first as two node arrays, from which
   children, leaf ids and the number of full levels above the shallowest
   leaf follow.  Trees cover the whole rotated space, so every query reaches
@@ -42,7 +44,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError
-from .transform import _KEY_LIMIT, HistogramTransform, bin_key, check_finite_image, column_sums
+from .local_models import narrow_keys
+from .transform import _FOLD_WIDTH, _KEY_LIMIT, HistogramTransform, bin_key, check_finite_image
+from .transform import column_sums
 
 _NO_CELL = -1
 
@@ -250,10 +254,22 @@ def _variances(block: np.ndarray) -> np.ndarray:
     """Variances along the last axis of a (d, g, m) block of g nodes,
     bit-equal to ``ndarray.var(axis=0)`` on each node's (m, d) rows: sum,
     divide, subtract, square in place, sum, divide, with each sum taken in
-    numpy's order (see ``grow_adaptive``).  For d >= 2 the block is copied
-    once into (m, d, g) order, whose axis-0 sums (``column_sums``) fold row
-    by row across all d * g lanes at once."""
-    d, _, m = block.shape
+    numpy's order (see ``grow_adaptive``).  For d = 1 each node's column is
+    summed pairwise.  For d >= 2 the sums fold row by row.  A block of at
+    most ``_FOLD_WIDTH`` lanes (d * g; at d = 3 only a root) is folded along
+    its last axis by ``np.add.accumulate``, in one buffer that holds first
+    the running sums, then the squared deviations.  Its sums skip reduce's
+    +0.0 start, which can change no bit here: only an all -0.0 lane sums to
+    -0.0, the sign of a zero mean is lost in the squares, and a sum of
+    squares is never -0.0.  A wider block is copied once into (m, d, g)
+    order, whose axis-0 sums (``column_sums``) fold all d * g lanes at
+    once; from two nodes up that beats folding each lane on its own."""
+    d, g, m = block.shape
+    if d >= 2 and d * g <= _FOLD_WIDTH:
+        lanes = np.add.accumulate(block, axis=-1)
+        np.subtract(block, lanes[..., -1:] / m, out=lanes)
+        np.square(lanes, out=lanes)
+        return np.add.accumulate(lanes, axis=-1, out=lanes)[..., -1] / m
     if d == 1:  # each node's column is contiguous, and numpy sums it pairwise
         lanes, sums = block.copy(), partial(np.add.reduce, axis=-1, keepdims=True)
     else:
@@ -290,22 +306,33 @@ def _split_level(
         at = np.arange(len(nodes))
         col = block[dim, at]
         del block
+        # np.median's cut (see grow_adaptive); + 0.0 is its sum's +0.0 start
         h = m // 2
-        part = np.partition(col, [h - 1, h] if m % 2 == 0 else h, axis=-1)
-        cut = np.mean(part[:, h - 1 + m % 2:h + 1], axis=-1)  # np.median's middle
+        part = np.partition(col, h, axis=-1)
+        if m % 2:
+            cut = part[:, h] + 0.0
+        else:
+            cut = (part[:, :h].max(axis=1) + part[:, h] + 0.0) / 2
         del part
-        go_left = col < cut[:, None]
-        k = np.count_nonzero(go_left, axis=1)
+        right = col >= cut[:, None]
+        k = m - np.count_nonzero(right, axis=1)  # rows sent left
         # a node whose median split cannot reduce it stays a leaf, whatever its size
         split = (variances[dim, at] > 0.0) & (k > 0) & (k < m)
-        nodes, span, members, go_left = nodes[split], span[split], members[split], go_left[split]
-        dims[nodes], cuts[nodes], left[nodes] = dim[split], cut[split], k[split]
-        order = np.argsort(~go_left, axis=1, kind="stable")  # stable: rows keep their order
-        rows[span] = np.take_along_axis(members, order, axis=1)
+        if not split.all():
+            nodes, span, members, right = nodes[split], span[split], members[split], right[split]
+            dim, cut, k = dim[split], cut[split], k[split]
+        dims[nodes], cuts[nodes], left[nodes] = dim, cut, k
+        # one stable sort of (node, side) keys moves every node's rows to its
+        # children, in their order
+        g = len(nodes)
+        keys = narrow_keys(2 * np.arange(g), 2 * g - 1)[:, None] + right
+        rows[span.ravel()] = members.ravel()[np.argsort(keys.ravel(), kind="stable")]
     internal = dims >= 0
-    children = np.column_stack([left, sizes - left])[internal].ravel()
+    children = np.column_stack([left, sizes - left])
+    if internal.all():  # no leaf: every row goes on
+        return dims, cuts, rows, children.ravel(), rows[:0], sizes[:0]
     in_leaf = np.repeat(~internal, sizes)
-    return dims, cuts, rows[~in_leaf], children, rows[in_leaf], sizes[~internal]
+    return dims, cuts, rows[~in_leaf], children[internal].ravel(), rows[in_leaf], sizes[~internal]
 
 
 def build_adaptive(rotation: np.ndarray, X: np.ndarray, min_leaf: int) -> AdaptiveTree:
@@ -335,15 +362,22 @@ def grow_adaptive(
 
     * numpy folds the block's axis 0 one row at a time, so for d >= 2 each
       sum of a variance (of the values, then of the squared deviations) is
-      an axis-0 sum (``column_sums``) of the block copied into (m, d, g)
-      order, which folds the g nodes' rows together, row by row;
+      a row-by-row fold: along the last axis of a block of at most
+      ``_FOLD_WIDTH`` lanes (d * g), else an axis-0 sum
+      (``column_sums``) of the block copied into (m, d, g) order, which
+      folds the g nodes' rows together (see ``_variances``);
     * for d = 1 the column is contiguous and numpy sums it pairwise, as
       ``np.add.reduce`` does along the last axis;
     * the split dimension is the first argmax of the variances;
-    * the cut is the median: ``np.partition`` at the middle one or two
-      positions, then the mean of those values;
-    * the children take the node's rows in row order (a stable sort), the
-      left child first.
+    * the cut is the median, as ``np.median`` computes it: the mean of the
+      middle one or two values, a sum from +0.0 (so a -0.0 middle gives a
+      +0.0 cut) divided by their count.  ``np.partition`` selects the upper
+      middle value alone (numpy's fast path for one kth); for even m the
+      lower middle is the largest value before it;
+    * the children take the node's rows in their order, the left child
+      first: one stable argsort of the keys 2 * node + side orders all of a
+      block's rows at once (a radix sort while the keys fit 16 bits, up to
+      32,768 nodes).
 
     Leaves are numbered in node order, so a level's leaves, in order, take
     the ids after those of the levels above.

@@ -21,7 +21,13 @@ from hte.partition import (
     grow_adaptive,
 )
 from hte.rng import philox_generator
-from hte.transform import HistogramTransform, bin_key, sample_rotation, sample_transform
+from hte.transform import (
+    _FOLD_WIDTH,
+    HistogramTransform,
+    bin_key,
+    sample_rotation,
+    sample_transform,
+)
 
 
 def _identity_1d():
@@ -151,6 +157,28 @@ def _assert_builds_like_reference(rotation, X, min_leaf):
     assert tree.split_dim.tobytes() == expected.split_dim.tobytes()
     assert tree.threshold.tobytes() == expected.threshold.tobytes()
     return tree
+
+
+def _assert_level_splits_each_node_alone(columns, rows, sizes, min_leaf):
+    """``_split_level`` on (d, n) ``columns`` and the level of nodes of
+    ``sizes`` consecutive ``rows`` gives each node's split (by
+    ``_reference_split``, bit for bit) and its children's rows."""
+    spans = np.split(rows, np.cumsum(sizes)[:-1])
+    dims, cuts, next_rows, next_sizes, leaf_rows, leaf_sizes = partition._split_level(
+        columns, rows.copy(), sizes, min_leaf)
+    expected_rows, expected_sizes, expected_leaves = [], [], []
+    for i, span in enumerate(spans):
+        dim, cut, go_left = _reference_split(np.ascontiguousarray(columns[:, span].T), min_leaf)
+        assert (int(dims[i]), cuts[i].tobytes()) == (dim, np.float64(cut).tobytes())
+        if dim >= 0:
+            expected_rows += [span[go_left], span[~go_left]]
+            expected_sizes += [int(go_left.sum()), int((~go_left).sum())]
+        else:
+            expected_leaves.append(span)
+    np.testing.assert_array_equal(next_rows, np.concatenate([[], *expected_rows]))
+    assert next_sizes.tolist() == expected_sizes
+    np.testing.assert_array_equal(leaf_rows, np.concatenate([[], *expected_leaves]))
+    assert leaf_sizes.tolist() == [len(span) for span in expected_leaves]
 
 
 @st.composite
@@ -519,12 +547,16 @@ class TestBuildAdaptive:
     @given(d=st.integers(1, 8), g=st.integers(1, 64), m=st.integers(1, 2000),
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e3, 1e-3]),
            decimals=st.sampled_from([1, 3, 17]), zero_node=st.booleans())
-    # one node of 2 to 4 lanes, folded by accumulate as the root level of a low-d tree is
+    # blocks of 2 to 4 lanes, folded along the last axis as the root level of a low-d tree is
     @example(d=2, g=1, m=1500, seed=1, scale=1e3, decimals=17, zero_node=False)
     @example(d=3, g=1, m=777, seed=2, scale=1.0, decimals=17, zero_node=False)
     @example(d=4, g=1, m=2000, seed=3, scale=1e-3, decimals=3, zero_node=False)
+    @example(d=2, g=2, m=999, seed=6, scale=1.0, decimals=1, zero_node=False)
+    @example(d=4, g=1, m=5, seed=7, scale=1e3, decimals=17, zero_node=False)
     # a node of -0.0 only, alone and among others
     @example(d=3, g=1, m=40, seed=4, scale=1.0, decimals=17, zero_node=True)
+    @example(d=2, g=1, m=9, seed=8, scale=1.0, decimals=17, zero_node=True)
+    @example(d=2, g=2, m=16, seed=9, scale=1.0, decimals=17, zero_node=True)
     @example(d=2, g=5, m=40, seed=5, scale=1.0, decimals=17, zero_node=True)
     def test_variances_equal_ndarray_var_on_each_node(self, d, g, m, seed, scale, decimals,
                                                       zero_node):
@@ -555,6 +587,27 @@ class TestBuildAdaptive:
         assert rows.var(axis=0)[1] != pairwise  # the two sums give different variances
         variances = partition._variances(np.ascontiguousarray(rows.T)[:, None, :])
         assert variances[:, 0].tobytes() == rows.var(axis=0).tobytes()
+
+    def test_narrow_blocks_fold_along_the_last_axis_and_wider_ones_copy(self):
+        # only the (m, d, g) copy folds through column_sums
+        calls = []
+
+        def counted(a, work=None):
+            calls.append(a.shape)
+            return np.add.reduce(a, axis=0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "column_sums", counted)
+            for d, g, copied in [(2, 1, False), (2, 2, False), (4, 1, False), (3, 1, False),
+                                 (1, 1, False), (1, 9, False), (2, 3, True), (3, 2, True),
+                                 (_FOLD_WIDTH + 1, 1, True)]:
+                calls.clear()
+                block = philox_generator(d * 100 + g).normal(size=(d, g, 30))
+                variances = partition._variances(block)
+                assert calls == ([(30, d, g)] * 2 if copied else [])
+                for i in range(g):
+                    rows = np.ascontiguousarray(block[:, i].T)
+                    assert variances[:, i].tobytes() == rows.var(axis=0).tobytes()
 
     def test_level_with_nodes_of_several_sizes(self):
         X = np.round(philox_generator(71).normal(size=(1001, 3)), 1)  # ties: uneven splits
@@ -593,25 +646,36 @@ class TestBuildAdaptive:
         columns = np.round(rng.normal(size=(d, n)), data.draw(st.sampled_from([0, 1, 17])))
         rows = rng.permutation(n)  # children keep this order, not the row order
         bounds = sorted(set(data.draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=6))))
-        spans = np.split(rows, [b for b in bounds if b < n])
-        sizes = np.array([len(span) for span in spans])
+        sizes = np.diff([0, *[b for b in bounds if b < n], n])
+        _assert_level_splits_each_node_alone(columns, rows, sizes, min_leaf)
 
-        dims, cuts, next_rows, next_sizes, leaf_rows, leaf_sizes = partition._split_level(
-            columns, rows.copy(), sizes, min_leaf)
-        expected_rows, expected_sizes, expected_leaves = [], [], []
-        for i, span in enumerate(spans):
-            dim, cut, go_left = _reference_split(np.ascontiguousarray(columns[:, span].T),
-                                                 min_leaf)
-            assert (int(dims[i]), cuts[i].tobytes()) == (dim, np.float64(cut).tobytes())
-            if dim >= 0:
-                expected_rows += [span[go_left], span[~go_left]]
-                expected_sizes += [int(go_left.sum()), int((~go_left).sum())]
-            else:
-                expected_leaves.append(span)
-        np.testing.assert_array_equal(next_rows, np.concatenate([[], *expected_rows]))
-        assert next_sizes.tolist() == expected_sizes
-        np.testing.assert_array_equal(leaf_rows, np.concatenate([[], *expected_leaves]))
-        assert leaf_sizes.tolist() == [len(span) for span in expected_leaves]
+    # (d, n) columns and node sizes; the cut must be np.median's bits: a -0.0
+    # middle value gives a +0.0 cut
+    @pytest.mark.parametrize("columns, sizes", [
+        ([[-1.0, -0.0, 1.0]], [3]),  # odd node, -0.0 in the middle: splits
+        ([[-0.0, -0.0, 1.0]], [3]),  # odd node, -0.0 in the middle: a leaf
+        ([[-1.0, -0.0, -0.0, 1.0]], [4]),  # even node, two -0.0 in the middle: splits
+        ([[-0.0, -0.0]], [2]),  # m=2 of two -0.0: a leaf
+        ([[0.0, -0.0, 0.0, -0.0, 1.0, -1.0], [-0.0, 0.0, 1.0, 0.0, -0.0, -0.0]], [6]),  # ±0.0 ties
+        ([[-0.0, 0.0, 2.0, -1.0, -0.0, 0.0, 0.0]], [7]),
+        ([[2.0, 1.0, 3.0, 3.0, 1.0, 2.0]], [3, 3]),  # m=3, every node splits
+        # m=3 nodes that stay leaves beside one that splits, and an m=2 node
+        # that splits alone
+        ([[1.0, 1.0, 1.0, -1.0, -0.0, 1.0, 5.0, 5.0, 6.0, 0.0, -0.0, -0.0, 4.0, 3.0]],
+         [3, 3, 3, 3, 2]),
+    ])
+    def test_cut_is_np_median_bitwise(self, columns, sizes):
+        columns = np.array(columns)
+        _assert_level_splits_each_node_alone(columns, np.arange(columns.shape[1]),
+                                             np.array(sizes), 1)
+
+    def test_level_of_nodes_past_16_bit_sort_keys(self):
+        # 33,000 nodes of two rows: the (node, side) keys need 32 bits, and
+        # rounded values make some nodes leaves beside the ones that split
+        rng = philox_generator(74)
+        columns = np.round(rng.normal(size=(2, 66_000)), 1)
+        sizes = np.full(33_000, 2)
+        _assert_level_splits_each_node_alone(columns, rng.permutation(66_000), sizes, 1)
 
 
 class TestAssignAdaptive:
