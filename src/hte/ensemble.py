@@ -66,6 +66,14 @@ def check_type(name: str, value, *kinds: str):
     return value
 
 
+def check_pair(name: str, value):
+    """``value`` if it is a list of two numbers, else a ``ConfigError``
+    naming ``name``."""
+    if not (_TYPES["list"][1](value) and len(value) == 2 and all(map(_TYPES["float"][1], value))):
+        raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
+    return value
+
+
 @dataclass
 class TrainConfig:
     """Everything needed to train an ensemble, minus the data itself.
@@ -102,10 +110,8 @@ class TrainConfig:
             if value is None and kind != f.type:
                 continue
             if f.name == "candidate_pairs":
-                is_list, is_real = _TYPES["list"][1], _TYPES["float"][1]
-                pairs = check_type(f.name, value, "list")
-                if not all(is_list(p) and len(p) == 2 and all(map(is_real, p)) for p in pairs):
-                    raise ConfigError(f"candidate_pairs must hold pairs of numbers, got {value!r}")
+                for pair in check_type(f.name, value, "list"):
+                    check_pair("each of candidate_pairs", pair)
             else:
                 check_type(f.name, value, kind)
         if self.mode not in MODES:

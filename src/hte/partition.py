@@ -105,8 +105,9 @@ class GridPartition:
     has few codes per row (``_table_fits``) the index is a direct-address
     table, ``_table[code]`` = cell id or -1; otherwise it is the codes in
     sorted order with their cell ids.  The index is never serialized.  A
-    table with a repeated row raises ``ConfigError``, since a key must name
-    one cell, and so does a key outside [-2**62, 2**62].
+    table that is not ``(n_cells, transform.dim)`` with ``n_cells >= 1``
+    raises ``ConfigError``, and so does a repeated row, since a key must
+    name one cell, and a key outside [-2**62, 2**62].
     """
 
     transform: HistogramTransform
@@ -120,6 +121,9 @@ class GridPartition:
 
     def __post_init__(self):
         self.keys = np.ascontiguousarray(self.keys, dtype=np.int64)
+        if self.keys.ndim != 2 or self.keys.shape[1] != self.dim or not len(self.keys):
+            raise ConfigError(f"grid key table of shape {self.keys.shape} is not "
+                              f"(n_cells, {self.dim}) with n_cells >= 1")
         self._lo, self._hi, self._strides, size = _box(self.keys)
         codes = _encode(self.keys, self._lo, self._strides)
         cells = np.arange(len(codes), dtype=np.int64)

@@ -18,16 +18,18 @@ header holds this build's ``format_version``, ``rng`` and
 ``normal_method``; ``d``, ``n_transforms`` and ``total_cells`` (for
 ``read_metadata``; checked against the members); ``clip_bound``; the
 effective ``config``, enough to reproduce the model byte-for-byte from the
-same data; and ``data``, the model's ``data_info``.  Loading verifies magic, version and checksum before
-touching any payload, then those header values and each field's JSON type,
-a valid ``config`` (so a ``gamma`` that training accepts) and a finite
-positive ``clip_bound``, then checks the shapes of the standardizer, grid
-key tables, tree arrays and regressor arrays against ``d`` and the cell
-counts, that every value prediction reads is finite (with std positive),
-that a grid key base is its keys' minimum, that a tree has one threshold
-per internal node, and that every kernel row id lies in the shared block;
-a payload the model classes reject (a repeated grid key, say) is reported
-as corrupt too.
+same data; and ``data``, the model's ``data_info``.  Loading verifies magic,
+version and checksum before touching any payload, then those header values
+and each field's JSON type, a valid ``config`` (so a ``gamma`` that training
+accepts) and a finite positive ``clip_bound``.  Each record is then taken
+by one typed read of ``_Reader`` that names the dtype and shape the writer
+gives it, from ``d`` and the counts read before it (None for a length the
+record sets itself), and rejects any other; every stored float, in an
+array or alone, must be finite.  What the reads leave are value rules: std
+positive, a grid key base that is its keys' minimum, kernel offsets that
+start at 0 and never decrease, kernel row ids inside the shared block, and
+each shared row used; a payload the model classes reject (a repeated grid
+key, say) is reported as corrupt too.
 
 A kht file stores the kernel support rows once: a ``(k, d)`` float64 block
 of the rows that the members' ids use, in the order of the matrix they
@@ -75,7 +77,6 @@ _CHECKSUM_BYTES = 32
 _DTYPES = dict(enumerate(map(np.dtype, (np.float64, np.int64,
                                           np.uint8, np.uint16, np.uint32, np.uint64))))
 _TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
-_UNSIGNED = [_DTYPES[tag] for tag in range(2, 6)]  # narrowest first
 
 # header fields every file of this build holds with these values
 _HEADER_CONSTANTS = {"format_version": FORMAT_VERSION, "rng": RNG_ALGORITHM,
@@ -105,21 +106,19 @@ def _w_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     buf.write(arr)
 
 
-def _narrowest(top: int) -> np.dtype:
-    """The narrowest unsigned dtype that holds every value up to ``top``."""
-    return next(dtype for dtype in _UNSIGNED if top < 1 << 8 * dtype.itemsize)
-
-
 def _w_unsigned(buf: io.BytesIO, arr: np.ndarray) -> None:
     """Integers >= 0 as a record on the narrowest unsigned dtype that holds them."""
     if arr.dtype.kind not in "iu":
         raise DataError(f"an unsigned record cannot hold {arr.dtype} values")
     if arr.min(initial=0) < 0:
         raise DataError("an unsigned record cannot hold a negative value")
-    _w_array(buf, arr.astype(_narrowest(int(arr.max(initial=0)))))
+    _w_array(buf, arr.astype(np.min_scalar_type(int(arr.max(initial=0)))))
 
 
 class _Reader:
+    """The records of a model file in order.  Each typed read names the
+    dtype and shape the writer gives a record and rejects any other."""
+
     def __init__(self, data: memoryview, offset: int):
         self.data = data
         self.pos = offset
@@ -134,10 +133,13 @@ class _Reader:
     def u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+    def f64(self, what: str) -> float:
+        value = struct.unpack("<d", self._take(8))[0]
+        _require(math.isfinite(value), f"{what} not finite")
+        return value
 
-    def array(self) -> np.ndarray:
+    def _record(self) -> np.ndarray:
+        """The next array record, as stored."""
         tag, ndim = self._take(2)
         if tag not in _DTYPES:
             raise _corrupt(f"unknown array dtype tag {tag}")
@@ -149,17 +151,25 @@ class _Reader:
         little_endian = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
         return little_endian.astype(dtype).reshape(shape)
 
-    def unsigned(self, what: str, dtype: type, below: int | None = None) -> np.ndarray:
-        """An unsigned record on the narrowest width that holds its largest
-        value, widened to ``dtype``; every value must lie below ``below``,
-        by default the range of ``dtype``, so the widening cannot wrap."""
-        arr = self.array()
-        if arr.dtype.kind != "u":  # each message is formatted only on failure
-            raise _corrupt(f"{what} are stored as {arr.dtype}, not unsigned")
-        top = int(arr.max(initial=0))
-        if arr.dtype != _narrowest(top):
-            raise _corrupt(f"{what} are stored as {arr.dtype}, not on the narrowest "
-                           f"width {_narrowest(top)}")
+    def array(self, what: str, dtype: type, *shape: int | None) -> np.ndarray:
+        """The next record, a ``dtype`` array of ``shape`` (None: any
+        length); float64 values must be finite."""
+        arr = self._record()
+        _expect(what, arr, np.dtype(dtype), shape)
+        if arr.dtype == np.float64 and not np.isfinite(arr).all():
+            raise _corrupt(f"{what} not finite")
+        return arr
+
+    def unsigned(self, what: str, dtype: type, *shape: int | None,
+                 below: int | None = None) -> np.ndarray:
+        """The next record, an unsigned array of ``shape`` on the narrowest
+        width that holds its largest value (numpy's ``min_scalar_type``),
+        widened to ``dtype``; every value must lie below ``below``, by
+        default the range of ``dtype``, so the widening cannot wrap."""
+        arr = self._record()
+        top = int(arr.max(initial=0)) if arr.dtype.kind == "u" else None
+        # a signed or float record equals no unsigned dtype
+        _expect(what, arr, "unsigned" if top is None else np.min_scalar_type(top), shape)
         below = np.iinfo(dtype).max + 1 if below is None else below
         if top >= below and arr.size:
             raise _corrupt(f"{what} outside [0, {below})")
@@ -175,8 +185,12 @@ def _require(ok: bool, problem: str) -> None:
         raise _corrupt(problem)
 
 
-def _require_finite(what: str, *values) -> None:
-    _require(all(np.isfinite(v).all() for v in values), f"{what} not finite")
+def _expect(what: str, arr: np.ndarray, dtype, shape: tuple) -> None:
+    """``DataError`` unless ``arr`` is ``dtype`` of ``shape`` (None: any length)."""
+    if arr.dtype != dtype or arr.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, arr.shape)):
+        want = str(tuple("n" if n is None else n for n in shape)).replace("'", "")
+        raise _corrupt(f"{what}: {arr.dtype} of shape {arr.shape}, not {dtype} of shape {want}")
 
 
 def _write_standardizer(buf: io.BytesIO, stz: Standardizer) -> None:
@@ -189,15 +203,15 @@ def _write_standardizer(buf: io.BytesIO, stz: Standardizer) -> None:
 
 
 def _read_standardizer(r: _Reader, d: int) -> Standardizer:
-    stz = Standardizer(r.array(), r.array())
-    _require(all(v.dtype == np.float64 and v.shape == (d,) for v in (stz.mean, stz.std)),
-             f"standardizer mean or std is not float64 of shape ({d},)")
-    if r.u8():
-        stz.target_mean, stz.target_std = r.f64(), r.f64()
-        _require_finite("standardizer target statistics", stz.target_mean, stz.target_std)
-        _require(stz.target_std > 0, "standardizer target std is not positive")
-    _require_finite("standardizer mean or std", stz.mean, stz.std)
+    stz = Standardizer(r.array("standardizer mean", np.float64, d),
+                       r.array("standardizer std", np.float64, d))
     _require((stz.std > 0).all(), "standardizer std is not positive")
+    scales_target = r.u8()
+    _require(scales_target < 2, f"standardizer target flag {scales_target} is not 0 or 1")
+    if scales_target:
+        what = "standardizer target statistics"
+        stz.target_mean, stz.target_std = r.f64(what), r.f64(what)
+        _require(stz.target_std > 0, "standardizer target std is not positive")
     return stz
 
 
@@ -257,69 +271,40 @@ def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel,
         _w_array(buf, model.alpha)
 
 
-def _read_shared_rows(r: _Reader, d: int) -> np.ndarray:
-    rows = r.array()
-    _require(rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1:] == (d,),
-             f"shared support rows of shape {rows.shape} are not (k, {d}) float64")
-    _require_finite("shared support rows", rows)
-    return rows
-
-
 def _read_member(r: _Reader, d: int, config: TrainConfig, clip_bound: float,
                  rows: np.ndarray) -> Member:
     if config.partition == "grid":
-        rotation = r.array()
-        scales = r.array()
-        translation = r.array()
-        h_lower = r.f64()
-        h_upper = r.f64()
-        lo = r.array()
-        keys = r.unsigned("grid key offsets", np.uint64)
-        _require_finite("grid transform", rotation, scales, translation, h_lower, h_upper)
-        _require(lo.dtype == np.int64 and lo.shape == (d,),
-                 f"grid key base is not int64 of shape ({d},)")
-        _require(keys.ndim == 2 and keys.shape[1] == d and len(keys) > 0,
-                 f"grid key table of shape {keys.shape} is not (n_cells, {d})")
+        transform = HistogramTransform(
+            r.array("grid rotation", np.float64, d, d),
+            r.array("grid scales", np.float64, d),
+            r.array("grid translation", np.float64, d),
+            r.f64("grid h_lower"),
+            r.f64("grid h_upper"),
+        )
+        lo = r.array("grid key base", np.int64, d)
+        keys = r.unsigned("grid key offsets", np.uint64, None, d)
         keys += lo.view(np.uint64)  # offsets to keys: uint64 sums wrap to the int64 bits
-        transform = HistogramTransform(rotation, scales, translation, h_lower, h_upper)
         part = GridPartition(transform, keys.view(np.int64))
         # the box rejected keys outside +-2**62; a base that is not the
         # keys' minimum, or an offset that wrapped (to a key below the
         # base), moves the minimum off the base
         _require((part._lo + 1 == lo).all(), "grid key base is not the keys' minimum")
     else:
-        rotation = r.array()
-        _require(rotation.shape == (d, d),
-                 f"tree rotation of shape {rotation.shape} is not ({d}, {d})")
-        split_dim = r.unsigned("tree split dimensions", np.int64) - 1
-        cuts = r.array()
+        rotation = r.array("tree rotation", np.float64, d, d)
+        split_dim = r.unsigned("tree split dimensions", np.int64, None) - 1
         internal = split_dim >= 0
-        n_internal = int(np.count_nonzero(internal))
-        _require(cuts.dtype == np.float64 and cuts.shape == (n_internal,),
-                 f"tree thresholds of shape {cuts.shape} for {n_internal} internal nodes")
         threshold = np.full(split_dim.shape, np.nan)  # NaN at a leaf
-        threshold[internal] = cuts
+        threshold[internal] = r.array("tree thresholds", np.float64, int(internal.sum()))
         part = AdaptiveTree(rotation, split_dim, threshold)
-        _require_finite("tree rotation or internal threshold", rotation, cuts)
     n_cells = part.n_cells
-    fallback, means = r.f64(), r.array()
-    _require(means.dtype == np.float64 and means.shape == (n_cells,),
-             f"cell means are not float64 of shape ({n_cells},)")
-    _require_finite("fallback or cell means", fallback, means)
+    fallback, means = r.f64("fallback"), r.array("cell means", np.float64, n_cells)
     if config.mode == "kht":
-        offsets = r.unsigned("kernel offsets", np.int64)
-        ids = r.unsigned("kernel row ids", np.int32, below=len(rows))
-        alpha = r.array()
-        _require(alpha.dtype == np.float64 and alpha.ndim == 1,
-                 "kernel coefficients are not a float64 vector")
-        _require(
-            offsets.shape == (n_cells + 1,) and offsets[0] == 0
-            and (np.diff(offsets) >= 0).all() and offsets[-1] == len(alpha),
-            f"kernel offsets must run from 0 up to {len(alpha)} in {n_cells + 1} steps",
-        )
-        _require(ids.shape == alpha.shape,
-                 f"kernel row ids are not int32 of shape ({len(alpha)},)")
-        _require_finite("kernel coefficients", alpha)
+        offsets = r.unsigned("kernel offsets", np.int64, n_cells + 1)
+        _require(offsets[0] == 0 and (np.diff(offsets) >= 0).all(),
+                 "kernel offsets must start at 0 and never decrease")
+        n_kernel = int(offsets[-1])
+        ids = r.unsigned("kernel row ids", np.int32, n_kernel, below=len(rows))
+        alpha = r.array("kernel coefficients", np.float64, n_kernel)
         # kernel values lie in [0, 1]: a finite sum of |alpha| bounds every K @ alpha
         with np.errstate(over="ignore"):
             _require(np.isfinite(np.abs(alpha).sum()),
@@ -421,7 +406,8 @@ def deserialize_model(data: bytes) -> EnsembleModel:
         config = TrainConfig.from_dict(header["config"])
         standardizer = _read_standardizer(reader, d)
         kernel = config.mode == "kht"
-        rows = _read_shared_rows(reader, d) if kernel else np.empty((0, d))
+        rows = (reader.array("shared support rows", np.float64, None, d) if kernel
+                else np.empty((0, d)))
         members = [_read_member(reader, d, config, header["clip_bound"], rows)
                    for _ in range(header["n_transforms"])]
         if kernel:  # a row no member uses would be dropped by the next save

@@ -20,7 +20,7 @@ import hte.cli
 from hte.cli import main
 from hte.data import gen_counter3d, gen_sin16, load_csv
 from hte.ensemble import predict as lib_predict
-from hte.ensemble import TrainConfig
+from hte.ensemble import TrainConfig, train_ensemble
 from hte.errors import ConfigError, DataError
 from hte.evaluation import StudySetup, mse, run_study, write_study_csv
 from hte.rng import philox_generator
@@ -379,13 +379,40 @@ class TestPredict:
         part = model.members[0].partition
         if partition == "grid":  # bin widths outside the stored window
             object.__setattr__(part.transform, "scales", part.transform.scales * 100.0)
-        else:  # a node whose first child slot is not after it
+        else:  # a node whose first child slot is not after it, with a finite cut
             part.split_dim = part.split_dim.copy()
             part.split_dim[0], part.split_dim[-1] = -1, 0
+            part.threshold = part.threshold.copy()
+            part.threshold[-1] = 0.5
         save_model(model, out)  # with a valid checksum
         code = main(["predict", "--model", str(out), "--data", sin_csv])
         assert code == 2
         assert "model file corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gap", ["uint8-translation", "2-d-member"])
+    def test_grid_record_the_writer_never_gives_exits_2(self, tmp_path, capsys, gap):
+        # each loaded: the first predicted, the second exited 1 with
+        # "expected points of dimension 2"
+        def record(tag, arr):  # dtype tag, rank, dimensions, values
+            return struct.pack(f"<BB{arr.ndim}Q", tag, arr.ndim, *arr.shape) + arr.tobytes()
+
+        ds = gen_counter3d(300, seed=5)
+        data, path = tmp_path / "counter.csv", tmp_path / "model.hte"
+        np.savetxt(data, ds.X, delimiter=",", header="x1,x2,x3", comments="")
+        model = train_ensemble(ds, TrainConfig(n_transforms=2, master_seed=5))
+        t = model.members[0].partition.transform
+        if gap == "2-d-member":  # a 2-d transform over the 3-column key table
+            old = b"".join(record(0, a) for a in (t.rotation, t.scales, t.translation))
+            new = b"".join(record(0, a) for a in (np.eye(2), t.scales[:2], t.translation[:2]))
+        else:  # uint8 zeros
+            old, new = record(0, t.translation), record(2, np.zeros(3, np.uint8))
+        payload = serialize_model(model)[:-32]
+        assert payload.count(old) == 1
+        payload = payload.replace(old, new)
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        assert main(["predict", "--model", str(path), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file corrupt: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("edit,named", [
         pytest.param(lambda h: b"{not json", "header is not JSON", id="not-json"),

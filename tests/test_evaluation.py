@@ -170,6 +170,12 @@ class TestRunStudy:
         # checked before the first point trains, not truncated by int()
         (StudySetup("sin16", {"n_train": [60, 50.9]}), "grid value of 'n_train' must be an int"),
         (StudySetup("sin16", {"n_test": [20, True]}), "grid value of 'n_test' must be an int"),
+        # a pair is two numbers: it was an error row, a silently cut window,
+        # a ValueError row and an s_min of 1.0
+        *[(StudySetup("sin16", {"pair": [[0.0, 1.0], pair]}),
+           r"grid value of 'pair' must be a pair of numbers, got " + named)
+          for pair, named in [(5, "5"), ([0, 1, 2], r"\[0, 1, 2\]"),
+                              (["a", "b"], r"\['a', 'b'\]"), ([True, 2], r"\[True, 2\]")]],
     ])
     def test_invalid_setup_is_a_config_error_naming_its_field(self, setup, named):
         with pytest.raises(ConfigError, match=named):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -396,6 +397,15 @@ class TestAssignGrid:
                 GridPartition(_identity(2), np.array([[0, 1], [2, 3], [0, 1]]))
             with pytest.raises(ConfigError, match="repeats a key"):
                 GridPartition(_identity(1), np.array([[5], [-4], [7], [-4]]))
+
+    @pytest.mark.parametrize("keys", [np.zeros((1, 3), np.int64), np.zeros((1, 1), np.int64),
+                                      np.zeros(2, np.int64), np.zeros((0, 2), np.int64)],
+                             ids=["3-columns", "1-column", "rank-1", "no-rows"])
+    def test_key_table_must_match_its_transform(self, keys):
+        # a 3-column table used to construct, and assign_many then raised a bare IndexError
+        with pytest.raises(ConfigError, match=rf"grid key table of shape {re.escape(str(keys.shape))} is not "
+                                              r"\(n_cells, 2\) with n_cells >= 1"):
+            GridPartition(_identity(2), keys)
 
     @settings(max_examples=80, deadline=None)
     @given(rows=_key_rows())

@@ -245,8 +245,38 @@ def test_grid_key_table_width_checked():
     keys = member.partition.keys
     offsets = keys.view(np.uint64) - keys.min(axis=0).view(np.uint64)
     narrow = _with_record(blob, _unsigned_record(offsets), _unsigned_record(offsets[:, :2]))
-    with pytest.raises(DataError, match=r"key table .* not \(n_cells, 3\)"):
+    with pytest.raises(DataError, match=r"corrupt: grid key offsets: uint\d+ of shape \(\d+, 2\), "
+                                        r"not uint\d+ of shape \(n, 3\)"):
         deserialize_model(narrow)
+
+
+@pytest.mark.parametrize("partition", ["grid", "adaptive"])
+def test_float_record_under_an_integer_tag_is_corrupt(partition):
+    # each loaded and saved to other bytes: a grid translation of uint8
+    # zeros, and a tree rotation that is the identity in int64
+    _, model = _train("nht", partition, n=120)
+    part = model.members[0].partition
+    if partition == "grid":
+        what, old, new = "grid translation", part.transform.translation, np.zeros(3, np.uint8)
+    else:
+        part.rotation = np.eye(3)
+        what, old, new = "tree rotation", part.rotation, np.eye(3, dtype=np.int64)
+    blob = _with_record(serialize_model(model), _record(old), _record(new))
+    with pytest.raises(DataError, match=rf"corrupt: {what}: {new.dtype} of shape "
+                                        rf"\(.*\), not float64 of shape"):
+        deserialize_model(blob)
+
+
+def test_grid_member_of_another_dimension_is_corrupt():
+    # a 3-d file whose first member holds a 2-d transform over its 3-column
+    # key table loaded, and predict then failed with a config error
+    _, model = _train("nht", "grid", n=120)
+    t = model.members[0].partition.transform
+    old = b"".join(map(_record, (t.rotation, t.scales, t.translation)))
+    new = b"".join(map(_record, (np.eye(2), t.scales[:2], t.translation[:2])))
+    with pytest.raises(DataError, match=r"corrupt: grid rotation: float64 of shape \(2, 2\), "
+                                        r"not float64 of shape \(3, 3\)"):
+        deserialize_model(_with_record(serialize_model(model), old, new))
 
 
 def test_grid_repeated_key_is_corrupt():
@@ -290,7 +320,7 @@ def test_grid_key_base_must_be_the_keys_minimum(edit):
         deserialize_model(blob)
 
 
-_MEANS_SHAPE = r"corrupt: cell means are not float64 of shape \(\d+,\)"
+_MEANS_SHAPE = r"corrupt: cell means: \w+ of shape \(\d+,\), not float64 of shape \(\d+,\)"
 
 
 def test_kernel_means_length_checked():
@@ -360,9 +390,12 @@ def test_kernel_offsets_must_not_decrease():
 
 
 def test_kernel_offsets_must_end_at_coefficient_count():
+    # the last offset gives the coefficient count the read expects
     model, member = _kernel_grid_member()
+    n = member.model.offsets[-1]
     member.model.alpha = member.model.alpha[:-1]
-    with pytest.raises(DataError, match="offsets"):
+    with pytest.raises(DataError, match=rf"corrupt: kernel coefficients: float64 of shape "
+                                        rf"\({n - 1},\), not float64 of shape \({n},\)"):
         deserialize_model(serialize_model(model))
 
 
@@ -375,8 +408,8 @@ def _share_rows(model, rows):
 def test_kernel_support_width_checked():
     model, member = _kernel_grid_member()
     _share_rows(model, member.model.rows[:, :2])
-    with pytest.raises(DataError, match=r"shared support rows of shape \(\d+, 2\) are not "
-                                        r"\(k, 3\) float64"):
+    with pytest.raises(DataError, match=r"shared support rows: float64 of shape \(\d+, 2\), "
+                                        r"not float64 of shape \(n, 3\)"):
         deserialize_model(serialize_model(model))
 
 
@@ -454,12 +487,12 @@ def test_integer_record_wider_than_needed_is_corrupt(mode, partition, what):
     record = _integer_records(blob)[what]
     values = _record_values(record)
     wider = np.dtype(f"u{2 * values.itemsize}")
-    with pytest.raises(DataError, match=rf"corrupt: {what} are stored as {wider}, not on the "
-                                        rf"narrowest width {values.dtype}"):
+    with pytest.raises(DataError, match=rf"corrupt: {what}: {wider} of shape \(.*\), "
+                                        rf"not {values.dtype} of shape"):
         deserialize_model(_with_record(blob, record, _record(values.astype(wider))))
     for signed in (np.int64, np.float64):  # a signed or float record where unsigned belongs
-        with pytest.raises(DataError, match=rf"corrupt: {what} are stored as "
-                                            rf"{np.dtype(signed)}, not unsigned"):
+        with pytest.raises(DataError, match=rf"corrupt: {what}: {np.dtype(signed)} of shape "
+                                            rf"\(.*\), not unsigned of shape"):
             deserialize_model(_with_record(blob, record, _record(values.astype(signed))))
     if what != "grid key offsets":  # a value that would wrap when widened to int64 or int32
         past = values.astype(np.uint64)
@@ -470,8 +503,10 @@ def test_integer_record_wider_than_needed_is_corrupt(mode, partition, what):
 
 def test_kernel_row_ids_length_checked():
     model, member = _kernel_grid_member()
+    n = len(member.model.ids)
     member.model.ids = member.model.ids[:-1]
-    with pytest.raises(DataError, match=r"corrupt: kernel row ids are not int32 of shape \(\d+,\)"):
+    with pytest.raises(DataError, match=rf"corrupt: kernel row ids: uint\d+ of shape \({n - 1},\), "
+                                        rf"not uint\d+ of shape \({n},\)"):
         deserialize_model(serialize_model(model))
 
 
@@ -579,6 +614,9 @@ def test_tree_node_before_its_children_checked():
     split_dim = member.partition.split_dim.copy()
     split_dim[0], split_dim[-1] = -1, 0  # same node count, last node now internal
     member.partition.split_dim = split_dim
+    threshold = member.partition.threshold.copy()
+    threshold[-1] = 0.5  # a finite cut for the new internal node, so its read passes
+    member.partition.threshold = threshold
     with pytest.raises(DataError, match="corrupt: a tree node is at or after its first child"):
         deserialize_model(serialize_model(model))
 
@@ -590,15 +628,16 @@ def test_tree_threshold_length_checked():
     tree = member.partition
     internal = tree.threshold[tree.split_dim >= 0]
     for wrong in (internal[:-1], np.append(internal, 0.5)):
-        with pytest.raises(DataError, match=rf"corrupt: tree thresholds of shape \(\d+,\) "
-                                            rf"for {len(internal)} internal nodes"):
+        with pytest.raises(DataError, match=rf"corrupt: tree thresholds: float64 of shape "
+                                            rf"\(\d+,\), not float64 of shape \({len(internal)},\)"):
             deserialize_model(_with_record(blob, _record(internal), _record(wrong)))
 
 
 def test_tree_rotation_shape_checked():
     model, member = _tree_member()
     member.partition.rotation = member.partition.rotation[:, :2]
-    with pytest.raises(DataError, match=r"corrupt: tree rotation .* not \(3, 3\)"):
+    with pytest.raises(DataError, match=r"corrupt: tree rotation: float64 of shape \(3, 2\), "
+                                        r"not float64 of shape \(3, 3\)"):
         deserialize_model(serialize_model(model))
 
 
@@ -615,8 +654,8 @@ def test_tree_split_dim_dtype_checked():
     blob = serialize_model(model)
     stored = member.partition.split_dim + 1  # 0 at a leaf
     as_float = _with_record(blob, _unsigned_record(stored), _record(stored.astype(np.float64)))
-    with pytest.raises(DataError, match="corrupt: tree split dimensions are stored as float64, "
-                                        "not unsigned"):
+    with pytest.raises(DataError, match=r"corrupt: tree split dimensions: float64 of shape "
+                                        r"\(\d+,\), not unsigned of shape \(n,\)"):
         deserialize_model(as_float)
     member.partition.split_dim = member.partition.split_dim.astype(np.float64)
     with pytest.raises(DataError, match="an unsigned record cannot hold float64 values"):
@@ -635,7 +674,8 @@ def test_constant_cell_value_not_finite_is_corrupt(field):
         member.model.means[0] = np.nan
     else:
         member.model.fallback = np.nan
-    with pytest.raises(DataError, match="corrupt: fallback or cell means not finite"):
+    problem = "cell means" if field == "values" else "fallback"
+    with pytest.raises(DataError, match=f"corrupt: {problem} not finite"):
         deserialize_model(serialize_model(model))
 
 
@@ -652,8 +692,8 @@ def test_kernel_value_not_finite_is_corrupt(field):
         values = getattr(member.model, field).copy()
         values.flat[-1] = np.nan
         setattr(member.model, field, values)
-    problem = {"alpha": "kernel coefficients", "support": "shared support rows"}.get(
-        field, "fallback or cell means")
+    problem = {"alpha": "kernel coefficients", "support": "shared support rows",
+               "means": "cell means", "fallback": "fallback"}[field]
     with pytest.raises(DataError, match=f"corrupt: {problem} not finite"):
         deserialize_model(serialize_model(model))
 
@@ -703,7 +743,7 @@ def test_tree_internal_threshold_not_finite_is_corrupt():
     assert np.isnan(threshold[member.partition.split_dim < 0]).all()  # leaves load as NaN
     threshold[0] = np.nan  # the root: every row would be routed right
     member.partition.threshold = threshold
-    with pytest.raises(DataError, match="corrupt: tree rotation or internal threshold not finite"):
+    with pytest.raises(DataError, match="corrupt: tree thresholds not finite"):
         deserialize_model(serialize_model(model))
 
 
@@ -714,7 +754,7 @@ def test_grid_transform_not_finite_is_corrupt(field):
     values = getattr(t, field).copy()
     values.flat[0] = np.nan  # passes the transform's own range checks
     object.__setattr__(t, field, values)
-    with pytest.raises(DataError, match="corrupt: grid transform not finite"):
+    with pytest.raises(DataError, match=f"corrupt: grid {field} not finite"):
         deserialize_model(serialize_model(model))
 
 
@@ -740,11 +780,8 @@ def test_standardizer_not_finite_is_corrupt(field, value):
     values = getattr(model.standardizer, field).copy()
     values[0] = value
     setattr(model.standardizer, field, values)
-    with pytest.raises(DataError, match="corrupt: standardizer mean or std not finite"):
+    with pytest.raises(DataError, match=f"corrupt: standardizer {field} not finite"):
         deserialize_model(serialize_model(model))
-
-
-_STANDARDIZER_SHAPE = r"corrupt: standardizer mean or std is not float64 of shape \(\d+,\)"
 
 
 @pytest.mark.parametrize("field,edit", [
@@ -756,7 +793,9 @@ _STANDARDIZER_SHAPE = r"corrupt: standardizer mean or std is not float64 of shap
 def test_standardizer_shape_checked(field, edit):
     _, model = _train("nht", "grid", n=120)
     setattr(model.standardizer, field, edit(getattr(model.standardizer, field)))
-    with pytest.raises(DataError, match=_STANDARDIZER_SHAPE):
+    # the header's d is the mean's length, so a long mean rejects the std
+    with pytest.raises(DataError, match=r"corrupt: standardizer (mean|std): float64 of shape "
+                                        r"\(.*\), not float64 of shape \(\d+,\)"):
         deserialize_model(serialize_model(model))
 
 
@@ -764,7 +803,19 @@ def test_standardizer_dtype_checked():
     _, model = _train("nht", "adaptive", n=120)
     blob = bytearray(serialize_model(model)[:-32])
     blob[_first_array_offset(blob)] = 1  # the mean's bytes read as int64
-    with pytest.raises(DataError, match=_STANDARDIZER_SHAPE):
+    with pytest.raises(DataError, match=r"corrupt: standardizer mean: int64 of shape \(3,\), "
+                                        r"not float64 of shape \(3,\)"):
+        deserialize_model(_reseal(bytes(blob)))
+
+
+def test_standardizer_target_flag_other_than_0_or_1_is_corrupt():
+    # a flag of 2 loaded as 1 and saved to other bytes
+    _, model = _train("nht", "adaptive", n=120, standardize_target=True)
+    blob = bytearray(serialize_model(model)[:-32])
+    flag_at = _first_array_offset(blob) + 2 * (1 + 1 + 8 + 8 * 3)
+    assert blob[flag_at] == 1
+    blob[flag_at] = 2
+    with pytest.raises(DataError, match="corrupt: standardizer target flag 2 is not 0 or 1"):
         deserialize_model(_reseal(bytes(blob)))
 
 
@@ -949,27 +1000,24 @@ def _small_model_file(mode: str, partition: str, seed: int) -> bytes:
 def _array_spans(blob: bytes) -> list[tuple[int, int, str | None]]:
     """(start, end, name) of every array record of a valid model file, in
     file order; ``name`` is an unsigned record's, None for the others."""
-    spans, read, read_unsigned = [], _Reader.array, _Reader.unsigned
+    spans = []
 
-    def logged(reader):
-        start = reader.pos
-        out = read(reader)
-        spans.append((start, reader.pos, None))
-        return out
+    def logged(read, unsigned):
+        def wrapper(reader, what, *args, **kwargs):
+            start = reader.pos
+            out = read(reader, what, *args, **kwargs)
+            spans.append((start, reader.pos, what if unsigned else None))
+            return out
+        return wrapper
 
-    def logged_unsigned(reader, what, *args, **kwargs):
-        out = read_unsigned(reader, what, *args, **kwargs)  # through ``logged``
-        spans[-1] = (*spans[-1][:2], what)
-        return out
-
-    with mock.patch.object(_Reader, "array", logged), \
-            mock.patch.object(_Reader, "unsigned", logged_unsigned):
+    with mock.patch.object(_Reader, "array", logged(_Reader.array, False)), \
+            mock.patch.object(_Reader, "unsigned", logged(_Reader.unsigned, True)):
         deserialize_model(blob)
     return spans
 
 
 def _record_values(record: bytes) -> np.ndarray:
-    return _Reader(memoryview(record), 0).array()
+    return _Reader(memoryview(record), 0)._record()
 
 
 def _assert_narrowest(blob: bytes) -> None:
@@ -1026,13 +1074,30 @@ def _crafted_integer_record(blob: bytes, partition: str, data) -> bytes:
     return _reseal(payload[:start] + new + payload[end:])
 
 
+def _crafted_float_records(blob: bytes):
+    """Resealed copies of a model file, each with one non-empty float64
+    record rewritten: its values cast to int64 or to uint8, or one row or
+    column fewer."""
+    payload = blob[:-32]
+    for start, end, _ in _array_spans(blob):
+        values = _record_values(payload[start:end])
+        if values.dtype != np.float64 or not values.size:
+            continue
+        cast = values.astype(np.int64)
+        edits = [cast, cast.astype(np.uint8), values[:-1]]
+        if values.ndim == 2:
+            edits.append(values[:, :-1])
+        for new in edits:
+            yield _reseal(payload[:start] + _record(new) + payload[end:])
+
+
 _QUERIES = np.vstack([gen_counter3d(60, seed=99).X, np.full((1, 3), 1e6)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
        seed=st.integers(0, 3),
-       mutation=st.sampled_from(["bytes", "record", "ids", "integer", "header"]),
+       mutation=st.sampled_from(["bytes", "record", "ids", "integer", "float", "header"]),
        truncate=st.booleans(), data=st.data())
 def test_a_corrupted_file_raises_a_data_error_or_predicts_clipped(mode, partition, seed,
                                                                   mutation, truncate, data):
@@ -1059,6 +1124,11 @@ def test_a_corrupted_file_raises_a_data_error_or_predicts_clipped(mode, partitio
             corrupt = replace_bytes(start, end)
     elif mutation == "integer":
         corrupt = _crafted_integer_record(blob, partition, data)
+    elif mutation == "float":  # the writer never gives such a record: none may load
+        for corrupt in _crafted_float_records(blob):
+            with pytest.raises(DataError):
+                deserialize_model(corrupt)
+        return
     else:  # set one header or config field to a drawn JSON value
         header = _read_header(blob)
         keys = [("header", k) for k in header] + [("config", k) for k in header["config"]]
