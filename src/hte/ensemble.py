@@ -67,10 +67,30 @@ def check_type(name: str, value, *kinds: str):
 
 
 def check_pair(name: str, value):
-    """``value`` if it is a list of two numbers, else a ``ConfigError``
-    naming ``name``."""
+    """``value`` if it is a list of two finite numbers, else a
+    ``ConfigError`` naming ``name``."""
     if not (_TYPES["list"][1](value) and len(value) == 2 and all(map(_TYPES["float"][1], value))):
         raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
+    if not all(map(math.isfinite, value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def check_field(name: str, value, label: str | None = None):
+    """``value`` if it has the JSON type of ``TrainConfig`` field ``name``
+    (null where the field may be None), a real field's and a candidate
+    pair's numbers finite, else a ``ConfigError`` naming ``label`` (by
+    default ``name``)."""
+    label = label or name
+    kind = _FIELD_TYPES[name].removesuffix(" | None")
+    if value is None and kind != _FIELD_TYPES[name]:
+        return value
+    check_type(label, value, kind.partition("[")[0])  # "list[tuple[...]]" is a list
+    if name == "candidate_pairs":
+        for pair in value:
+            check_pair(f"each of {label}", pair)
+    elif kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{label} must be finite, got {value!r}")
     return value
 
 
@@ -103,17 +123,8 @@ class TrainConfig:
     standardize_target: bool = False
 
     def validate(self) -> None:
-        # each field's annotation names its JSON type; "| None" allows null
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            kind = f.type.removesuffix(" | None")
-            if value is None and kind != f.type:
-                continue
-            if f.name == "candidate_pairs":
-                for pair in check_type(f.name, value, "list"):
-                    check_pair("each of candidate_pairs", pair)
-            else:
-                check_type(f.name, value, kind)
+            check_field(f.name, getattr(self, f.name))
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.partition not in PARTITIONS:
@@ -135,8 +146,6 @@ class TrainConfig:
                     f"{len(self.candidate_pairs)} != n_candidates {self.n_candidates}"
                 )
             for lo, hi in self.candidate_pairs:
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise ConfigError("each of candidate_pairs needs finite offsets")
                 if not lo < hi:
                     raise ConfigError("each of candidate_pairs needs s_min < s_max")
         elif self.n_candidates > len(DEFAULT_CANDIDATE_PAIRS):
@@ -144,18 +153,15 @@ class TrainConfig:
                 "n_candidates exceeds the default candidate grid; "
                 "supply candidate_pairs explicitly"
             )
-        if not (math.isfinite(self.s_min) and math.isfinite(self.s_max)):
-            raise ConfigError("s_min and s_max must be finite")
         if not self.s_min < self.s_max:
             raise ConfigError("s_min must be strictly less than s_max")
         if self.min_samples_split < 1:
             raise ConfigError("min_samples_split must be >= 1")
         if not valid_gamma(self.gamma):
             raise ConfigError("gamma must be positive and finite, with a positive finite square")
-        # NaN fails every comparison, so "not 0 < v < inf" rejects it too
-        if self.lambda2 is not None and not 0 < self.lambda2 < math.inf:
+        if self.lambda2 is not None and self.lambda2 <= 0:
             raise ConfigError("lambda2 must be positive and finite")
-        if self.clip_bound is not None and not 0 < self.clip_bound < math.inf:
+        if self.clip_bound is not None and self.clip_bound <= 0:
             raise ConfigError("clip_bound must be positive and finite")
         if self.fallback not in FALLBACK_RULES:
             raise ConfigError(f"fallback must be one of {FALLBACK_RULES}")
@@ -188,6 +194,10 @@ class TrainConfig:
         if cfg.candidate_pairs is not None:
             cfg.candidate_pairs = [tuple(p) for p in cfg.candidate_pairs]
         return cfg
+
+
+# each field's annotation names its JSON type; "| None" allows null
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import gen_counter3d, gen_sin16
-from .ensemble import TrainConfig, check_pair, check_type, predict, train_ensemble
+from .ensemble import TrainConfig, check_field, check_pair, check_type, predict, train_ensemble
 from .errors import ConfigError
 from .rng import mix64
 
@@ -102,16 +102,21 @@ class StudySetup:
         check_type("generator", self.generator, "str")
         for name in ("n_train", "n_test", "repetitions", "seed"):
             check_type(name, getattr(self, name), "int")
-        for key, values in check_type("grid", self.grid, "dict").items():
-            check_type(f"grid key {key!r}", values, "list")
-            for value in values:
-                if key in _SETUP_KEYS:
-                    check_type(f"grid value of {key!r}", value, "int")
-                elif key == "pair":
-                    check_pair("grid value of 'pair'", value)
-        unknown = set(self.grid) - {f.name for f in fields(TrainConfig)} - _SETUP_KEYS - {"pair"}
+        grid = check_type("grid", self.grid, "dict")
+        unknown = set(grid) - {f.name for f in fields(TrainConfig)} - _SETUP_KEYS - {"pair"}
         if unknown:
             raise ConfigError(f"unknown grid keys: {', '.join(sorted(map(str, unknown)))}")
+        for key, values in grid.items():
+            label = f"grid value of {key!r}"
+            # types and finite numbers here; TrainConfig.validate's range
+            # checks run per point, where a failure is an error row
+            for value in check_type(f"grid key {key!r}", values, "list"):
+                if key in _SETUP_KEYS:
+                    check_type(label, value, "int")
+                elif key == "pair":
+                    check_pair(label, value)
+                else:
+                    check_field(key, value, label)
         if self.generator not in GENERATORS:
             raise ConfigError(
                 f"unknown generator {self.generator!r}; choose from {sorted(GENERATORS)}"

@@ -4,10 +4,15 @@ Cells are kept small by the partitioning step (adaptive trees split every
 separable cell of more than ``min_samples_split`` points), so a kernel
 member is thousands of tiny systems whose cost is per-call overhead, not
 flops.  Equal-size systems are therefore built and solved as stacks: a Gram
-stack is ``gaussian_cross_stack(P, P, gamma)`` (or one ``gaussian_cross``
-per cell for large cells), and ``solve_spd_stack_unchecked`` solves it with
+stack is ``gaussian_cross_stack(P, P, gamma)`` (or, for large cells,
+``gaussian_gram_stack(P, gamma)``: one ``cdist`` per cell written into the
+stack, then one ``exp``), and ``solve_spd_stack_unchecked`` solves it with
 one in-place LAPACK ``posv`` call per system, on one transposed copy of the
-stack, and residuals checked in one batched product.  Only the systems
+stack, and residuals checked in one batched product.  The ``posv`` calls
+are positional, over views made once for the whole stack, so each system
+costs little more than SciPy's f2py wrapper itself; the residual check
+reads the stacks themselves and copies the solved systems out only when
+some system failed.  Only the systems
 that this plain rung rejects climb the jitter ladder, as a sub-stack:
 failed factorizations escalate a diagonal jitter proportional to the mean
 eigenvalue before giving up.  ``solve_spd`` checks one system for symmetry
@@ -35,14 +40,14 @@ _JITTER_START = 1e-12
 _JITTER_STOP = 1e-6
 
 
-def _cdist(XA, XB, metric):
+def _cdist(XA, XB, metric, **kwargs):
     """``scipy.spatial.distance.cdist``; the first call imports it and rebinds
     this name to it, so the per-cell calls after it pay no import statement."""
     global _cdist
     from scipy.spatial.distance import cdist
 
     _cdist = cdist
-    return cdist(XA, XB, metric)
+    return cdist(XA, XB, metric, **kwargs)
 
 
 def valid_gamma(gamma: float) -> bool:
@@ -97,6 +102,21 @@ def gaussian_cross_stack(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarr
     return _exp_scaled(d2, square)
 
 
+def gaussian_gram_stack(P: np.ndarray, gamma: float) -> np.ndarray:
+    """Gram matrices of a ``(g, m, d)`` stack, shape ``(g, m, m)``: each slice
+    is ``gaussian_cross(P[i], P[i], gamma)`` bit for bit.
+
+    ``cdist`` writes each cell's squared distances straight into its slice
+    of one stack, and one ``exp`` covers the whole stack, so no per-cell
+    Gram is made and copied.
+    """
+    square = _gamma_square(gamma)
+    K = np.empty((len(P), P.shape[1], P.shape[1]))
+    for cell, k in zip(P, K):
+        _cdist(cell, cell, "sqeuclidean", out=k)
+    return _exp_scaled(K, square)
+
+
 def gaussian_pairs(A: np.ndarray, a_rows: np.ndarray, repeats: np.ndarray,
                    B: np.ndarray, b_rows: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel values of row pairs, flat: entry k pairs row ``b_rows[k]`` of B
@@ -148,11 +168,14 @@ def _cholesky_rung(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     X = np.array(B, dtype=np.float64, order="C")
     # a solution that overflows here is only "not solved"
     with np.errstate(over="ignore", invalid="ignore"):
-        info = [dposv(F[i].T, X[i], lower=1, overwrite_a=1, overwrite_b=1)[2]
-                for i in range(len(B))]
+        # positional (a, b, lower, overwrite_a, overwrite_b): the f2py wrapper
+        # parses keywords at ~0.3 us a call, over a third of a 4 x 4 system's cost
+        info = [dposv(f, x, 1, 1, 1)[2] for f, x in zip(F.transpose(0, 2, 1), X)]
         solved = np.array(info) == 0
-        # batched `A @ x` and `norm`: per slice, the same BLAS gemv and dot as one system
-        idx = np.flatnonzero(solved)
+        # batched `A @ x` and `norm`: per slice, the same BLAS gemv and dot as one
+        # system; over the systems posv solved, all of them in the common case,
+        # where a basic slice copies nothing and an index array copies the stacks
+        idx = slice(None) if solved.all() else np.flatnonzero(solved)
         r = np.matmul(A[idx], X[idx, :, None])[:, :, 0] - B[idx]
         residual = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
         b = B[idx]
@@ -166,11 +189,12 @@ def solve_spd_stack_unchecked(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve every ``A[i] x = B[i]`` by Cholesky; returns ``(X, jitter_used, escalations)``.
 
-    For a float64 stack that its caller knows to be exactly symmetric and
-    finite: nothing here scans for either.  The plain rung solves the whole
-    stack.  The systems it rejects (not positive definite, or a residual
-    above 1e-8 relative) climb the ladder together: eps * trace(A[i])/n is
-    added to the diagonal, eps stepping 1e-12 -> 1e-6 by factors of 10.
+    For a C-ordered float64 stack that its caller knows to be exactly
+    symmetric and finite: nothing here scans for either.  The plain rung
+    solves the whole stack.  The systems it rejects (not positive definite,
+    or a residual above 1e-8 relative) climb the ladder together:
+    eps * trace(A[i])/n is added to the diagonal, eps stepping 1e-12 -> 1e-6
+    by factors of 10.
     Each system gets exactly the result it would get solved alone.  Raises
     ``IllConditionedError`` for a system that still fails at the top of the
     ladder.
@@ -205,8 +229,8 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, int]:
 
     The checked solver: ``ConfigError`` for a matrix not symmetric within
     1e-10, ``IllConditionedError`` for a system that is not finite."""
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    A = np.asarray(A, dtype=np.float64, order="C")
+    b = np.asarray(b, dtype=np.float64, order="C")
     if b.ndim != 1 or A.shape != b.shape * 2:
         raise ConfigError("need an (n, n) matrix and an (n,) right-hand side")
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: not asymmetric

@@ -14,7 +14,11 @@ squared-error risk when the targets themselves lie in that interval.
 Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
 memory stays bounded however many cells share a size, and solves each
-stack with one LAPACK ``posv`` call per cell.  Every cell gets the solution
+stack with one LAPACK ``posv`` call per cell.  A size group whose Grams
+``_builds_alone`` routes to ``cdist`` has them written straight into its
+preallocated stack, one ``cdist`` per cell and one ``exp`` per stack
+(``gaussian_gram_stack``); smaller Grams are built together, one dimension
+at a time (``gaussian_cross_stack``).  Every cell gets the solution
 it would get fitted alone.  Prediction sorts its query rows by cell, then
 builds the kernels of all queried small cells in one flat pass (chunks of
 at most ``_FLAT_ENTRIES`` entries), then makes one stacked matrix-vector
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, IllConditionedError
-from .linalg import gaussian_cross, gaussian_cross_stack, gaussian_pairs
+from .linalg import gaussian_cross, gaussian_cross_stack, gaussian_gram_stack, gaussian_pairs
 from .linalg import solve_spd_stack_unchecked
 from .linalg import gaussian_gram, solve_spd  # noqa: F401  (benchmarks/perf.py traces them here)
 
@@ -275,7 +279,7 @@ def fit_kernel_cells(
             rows = starts[group[first : first + step], None] + np.arange(m)
             P = support[rows]
             if _builds_alone(m, m):
-                K = np.stack([gaussian_cross(cell, cell, gamma) for cell in P])
+                K = gaussian_gram_stack(P, gamma)
             else:
                 K = gaussian_cross_stack(P, P, gamma)
             K.reshape(len(rows), m * m)[:, :: m + 1] += ridge

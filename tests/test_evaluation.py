@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import time
 
 import numpy as np
@@ -176,6 +177,14 @@ class TestRunStudy:
            r"grid value of 'pair' must be a pair of numbers, got " + named)
           for pair, named in [(5, "5"), ([0, 1, 2], r"\[0, 1, 2\]"),
                               (["a", "b"], r"\['a', 'b'\]"), ([True, 2], r"\[True, 2\]")]],
+        # a grid value of a TrainConfig field has its JSON type, and a number
+        # in a real field or a pair is finite: each was an error row
+        (StudySetup("sin16", {"pair": [[math.nan, 1]]}),
+         r"grid value of 'pair' must be finite, got \[nan, 1\]"),
+        (StudySetup("sin16", {"s_min": [math.nan]}), "grid value of 's_min' must be finite"),
+        (StudySetup("sin16", {"gamma": ["a"]}), "grid value of 'gamma' must be a number"),
+        (StudySetup("sin16", {"n_transforms": [2.5]}),
+         "grid value of 'n_transforms' must be an integer"),
     ])
     def test_invalid_setup_is_a_config_error_naming_its_field(self, setup, named):
         with pytest.raises(ConfigError, match=named):

@@ -16,6 +16,7 @@ from hte.linalg import (
     gaussian_cross,
     gaussian_cross_stack,
     gaussian_gram,
+    gaussian_gram_stack,
     gaussian_pairs,
     solve_spd,
     solve_spd_stack_unchecked,
@@ -125,9 +126,10 @@ class TestGaussianGram:
     def test_gram_equals_cross_kernel_bitwise(self, g, m, d, gamma, scale, seed):
         P = philox_generator(seed).normal(size=(g, m, d)) * scale
         stack = gaussian_cross_stack(P, P, gamma)
-        for X, K in zip(P, stack):
+        for X, K, routed in zip(P, stack, gaussian_gram_stack(P, gamma)):
             cross = gaussian_cross(X, X, gamma).tobytes()
             assert K.tobytes() == cross
+            assert routed.tobytes() == cross
             assert gaussian_gram(X, gamma).tobytes() == cross
 
     @settings(max_examples=80, deadline=None)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hte.linalg
 import hte.local_models
 from hte.errors import ConfigError, IllConditionedError
 from hte.data import gen_counter3d
@@ -210,13 +211,15 @@ class TestFitKernelCells:
     @pytest.mark.parametrize("m", [32, 33, 1025])
     def test_size_group_beyond_the_stack_budget(self, monkeypatch, m):
         # a 32 x 32 Gram has _STACK_CELL_ENTRIES entries and is built in a
-        # stack; from 33 x 33 each Gram is built alone, by predict's rule
+        # stack; from 33 x 33 each Gram is built alone, by predict's rule,
+        # one cdist per cell written into the chunk's stack
         n_cells = _STACK_ENTRIES // (m * m) + 3
         sizes = [m] * n_cells
         support, y = _layout(13, sizes, 2)
-        solves, stacked, alone = [], [], []
+        solves, stacked, routed, alone = [], [], [], []
         solve = hte.local_models.solve_spd_stack_unchecked
-        cross_stack, cross = hte.local_models.gaussian_cross_stack, hte.local_models.gaussian_cross
+        cross_stack = hte.local_models.gaussian_cross_stack
+        gram_stack = hte.local_models.gaussian_gram_stack
 
         def recording_solve(A, B):
             solves.append(len(A))
@@ -226,20 +229,27 @@ class TestFitKernelCells:
             stacked.append(A.shape[0])
             return cross_stack(A, B, gamma)
 
-        def recording_cross(Xa, Xb, gamma):
-            alone.append(len(Xa))
-            return cross(Xa, Xb, gamma)
+        def recording_gram_stack(P, gamma):
+            routed.append(P.shape[0])
+            return gram_stack(P, gamma)
+
+        def recording_cdist(XA, XB, metric, **kwargs):
+            from scipy.spatial.distance import cdist
+
+            alone.append(len(XA))
+            return cdist(XA, XB, metric, **kwargs)
 
         monkeypatch.setattr(hte.local_models, "solve_spd_stack_unchecked", recording_solve)
         monkeypatch.setattr(hte.local_models, "gaussian_cross_stack", recording_stack)
-        monkeypatch.setattr(hte.local_models, "gaussian_cross", recording_cross)
+        monkeypatch.setattr(hte.local_models, "gaussian_gram_stack", recording_gram_stack)
+        monkeypatch.setattr(hte.linalg, "_cdist", recording_cdist)
         alpha = fit_kernel_cells(support, y, sizes, 0.7, 1e-3, len(y))
         assert len(solves) > 1 and sum(solves) == n_cells
         assert max(solves) * m * m <= max(_STACK_ENTRIES, m * m)
         if m * m <= _STACK_CELL_ENTRIES:
-            assert stacked == solves and alone == []
+            assert stacked == solves and routed == [] and alone == []
         else:
-            assert stacked == [] and alone == [m] * n_cells
+            assert stacked == [] and routed == solves and alone == [m] * n_cells
         expected, _ = _cells_one_by_one(support, y, sizes, 0.7, 1e-3, len(y))
         assert alpha.tobytes() == expected.tobytes()
 
