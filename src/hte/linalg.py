@@ -24,11 +24,29 @@ Prediction builds the cross kernels of its small cells in one flat pass,
 
 SciPy is imported on first use, so that loading the package (and a
 prediction with per-cell means) does not pay for it.
+
+The ``posv`` calls run on one BLAS thread whatever ``OPENBLAS_NUM_THREADS``
+says: SciPy's OpenBLAS splits a system of 128 or more unknowns over its
+threads, and the solution bits then depend on their number.  While any
+thread solves, SciPy's OpenBLAS count is 1: ``one_blas_thread``, one
+context for the process, sets it with ``openblas_set_num_threads_local``
+as the first thread enters and restores the old count as the last one
+leaves.  In SciPy's pthreads OpenBLAS that function calls
+``openblas_set_num_threads``, so the count is the whole process's, and
+another thread's SciPy BLAS call made meanwhile also runs on one thread.
+A kernel fit holds the context across all its stacks, as each call into
+OpenBLAS costs microseconds.  A SciPy whose BLAS does not export that
+symbol (another BLAS, or an older OpenBLAS) solves on whatever threads its
+BLAS picks, and its kht models with such large cells are byte-identical
+only under one fixed BLAS thread count.  numpy's own products here (the residual check, prediction's
+``k @ alpha``) give the same bits on one BLAS thread as on two, so they are
+not pinned.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -48,6 +66,71 @@ def _cdist(XA, XB, metric, **kwargs):
 
     _cdist = cdist
     return cdist(XA, XB, metric, **kwargs)
+
+
+def _dposv(*args):
+    """SciPy's ``dposv``; the first call imports it and rebinds this name to it."""
+    global _dposv
+    from scipy.linalg.lapack import dposv
+
+    _dposv = dposv
+    return dposv(*args)
+
+
+def _no_blas_setter(count: int) -> int:
+    """Stands in for ``openblas_set_num_threads_local`` where SciPy's BLAS
+    lacks it: it sets nothing and reports an old count of 1, so nothing is
+    restored either."""
+    return 1
+
+
+def _openblas_setter():
+    """SciPy's ``openblas_set_num_threads_local`` through ``ctypes``, or
+    ``_no_blas_setter`` where its BLAS does not export it."""
+    import ctypes
+
+    try:  # dlsym on the module's own handle searches the libraries it links
+        from scipy.linalg import _flapack
+
+        set_threads = ctypes.CDLL(_flapack.__file__).openblas_set_num_threads_local
+    except (ImportError, AttributeError, OSError):
+        return _no_blas_setter
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+    return set_threads
+
+
+class _OneBlasThread:
+    """A context that runs SciPy's OpenBLAS on one thread while any thread
+    is inside it.  The count is the process's, so threads share it: the
+    first one in sets 1 and keeps the old count, the last one out restores
+    it.  An old count of 1 needs no restoring, so where the count is 1
+    already an entry makes one call into OpenBLAS, not two.  Without a
+    ``set_threads``, the setter is resolved on the first entry."""
+
+    def __init__(self, set_threads=None):
+        self._set_threads = set_threads
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._restore = 1
+
+    def __enter__(self):
+        with self._lock:
+            if not self._inside:
+                if self._set_threads is None:
+                    self._set_threads = _openblas_setter()
+                self._restore = self._set_threads(1)
+            self._inside += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._inside -= 1
+            if not self._inside and self._restore != 1:
+                self._set_threads(self._restore)
+
+
+# One for the process, as the count it pins is: a fit holds it across all its
+# stacks, so that each solve inside only counts itself in.
+one_blas_thread = _OneBlasThread()
 
 
 def valid_gamma(gamma: float) -> bool:
@@ -157,8 +240,6 @@ def _cholesky_rung(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     succeeds and its residual is within ``_RESIDUAL_TOL`` of ``||b||``
     (``0 <= 0`` covers ``b = 0``).
     """
-    from scipy.linalg.lapack import dposv
-
     # posv factors and solves in place, on float64 C-ordered copies: F[i].T is
     # A[i] in Fortran order, the layout LAPACK reads, so each call copies
     # nothing and reads the lower triangle of A[i] itself (a copy of A would
@@ -170,7 +251,8 @@ def _cholesky_rung(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         # positional (a, b, lower, overwrite_a, overwrite_b): the f2py wrapper
         # parses keywords at ~0.3 us a call, over a third of a 4 x 4 system's cost
-        info = [dposv(f, x, 1, 1, 1)[2] for f, x in zip(F.transpose(0, 2, 1), X)]
+        with one_blas_thread:
+            info = [_dposv(f, x, 1, 1, 1)[2] for f, x in zip(F.transpose(0, 2, 1), X)]
         solved = np.array(info) == 0
         # batched `A @ x` and `norm`: per slice, the same BLAS gemv and dot as one
         # system; over the systems posv solved, all of them in the common case,

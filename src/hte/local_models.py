@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, IllConditionedError
 from .linalg import gaussian_cross, gaussian_cross_stack, gaussian_gram_stack, gaussian_pairs
-from .linalg import solve_spd_stack_unchecked
+from .linalg import one_blas_thread, solve_spd_stack_unchecked
 from .linalg import gaussian_gram, solve_spd  # noqa: F401  (benchmarks/perf.py traces them here)
 
 NO_CELL = -1
@@ -270,20 +270,21 @@ def fit_kernel_cells(
     starts = np.cumsum(sizes) - sizes
     alpha = np.empty(len(y_support), dtype=np.float64)
     by_size = np.argsort(narrow_keys(sizes, sizes.max(initial=0)), kind="stable")
-    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-        if len(group) == 0:  # no kernel cells at all
-            continue
-        m = int(sizes[group[0]])
-        step = max(1, _STACK_ENTRIES // (m * m))
-        for first in range(0, len(group), step):
-            rows = starts[group[first : first + step], None] + np.arange(m)
-            P = support[rows]
-            if _builds_alone(m, m):
-                K = gaussian_gram_stack(P, gamma)
-            else:
-                K = gaussian_cross_stack(P, P, gamma)
-            K.reshape(len(rows), m * m)[:, :: m + 1] += ridge
-            alpha[rows] = solve_spd_stack_unchecked(K, y_support[rows])[0]
+    with one_blas_thread:
+        for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+            if len(group) == 0:  # no kernel cells at all
+                continue
+            m = int(sizes[group[0]])
+            step = max(1, _STACK_ENTRIES // (m * m))
+            for first in range(0, len(group), step):
+                rows = starts[group[first : first + step], None] + np.arange(m)
+                P = support[rows]
+                if _builds_alone(m, m):
+                    K = gaussian_gram_stack(P, gamma)
+                else:
+                    K = gaussian_cross_stack(P, P, gamma)
+                K.reshape(len(rows), m * m)[:, :: m + 1] += ridge
+                alpha[rows] = solve_spd_stack_unchecked(K, y_support[rows])[0]
     return alpha
 
 

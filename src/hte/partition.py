@@ -29,17 +29,22 @@ Two partition kinds:
   The tree is full and stored breadth-first as two node arrays, from which
   children, leaf ids and the number of full levels above the shallowest
   leaf follow.  Trees cover the whole rotated space, so every query reaches
-  a leaf.  A batch walks the tree one level at a time: through the full
-  levels every row steps with no leaf test, then only the rows not yet at a
-  leaf step on.  Each step reads a row's split coordinate from the raveled
-  rotated batch by one flat index.
+  a leaf.  A batch walks the tree one level at a time.  The full levels
+  are a heap: numbered from 1, node u's children are 2u and 2u+1.  There
+  every row steps with no leaf test and no child lookup, ``u = 2u +
+  right``, reading the node arrays behind one leading pad.  After them only
+  the rows not yet at a leaf step on, through the child array.  Each step
+  reads a row's split coordinate from the raveled rotated batch by one flat
+  index, and goes right when it is ``>=`` the node's threshold: rotated
+  rows and internal thresholds are finite, so this is the complement of
+  ``<``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -173,10 +178,11 @@ class AdaptiveTree:
     Nodes are in breadth-first order; ``split_dim[i] == -1`` marks node i as
     a leaf, and leaves are the cells, numbered in node order.  The k-th
     internal node routes coordinate < ``threshold`` to node 2k+1 and the
-    rest to node 2k+2.  Construction derives the child and leaf-id arrays
-    and ``_full_levels``, the number of levels from the root that hold no
-    leaf, and raises ``ConfigError`` unless the arrays describe such a
-    tree.  None of the derived values is serialized.
+    rest to node 2k+2; internal thresholds are finite (the build and the
+    loader make them so).  Construction derives the child and leaf-id
+    arrays and ``_full_levels``, the number of levels from the root that
+    hold no leaf, and raises ``ConfigError`` unless the arrays describe
+    such a tree.  None of the derived values is serialized.
     """
 
     rotation: np.ndarray
@@ -209,6 +215,12 @@ class AdaptiveTree:
         # exactly when the first leaf comes at or after node 2**k-1
         first_leaf = int(np.argmin(internal))  # a full tree has a leaf
         self._full_levels = (first_leaf + 1).bit_length() - 1
+
+    @cached_property
+    def _heap(self) -> tuple[np.ndarray, np.ndarray]:
+        """``split_dim`` and ``threshold`` behind one leading pad (node k at
+        k + 1), made on the first walk rather than at every load."""
+        return np.r_[-1, self.split_dim], np.r_[np.nan, self.threshold]
 
     @property
     def dim(self) -> int:
@@ -431,10 +443,16 @@ def assign(partition: GridPartition | AdaptiveTree, x: np.ndarray) -> int | None
 def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.ndarray:
     """Vectorized cell ids for a batch of points; -1 marks unseen grid keys.
 
-    A tree walks the batch level by level.  Through the tree's full levels
-    every row steps with no leaf test; after them, each level steps only
-    the rows not yet at a leaf.  A row's coordinate on a node's split
-    dimension is read from the raveled rotated batch at row * d + dim.
+    A tree walks the batch level by level.  Its full levels are a heap
+    (every node before node k is internal, so k's first child is 2k+1):
+    with nodes numbered from 1, node u's children are 2u and 2u+1, so every
+    row steps by ``u = 2u + right``, with no leaf test and no child lookup,
+    reading the node arrays behind their leading pad at u; at the root,
+    ``right`` compares one column of the rotated batch.  After them, each
+    level steps only the rows not yet at a leaf, through the child array.
+    A row's coordinate on a node's split dimension is read from the raveled
+    rotated batch at row * d + dim, and ``right`` is ``coordinate >=
+    threshold``, the complement of ``<`` on finite rows and thresholds.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != partition.dim:
@@ -442,15 +460,21 @@ def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.nd
     if isinstance(partition, GridPartition):
         return _lookup(partition, bin_key(partition.transform, X))
     split_dim, threshold, child = partition.split_dim, partition.threshold, partition._child
-    flat = _rotate(partition.rotation, X).ravel()
+    z = _rotate(partition.rotation, X)
+    flat = z.ravel()
     base = np.arange(0, flat.size, partition.dim, dtype=np.int64)
-    node = np.zeros(len(X), dtype=np.int64)
-    for _ in range(partition._full_levels):
-        node = child[node] + ~(flat[base + split_dim[node]] < threshold[node])
+    if partition._full_levels:
+        dims, cuts = partition._heap
+        u = (z[:, dims[1]] >= cuts[1]) + 2  # the root compares one column, with no gathers
+        for _ in range(partition._full_levels - 1):
+            u = u + u + (flat[base + dims[u]] >= cuts[u])
+        node = u - 1
+    else:
+        node = np.zeros(len(X), dtype=np.int64)
     idx = np.flatnonzero(split_dim[node] >= 0)
     while len(idx):
         at = node[idx]
-        at = child[at] + ~(flat[base[idx] + split_dim[at]] < threshold[at])
+        at = child[at] + (flat[base[idx] + split_dim[at]] >= threshold[at])
         node[idx] = at
         idx = idx[split_dim[at] >= 0]
     return partition._leaf[node]

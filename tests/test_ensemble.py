@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hte
 from hte.data import (
     Dataset,
     Standardizer,
@@ -719,6 +724,23 @@ def test_one_invalid_field_is_a_config_error_naming_it(cfg, data):
         TrainConfig.from_dict({**cfg.to_dict(), field: value})
 
 
+# kht adaptive, the paper's real-data configuration: its kernel cells have
+# 128 rows or more, where OpenBLAS solves on several threads with other bits
+_BLAS_RUN = """
+import hashlib, sys
+import numpy as np
+import hte
+ds = hte.gen_counter3d(40000, 7)
+cfg = hte.TrainConfig(mode="kht", partition="adaptive", n_transforms=2,
+                      min_samples_split=1200, master_seed=7)
+model = hte.train_ensemble(hte.Dataset(ds.X[:20000], ds.y[:20000]), cfg,
+                           n_threads=int(sys.argv[1]))
+largest = max(int(np.diff(m.model.offsets).max()) for m in model.members)
+print(largest, hashlib.sha256(hte.serialize_model(model)).hexdigest(),
+      hashlib.sha256(hte.predict(model, ds.X[20000:]).tobytes()).hexdigest())
+"""
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("mode,partition", [
         ("nht", "grid"), ("kht", "adaptive"),
@@ -735,6 +757,24 @@ class TestDeterminism:
         one = serialize_model(train_ensemble(ds, cfg, n_threads=1))
         many = serialize_model(train_ensemble(ds, cfg, n_threads=n_threads))
         assert one == many
+
+    def test_blas_thread_count_never_changes_bytes(self):
+        src = str(Path(hte.__file__).resolve().parents[1])
+        runs = {}
+        # BLAS threads 1, 2 and the machine's count; the last run also solves
+        # on two hte threads at once, which share one BLAS thread setting
+        for blas, threads in [("1", 1), ("2", 1), (None, 1), (None, 2)]:
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = src
+            if blas is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas
+            done = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(threads)], env=env,
+                                  capture_output=True, text=True, timeout=300, check=False)
+            assert done.returncode == 0, done.stderr
+            largest, model, predictions = done.stdout.split()
+            assert int(largest) >= 128
+            runs[(blas, threads)] = (model, predictions)
+        assert len(set(runs.values())) == 1, runs
 
 
 class TestTheoreticalSchedule:

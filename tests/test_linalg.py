@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,15 +15,19 @@ from hte.linalg import (
     _SYM_TOL,
     _cholesky_rung,
     _exp_scaled,
+    _no_blas_setter,
+    _OneBlasThread,
     gaussian_cross,
     gaussian_cross_stack,
     gaussian_gram,
     gaussian_gram_stack,
     gaussian_pairs,
+    one_blas_thread,
     solve_spd,
     solve_spd_stack_unchecked,
     valid_gamma,
 )
+from hte.local_models import fit_kernel_cells
 from hte.rng import philox_generator
 
 
@@ -371,6 +377,72 @@ class TestSolveSpdStack:
         # finite and singular, so the ladder starts, but its jitter is inf
         with pytest.raises(IllConditionedError, match="escalation to inf"):
             solve_spd(np.full((2, 2), 1e308), np.ones(2))
+
+
+class TestOneBlasThread:
+    def test_first_solve_in_sets_one_and_last_one_out_restores(self):
+        calls = []
+
+        def set_threads(count):  # returns the old count, as OpenBLAS does
+            calls.append(count)
+            return 4 if len(calls) == 1 else 1
+
+        one_thread = _OneBlasThread(set_threads)
+        with one_thread:
+            with one_thread:  # a second thread's solve meanwhile
+                assert calls == [1]
+            assert calls == [1]
+        assert calls == [1, 4]
+        with one_thread:  # the count is 1 now, so there is nothing to restore
+            assert calls == [1, 4, 1]
+        assert calls == [1, 4, 1]
+
+    def test_threads_inside_at_once_all_see_one_thread(self):
+        count = [4]
+
+        def set_threads(new):
+            old, count[0] = count[0], new
+            return old
+
+        one_thread = _OneBlasThread(set_threads)
+        seen = []
+
+        def solve():
+            for _ in range(300):
+                with one_thread:
+                    seen.append(count[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] * 1200 and count == [4]
+
+    def test_a_kernel_fit_calls_the_setter_once_for_all_its_stacks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(one_blas_thread, "_set_threads", lambda count: calls.append(count) or 1)
+        sizes = np.array([3, 5, 3, 4])  # three size groups, so three stacks
+        X = philox_generator(3).normal(size=(15, 2))
+        fit_kernel_cells(X, np.sin(X[:, 0]), sizes, gamma=1.0, lambda2=1e-3, n_global=15)
+        assert calls == [1]
+
+    def test_a_solve_leaves_scipys_blas_thread_count_as_it_was(self):
+        solve_spd(np.eye(2), np.ones(2))  # resolves the setter
+        set_threads = one_blas_thread._set_threads
+        if set_threads is _no_blas_setter:
+            pytest.skip("SciPy's BLAS does not export openblas_set_num_threads_local")
+        count = set_threads(2)
+        try:
+            solve_spd(np.eye(3) * 2.0, np.ones(3))
+        finally:
+            assert set_threads(count) == 2
 
 
 class TestSolveSpd:

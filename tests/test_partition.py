@@ -210,15 +210,17 @@ def _build_inputs(draw):
 @st.composite
 def _drawn_trees(draw):
     """A valid AdaptiveTree of one kind (a root leaf, a complete tree, a
-    left or right chain, or a random full tree), with its kind and depth."""
+    tree complete to ``depth`` with random splits below, a left or right
+    chain, or a random full tree), with its kind and depth."""
     d = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["leaf", "complete", "left_chain", "right_chain", "random"]))
+    kind = draw(st.sampled_from(["leaf", "complete", "complete_top", "left_chain",
+                                 "right_chain", "random"]))
     depth = draw(st.integers(1, 6))
     internal = []
     queue = deque([(0, "root")])  # numbered breadth-first, as they leave the queue
     while queue:
         level, side = queue.popleft()
-        if kind == "random":
+        if kind == "random" or (kind == "complete_top" and level >= depth):
             split = level < 7 and draw(st.booleans())
         else:
             split = kind != "leaf" and level < depth and side != {
@@ -728,6 +730,8 @@ class TestAssignAdaptive:
             assert tree._full_levels == 0
         elif kind == "complete":
             assert tree._full_levels == depth
+        elif kind == "complete_top":  # heap steps to depth, then pointer steps
+            assert tree._full_levels >= depth
         elif kind.endswith("chain"):
             assert tree._full_levels == 1
         full = 0  # the levels 0..k-1 are nodes 0..2**k-2
@@ -741,6 +745,29 @@ class TestAssignAdaptive:
         n = data.draw(st.integers(0, 40))
         Q = data.draw(hnp.arrays(np.float64, (n, d), elements=values))
         np.testing.assert_array_equal(assign_many(tree, Q), _reference_walk(tree, Q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=_drawn_trees())
+    def test_full_levels_are_in_heap_order(self, drawn):
+        tree = drawn[0]
+        top = 2 ** tree._full_levels - 1
+        np.testing.assert_array_equal(tree._child[:top], 2 * np.arange(top) + 1)
+        # the walk numbers them from 1, over the node arrays behind one pad
+        dims, cuts = tree._heap
+        np.testing.assert_array_equal(dims[1:], tree.split_dim)
+        np.testing.assert_array_equal(cuts[1:], tree.threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=_drawn_trees(), data=st.data())
+    def test_a_row_gets_one_cell_alone_in_a_batch_and_reversed(self, drawn, data):
+        tree = drawn[0]
+        cuts = tree.threshold[np.isfinite(tree.threshold)].tolist()
+        values = st.sampled_from(cuts + [-0.0, 0.0]) | st.floats(-3.0, 3.0)
+        n = data.draw(st.integers(1, 30))
+        Q = data.draw(hnp.arrays(np.float64, (n, tree.dim), elements=values))
+        cells = assign_many(tree, Q)
+        np.testing.assert_array_equal(assign_many(tree, Q[::-1]), cells[::-1])
+        assert [assign(tree, q) for q in Q] == cells.tolist()
 
     def test_queries_beyond_training_range_reach_a_leaf(self):
         rng = philox_generator(41)
