@@ -1,10 +1,17 @@
-"""Versioned binary model container, format 7.
+"""Versioned binary model container, format 8.
 
 Layout (all integers little-endian):
 
     magic b"HTEN" | u32 version | u64 header length | header JSON (utf-8)
     standardizer block | kht: shared support rows | one block per member
-    sha256 of everything above
+    u32 CRC-32 (``zlib.crc32``) of everything above
+
+The CRC catches accidental corruption, every burst of up to 32 bits among
+it; it is not authentication.  The writer gathers the file as a list of
+buffers, packed record heads and each array's own memory, folds the CRC
+over them as they come and joins them once; ``save_model`` builds the whole
+file before it opens its path, so a model that cannot be written leaves
+the file as it was.
 
 Arrays are written as a dtype tag (0 = float64, 1 = int64, 2-5 = uint8,
 uint16, uint32, uint64), a u8 rank, u64 dimensions and raw C-order bytes,
@@ -54,11 +61,10 @@ An nht member has no kernel cells, so the loader rebuilds zero
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -71,8 +77,8 @@ from .rng import NORMAL_METHOD, RNG_ALGORITHM
 from .transform import HistogramTransform, check_rotation
 
 MAGIC = b"HTEN"
-FORMAT_VERSION = 7
-_CHECKSUM_BYTES = 32
+FORMAT_VERSION = 8
+_TRAILER_BYTES = 4  # the file's CRC-32
 
 _DTYPES = dict(enumerate(map(np.dtype, (np.float64, np.int64,
                                           np.uint8, np.uint16, np.uint32, np.uint64))))
@@ -86,33 +92,48 @@ _HEADER_FIELDS = {"d": "int", "n_transforms": "int", "total_cells": "int", "conf
                   "clip_bound": "float", "data": "dict"}
 
 
-def _w_u8(buf: io.BytesIO, v: int) -> None:
-    buf.write(struct.pack("<B", v))
+class _Writer:
+    """The buffers of a model file in order: packed record heads and each
+    array's own memory, with the running CRC-32 of them all."""
+
+    def __init__(self):
+        self.parts: list = []
+        self.crc = 0
+
+    def raw(self, part) -> None:
+        self.parts.append(part)
+        self.crc = zlib.crc32(part, self.crc)
+
+    def pack(self, fmt: str, *values) -> None:
+        self.raw(struct.pack("<" + fmt, *values))
+
+    def array(self, arr: np.ndarray) -> None:
+        arr = np.ascontiguousarray(arr)
+        if arr.dtype not in _TAGS:
+            raise DataError(f"unsupported array dtype {arr.dtype}")
+        self.pack(f"BB{arr.ndim}Q", _TAGS[arr.dtype], arr.ndim, *arr.shape)
+        self.raw(arr)
+
+    def unsigned(self, arr: np.ndarray) -> None:
+        """Integers >= 0 as a record on the narrowest unsigned dtype that holds them."""
+        if arr.dtype.kind not in "iu":
+            raise DataError(f"an unsigned record cannot hold {arr.dtype} values")
+        if arr.min(initial=0) < 0:
+            raise DataError("an unsigned record cannot hold a negative value")
+        self.array(arr.astype(np.min_scalar_type(int(arr.max(initial=0)))))
+
+    def sealed(self) -> bytes:
+        """The file: the buffers joined, then the CRC-32 trailer."""
+        return b"".join([*self.parts, _trailer(self.crc)])
 
 
-def _w_u64(buf: io.BytesIO, v: int) -> None:
-    buf.write(struct.pack("<Q", v))
+def _trailer(crc: int) -> bytes:
+    return struct.pack("<I", crc)
 
 
-def _w_f64(buf: io.BytesIO, v: float) -> None:
-    buf.write(struct.pack("<d", v))
-
-
-def _w_array(buf: io.BytesIO, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype not in _TAGS:
-        raise DataError(f"unsupported array dtype {arr.dtype}")
-    buf.write(struct.pack(f"<BB{arr.ndim}Q", _TAGS[arr.dtype], arr.ndim, *arr.shape))
-    buf.write(arr)
-
-
-def _w_unsigned(buf: io.BytesIO, arr: np.ndarray) -> None:
-    """Integers >= 0 as a record on the narrowest unsigned dtype that holds them."""
-    if arr.dtype.kind not in "iu":
-        raise DataError(f"an unsigned record cannot hold {arr.dtype} values")
-    if arr.min(initial=0) < 0:
-        raise DataError("an unsigned record cannot hold a negative value")
-    _w_array(buf, arr.astype(np.min_scalar_type(int(arr.max(initial=0)))))
+def _seal(payload: bytes) -> bytes:
+    """``payload`` with its CRC-32 trailer: a model file if the payload is one."""
+    return payload + _trailer(zlib.crc32(payload))
 
 
 class _Reader:
@@ -193,13 +214,13 @@ def _expect(what: str, arr: np.ndarray, dtype, shape: tuple) -> None:
         raise _corrupt(f"{what}: {arr.dtype} of shape {arr.shape}, not {dtype} of shape {want}")
 
 
-def _write_standardizer(buf: io.BytesIO, stz: Standardizer) -> None:
-    _w_array(buf, np.asarray(stz.mean, dtype=np.float64))
-    _w_array(buf, np.asarray(stz.std, dtype=np.float64))
-    _w_u8(buf, 1 if stz.scales_target else 0)
+def _write_standardizer(w: _Writer, stz: Standardizer) -> None:
+    w.array(np.asarray(stz.mean, dtype=np.float64))
+    w.array(np.asarray(stz.std, dtype=np.float64))
     if stz.scales_target:
-        _w_f64(buf, stz.target_mean)
-        _w_f64(buf, stz.target_std)
+        w.pack("Bdd", 1, stz.target_mean, stz.target_std)
+    else:
+        w.pack("B", 0)
 
 
 def _read_standardizer(r: _Reader, d: int) -> Standardizer:
@@ -237,7 +258,7 @@ def _shared_rows(ensemble: EnsembleModel) -> tuple[np.ndarray, np.ndarray]:
     return rows[used], new_ids.astype(np.int32)
 
 
-def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel,
+def _write_member(w: _Writer, member: Member, ensemble: EnsembleModel,
                   new_ids: np.ndarray | None) -> None:
     # the loader takes what the blocks leave out from the header: the kinds
     # of partition and regressor, gamma and clip_bound
@@ -250,25 +271,24 @@ def _write_member(buf: io.BytesIO, member: Member, ensemble: EnsembleModel,
         raise DataError("an nht member cannot hold kernel cells")
     if isinstance(part, GridPartition):
         t = part.transform
-        _w_array(buf, t.rotation)
-        _w_array(buf, t.scales)
-        _w_array(buf, t.translation)
-        _w_f64(buf, t.h_lower)
-        _w_f64(buf, t.h_upper)
+        w.array(t.rotation)
+        w.array(t.scales)
+        w.array(t.translation)
+        w.pack("dd", t.h_lower, t.h_upper)
         lo = part._lo + 1  # the keys' per-axis minimum: the box without its guard layer
-        _w_array(buf, lo)
+        w.array(lo)
         # in uint64, so a span of 2**63 (keys at -2**62 and 2**62) does not wrap
-        _w_unsigned(buf, part.keys.view(np.uint64) - lo.view(np.uint64))
+        w.unsigned(part.keys.view(np.uint64) - lo.view(np.uint64))
     else:
-        _w_array(buf, part.rotation)
-        _w_unsigned(buf, part.split_dim + 1)  # 0 at a leaf
-        _w_array(buf, part.threshold[part.split_dim >= 0])
-    _w_f64(buf, model.fallback)
-    _w_array(buf, model.means)
+        w.array(part.rotation)
+        w.unsigned(part.split_dim + 1)  # 0 at a leaf
+        w.array(part.threshold[part.split_dim >= 0])
+    w.pack("d", model.fallback)
+    w.array(model.means)
     if new_ids is not None:
-        _w_unsigned(buf, model.offsets)
-        _w_unsigned(buf, new_ids[model.ids])
-        _w_array(buf, model.alpha)
+        w.unsigned(model.offsets)
+        w.unsigned(new_ids[model.ids])
+        w.array(model.alpha)
 
 
 def _read_member(r: _Reader, d: int, config: TrainConfig, clip_bound: float,
@@ -334,31 +354,33 @@ def serialize_model(model: EnsembleModel) -> bytes:
         "config": model.config.to_dict(),
         "data": model.data_info,
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    _w_u64(buf, len(header_bytes))
-    buf.write(header_bytes)
-    _write_standardizer(buf, model.standardizer)
+    try:
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    except (TypeError, ValueError, RecursionError) as exc:  # the rest is this build's own
+        raise DataError(f"header field 'data' cannot be written as JSON ({exc})") from exc
+    w = _Writer()
+    w.raw(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)) + header_bytes)
+    _write_standardizer(w, model.standardizer)
     new_ids = None
     if model.config.mode == "kht":
         shared, new_ids = _shared_rows(model)
-        _w_array(buf, shared)
+        w.array(shared)
     for member in model.members:
-        _write_member(buf, member, model, new_ids)
-    payload = buf.getvalue()
-    return payload + hashlib.sha256(payload).digest()
+        _write_member(w, member, model, new_ids)
+    return w.sealed()
 
 
 def save_model(model: EnsembleModel, path) -> None:
+    """Write ``model`` to ``path``; a model that cannot be serialized
+    leaves the file as it was."""
+    data = serialize_model(model)  # before open() truncates the file
     with open(path, "wb") as fh:
-        fh.write(serialize_model(model))
+        fh.write(data)
 
 
 def _verify(data: bytes) -> tuple[dict, int]:
     """The checked header of a model file and the offset of its payload."""
-    if len(data) < len(MAGIC) + 4 + 8 + _CHECKSUM_BYTES:
+    if len(data) < len(MAGIC) + 4 + 8 + _TRAILER_BYTES:
         raise DataError("not a model file (too short)")
     if data[: len(MAGIC)] != MAGIC:
         raise DataError("not a model file (bad magic)")
@@ -368,8 +390,7 @@ def _verify(data: bytes) -> tuple[dict, int]:
             f"unsupported model format version {version} "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    digest = hashlib.sha256(memoryview(data)[:-_CHECKSUM_BYTES]).digest()
-    if digest != data[-_CHECKSUM_BYTES:]:
+    if _trailer(zlib.crc32(memoryview(data)[:-_TRAILER_BYTES])) != data[-_TRAILER_BYTES:]:
         raise DataError("model file corrupt: checksum mismatch")
     header_len = struct.unpack_from("<Q", data, len(MAGIC) + 4)[0]
     start = len(MAGIC) + 4 + 8
@@ -400,7 +421,7 @@ def read_metadata(path) -> dict:
 
 def deserialize_model(data: bytes) -> EnsembleModel:
     header, offset = _verify(data)
-    reader = _Reader(memoryview(data)[:-_CHECKSUM_BYTES], offset)
+    reader = _Reader(memoryview(data)[:-_TRAILER_BYTES], offset)
     d = header["d"]
     try:
         config = TrainConfig.from_dict(header["config"])

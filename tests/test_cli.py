@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import io
 import json
 import os
@@ -24,7 +23,15 @@ from hte.ensemble import TrainConfig, train_ensemble
 from hte.errors import ConfigError, DataError
 from hte.evaluation import StudySetup, mse, run_study, write_study_csv
 from hte.rng import philox_generator
-from hte.serialize import FORMAT_VERSION, load_model, read_metadata, save_model, serialize_model
+from hte.serialize import (
+    _TRAILER_BYTES,
+    FORMAT_VERSION,
+    _seal,
+    load_model,
+    read_metadata,
+    save_model,
+    serialize_model,
+)
 
 
 def _write_sin_csv(path, n=300, seed=4):
@@ -406,10 +413,10 @@ class TestPredict:
             new = b"".join(record(0, a) for a in (np.eye(2), t.scales[:2], t.translation[:2]))
         else:  # uint8 zeros
             old, new = record(0, t.translation), record(2, np.zeros(3, np.uint8))
-        payload = serialize_model(model)[:-32]
+        payload = serialize_model(model)[:-_TRAILER_BYTES]
         assert payload.count(old) == 1
         payload = payload.replace(old, new)
-        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        path.write_bytes(_seal(payload))
         assert main(["predict", "--model", str(path), "--data", str(data)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: model file corrupt: ") and "Traceback" not in err
@@ -443,11 +450,11 @@ class TestPredict:
     ])
     def test_bad_header_exits_2(self, tmp_path, sin_csv, capsys, edit, named):
         path = self._trained(tmp_path, sin_csv)
-        blob = path.read_bytes()[:-32]
+        blob = path.read_bytes()[:-_TRAILER_BYTES]
         size = struct.unpack_from("<Q", blob, 8)[0]
         header = edit(json.loads(blob[16:16 + size]))
         payload = blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + size:]
-        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        path.write_bytes(_seal(payload))
         capsys.readouterr()  # discard the train summary
         code = main(["predict", "--model", str(path), "--data", sin_csv])
         assert code == 2
@@ -552,11 +559,16 @@ def _fresh_python(code: str) -> str:
 
 
 _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# OpenSSL's digests: a model file's CRC-32 trailer needs only zlib
+_HASHLIB_LOADED = "'_hashlib' in sys.modules"
 
 
 class TestColdStart:
     def test_import_loads_no_scipy(self):
         assert _fresh_python(f"import sys, hte.cli; print({_SCIPY_LOADED})") == "[]\n"
+
+    def test_import_loads_no_hashlib(self):
+        assert _fresh_python(f"import sys, hte.cli; print({_HASHLIB_LOADED})") == "False\n"
 
     def test_nht_predict_loads_no_scipy(self, tmp_path, sin_csv):
         model = tmp_path / "model.hte"
@@ -565,9 +577,9 @@ class TestColdStart:
         args = ["predict", "--model", str(model), "--data", sin_csv, "--out", str(out)]
         printed = _fresh_python(
             f"import sys; from hte.cli import main; code = main({args!r}); "
-            f"print(code, {_SCIPY_LOADED})"
+            f"print(code, {_SCIPY_LOADED}, {_HASHLIB_LOADED})"
         )
-        assert printed.splitlines()[-1] == "0 []"
+        assert printed.splitlines()[-1] == "0 [] False"
         assert out.read_bytes().startswith(b"prediction\r\n")
 
     def test_kht_train_loads_scipy_on_first_use(self, tmp_path, sin_csv):
@@ -780,7 +792,7 @@ def _deep_header_file() -> bytes:
     """A checksum-valid model file whose header nests JSON arrays 100,000 deep."""
     header = b"[" * 100_000
     payload = b"HTEN" + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header
-    return payload + hashlib.sha256(payload).digest()
+    return _seal(payload)
 
 
 def _train(t, data, **config):

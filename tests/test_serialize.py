@@ -1,9 +1,9 @@
 import functools
 import hashlib
-import io
 import json
 import struct
 import warnings
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -17,9 +17,11 @@ from hte.errors import DataError
 from hte.local_models import KernelCellModel
 from hte.partition import AdaptiveTree, GridPartition
 from hte.serialize import (
+    _TRAILER_BYTES,
     FORMAT_VERSION,
     _Reader,
-    _w_array,
+    _seal,
+    _Writer,
     deserialize_model,
     load_model,
     read_metadata,
@@ -139,6 +141,40 @@ def test_file_round_trip(tmp_path):
     assert metadata["config"]["mode"] == "nht" and metadata["config"]["master_seed"] == 42
 
 
+def _unwritable_members(model):
+    model.members[0].model.clip_bound = 2 * model.clip_bound
+
+
+def _unwritable_data(model):
+    model.data_info = {"columns": {"x1", "x2"}}  # a set: not JSON
+
+
+def _circular_data(model):
+    model.data_info = {"target": "y"}
+    model.data_info["self"] = model.data_info
+
+
+@pytest.mark.parametrize("spoil,problem", [
+    (_unwritable_members, "a member's gamma or clip_bound differs from the ensemble's"),
+    (_unwritable_data, r"header field 'data' cannot be written as JSON \(.*set"),
+    (_circular_data, r"header field 'data' cannot be written as JSON \(Circular reference"),
+])
+def test_a_failed_save_leaves_the_old_file(tmp_path, spoil, problem):
+    _, model = _train("kht", "grid", n=120)
+    path = tmp_path / "model.hte"
+    save_model(model, path)
+    old = path.read_bytes()
+    spoil(model)
+    with pytest.raises(DataError, match=problem):
+        serialize_model(model)
+    with pytest.raises(DataError, match=problem):
+        save_model(model, path)
+    assert path.read_bytes() == old
+    with pytest.raises(DataError, match=problem):
+        save_model(model, tmp_path / "new.hte")
+    assert not (tmp_path / "new.hte").exists()
+
+
 @pytest.mark.parametrize("partition", ["grid", "adaptive"])
 def test_member_block_has_no_partition_tag(partition):
     # the config gives the kind: the first member block opens with its
@@ -169,6 +205,39 @@ def test_checksum_detects_corruption(tmp_path):
         load_model(path)
 
 
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(["nht", "kht"]), partition=st.sampled_from(["grid", "adaptive"]),
+       seed=st.integers(0, 3), width=st.integers(1, 4), near_end=st.booleans(),
+       data=st.data())
+def test_a_burst_of_up_to_four_bytes_fails_the_checksum(mode, partition, seed, width,
+                                                        near_end, data):
+    # CRC-32 detects every burst of up to 32 bits, so a changed run of 1-4
+    # bytes anywhere after the version field, the trailer included, is a
+    # checksum mismatch; one in the magic or version is rejected by name
+    blob = _small_model_file(mode, partition, seed)
+    last = len(blob) - width
+    start = data.draw(st.integers(max(0, last - 8), last) if near_end else st.integers(0, last))
+    old = blob[start:start + width]
+    new = data.draw(st.binary(min_size=width, max_size=width).filter(lambda b: b != old))
+    corrupt = blob[:start] + new + blob[start + width:]
+    first = start + next(i for i in range(width) if new[i] != old[i])
+    problem = "checksum mismatch" if first >= 8 else "magic|version"
+    with pytest.raises(DataError, match=problem):
+        deserialize_model(corrupt)
+
+
+@pytest.mark.parametrize("mode", ["nht", "kht"])
+def test_every_bit_of_the_trailer_is_checked(mode):
+    blob = _small_model_file(mode, "grid", 0)
+    # the trailer is the little-endian zlib.crc32 of everything before it
+    assert _TRAILER_BYTES == 4 and blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+    for bit in range(8 * _TRAILER_BYTES):
+        corrupt = bytearray(blob)
+        corrupt[len(blob) - _TRAILER_BYTES + bit // 8] ^= 1 << bit % 8
+        with pytest.raises(DataError, match="checksum mismatch"):
+            deserialize_model(bytes(corrupt))
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "nonsense.hte"
     path.write_bytes(b"not a model at all, definitely too short? no - long enough")
@@ -192,11 +261,6 @@ def test_same_seed_retraining_reproduces_bytes():
     assert a == b
 
 
-def _reseal(payload: bytes) -> bytes:
-    """Append a valid checksum, so only the check under test can fire."""
-    return payload + hashlib.sha256(payload).digest()
-
-
 def _first_array_offset(blob: bytes) -> int:
     """Offset of the standardizer mean, the first array after the header."""
     return 4 + 4 + 8 + struct.unpack_from("<Q", blob, 8)[0]
@@ -204,25 +268,25 @@ def _first_array_offset(blob: bytes) -> int:
 
 def test_version_1_file_rejected_by_name():
     _, model = _train("nht", "grid", n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[4:8] = struct.pack("<I", 1)
     with pytest.raises(DataError, match="unsupported model format version 1"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 def test_unknown_dtype_tag_rejected():
     _, model = _train("nht", "grid", n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[_first_array_offset(blob)] = 7
     with pytest.raises(DataError, match="dtype tag 7"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 def test_trailing_bytes_rejected():
     _, model = _train("nht", "grid", n=120)
-    payload = serialize_model(model)[:-32] + b"\x00" * 3
+    payload = serialize_model(model)[:-_TRAILER_BYTES] + b"\x00" * 3
     with pytest.raises(DataError, match="3 trailing bytes"):
-        deserialize_model(_reseal(payload))
+        deserialize_model(_seal(payload))
 
 
 def _kernel_grid_member():
@@ -415,9 +479,9 @@ def test_kernel_support_width_checked():
 
 def _record(arr: np.ndarray) -> bytes:
     """The bytes the writer stores for ``arr``: tag, rank, dimensions, data."""
-    buf = io.BytesIO()
-    _w_array(buf, arr)
-    return buf.getvalue()
+    w = _Writer()
+    w.array(arr)
+    return b"".join(w.parts)
 
 
 def _unsigned_record(arr: np.ndarray) -> bytes:
@@ -430,9 +494,9 @@ def _unsigned_record(arr: np.ndarray) -> bytes:
 
 def _with_record(blob: bytes, old: bytes, new: bytes) -> bytes:
     """A resealed copy of a model file with its one record ``old`` replaced."""
-    payload = blob[:-32]
+    payload = blob[:-_TRAILER_BYTES]
     assert payload.count(old) == 1
-    return _reseal(payload.replace(old, new))
+    return _seal(payload.replace(old, new))
 
 
 def test_kht_file_stores_each_support_row_once():
@@ -531,11 +595,11 @@ def test_members_of_two_models_do_not_share_one_file():
 
 def test_version_2_file_rejected_by_name():
     _, model = _train("nht", "adaptive", n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[4:8] = struct.pack("<I", 2)
     with pytest.raises(DataError, match=rf"unsupported model format version 2 "
                                         rf"\(this build reads version {FORMAT_VERSION}\)"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 @pytest.mark.parametrize("mode", ["nht", "kht"])
@@ -543,11 +607,11 @@ def test_version_3_file_rejected_by_name(mode):
     # version 3 tagged each regressor block and stored a kernel member's
     # gamma and clip_bound in it; those files must be retrained
     _, model = _train(mode, "grid", n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[4:8] = struct.pack("<I", 3)
     with pytest.raises(DataError, match=rf"unsupported model format version 3 "
                                         rf"\(this build reads version {FORMAT_VERSION}\)"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 @pytest.mark.parametrize("partition", ["grid", "adaptive"])
@@ -555,11 +619,11 @@ def test_version_4_file_rejected_by_name(partition):
     # version 4 tagged each partition block and copied mode, partition and
     # seed into the header; those files must be retrained
     _, model = _train("nht", partition, n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[4:8] = struct.pack("<I", 4)
     with pytest.raises(DataError, match=rf"unsupported model format version 4 "
                                         rf"\(this build reads version {FORMAT_VERSION}\)"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 @pytest.mark.parametrize("mode", ["nht", "kht"])
@@ -567,11 +631,11 @@ def test_version_5_file_rejected_by_name(mode):
     # version 5 stored each kht member's own float64 copy of its support
     # rows; those files must be retrained
     _, model = _train(mode, "grid", n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[4:8] = struct.pack("<I", 5)
     with pytest.raises(DataError, match=rf"unsupported model format version 5 "
                                         rf"\(this build reads version {FORMAT_VERSION}\)"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 @pytest.mark.parametrize("partition", ["grid", "adaptive"])
@@ -579,11 +643,25 @@ def test_version_6_file_rejected_by_name(partition):
     # version 6 stored every integer array as int64 (kht row ids as int32)
     # and a NaN threshold at each tree leaf; those files must be retrained
     _, model = _train("nht", partition, n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[4:8] = struct.pack("<I", 6)
     with pytest.raises(DataError, match=r"unsupported model format version 6 "
                                         rf"\(this build reads version {FORMAT_VERSION}\)"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
+
+
+@pytest.mark.parametrize("trailer", ["crc32", "sha256"])
+def test_version_7_file_rejected_by_name(trailer):
+    # version 7 ended in a 32-byte SHA-256; the version is read before the
+    # trailer, so such a file is named, not reported as corrupt
+    _, model = _train("kht", "grid", n=120)
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
+    blob[4:8] = struct.pack("<I", 7)
+    payload = bytes(blob)
+    old = _seal(payload) if trailer == "crc32" else payload + hashlib.sha256(payload).digest()
+    with pytest.raises(DataError, match=r"unsupported model format version 7 "
+                                        rf"\(this build reads version {FORMAT_VERSION}\)"):
+        deserialize_model(old)
 
 
 def _tree_member():
@@ -801,22 +879,22 @@ def test_standardizer_shape_checked(field, edit):
 
 def test_standardizer_dtype_checked():
     _, model = _train("nht", "adaptive", n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[_first_array_offset(blob)] = 1  # the mean's bytes read as int64
     with pytest.raises(DataError, match=r"corrupt: standardizer mean: int64 of shape \(3,\), "
                                         r"not float64 of shape \(3,\)"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 def test_standardizer_target_flag_other_than_0_or_1_is_corrupt():
     # a flag of 2 loaded as 1 and saved to other bytes
     _, model = _train("nht", "adaptive", n=120, standardize_target=True)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     flag_at = _first_array_offset(blob) + 2 * (1 + 1 + 8 + 8 * 3)
     assert blob[flag_at] == 1
     blob[flag_at] = 2
     with pytest.raises(DataError, match="corrupt: standardizer target flag 2 is not 0 or 1"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 def test_standardizer_std_of_zero_is_corrupt():
@@ -840,7 +918,7 @@ def test_standardizer_target_statistics_checked(target_mean, target_std, problem
 def _deep_header_file() -> bytes:
     """A checksum-valid file whose header nests JSON arrays 100,000 deep."""
     header = b"[" * 100_000
-    return _reseal(b"HTEN" + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header)
+    return _seal(b"HTEN" + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header)
 
 
 def test_header_nested_too_deep_is_corrupt(tmp_path):
@@ -855,10 +933,10 @@ def test_header_nested_too_deep_is_corrupt(tmp_path):
 def test_array_rank_above_two_is_corrupt():
     # rank 221 would reach numpy's 64-dimension limit as a ValueError
     _, model = _train("nht", "grid", n=120)
-    blob = bytearray(serialize_model(model)[:-32])
+    blob = bytearray(serialize_model(model)[:-_TRAILER_BYTES])
     blob[_first_array_offset(blob) + 1] = 221
     with pytest.raises(DataError, match="corrupt: array of rank 221 above 2"):
-        deserialize_model(_reseal(bytes(blob)))
+        deserialize_model(_seal(bytes(blob)))
 
 
 def _read_header(blob: bytes) -> dict:
@@ -868,11 +946,11 @@ def _read_header(blob: bytes) -> dict:
 
 def _with_header(blob: bytes, edit) -> bytes:
     """A resealed copy of a model file whose header is ``edit(header)``."""
-    payload = blob[:-32]
+    payload = blob[:-_TRAILER_BYTES]
     size = struct.unpack_from("<Q", payload, 8)[0]
     header = edit(json.loads(payload[16:16 + size]))
     header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return _reseal(payload[:8] + struct.pack("<Q", len(header)) + header + payload[16 + size:])
+    return _seal(payload[:8] + struct.pack("<Q", len(header)) + header + payload[16 + size:])
 
 
 _JSON_VALUES = st.recursive(
@@ -1034,7 +1112,7 @@ def _crafted_integer_record(blob: bytes, partition: str, data) -> bytes:
     thresholds, rewritten: on a wider width or as float64, a grid key base
     that is not the keys' minimum, an offset that wraps past 2**63, or a
     threshold count other than the number of internal nodes."""
-    payload = blob[:-32]
+    payload = blob[:-_TRAILER_BYTES]
     spans = _array_spans(blob)
     kinds = ["widen", "float"] + (["base", "wrap"] if partition == "grid" else ["thresholds"])
     kind = data.draw(st.sampled_from(kinds))
@@ -1049,7 +1127,7 @@ def _crafted_integer_record(blob: bytes, partition: str, data) -> bytes:
         cuts = _record_values(payload[start:end])
         count = data.draw(st.integers(0, len(cuts) + 3).filter(lambda c: c != len(cuts)))
         new = _record(np.resize(np.r_[cuts, 0.5], count))
-        return _reseal(payload[:start] + new + payload[end:])
+        return _seal(payload[:start] + new + payload[end:])
     start, end, _ = spans[at]
     values = _record_values(payload[start:end])
     if kind == "widen":
@@ -1071,14 +1149,14 @@ def _crafted_integer_record(blob: bytes, partition: str, data) -> bytes:
             key = data.draw(st.integers(-2**63, int(lo[j]) - 1))
             offsets[i, j] = np.uint64((key - int(lo[j])) % 2**64)
         new = _record(lo) + _unsigned_record(offsets)
-    return _reseal(payload[:start] + new + payload[end:])
+    return _seal(payload[:start] + new + payload[end:])
 
 
 def _crafted_float_records(blob: bytes):
     """Resealed copies of a model file, each with one non-empty float64
     record rewritten: its values cast to int64 or to uint8, or one row or
     column fewer."""
-    payload = blob[:-32]
+    payload = blob[:-_TRAILER_BYTES]
     for start, end, _ in _array_spans(blob):
         values = _record_values(payload[start:end])
         if values.dtype != np.float64 or not values.size:
@@ -1088,7 +1166,7 @@ def _crafted_float_records(blob: bytes):
         if values.ndim == 2:
             edits.append(values[:, :-1])
         for new in edits:
-            yield _reseal(payload[:start] + _record(new) + payload[end:])
+            yield _seal(payload[:start] + _record(new) + payload[end:])
 
 
 _QUERIES = np.vstack([gen_counter3d(60, seed=99).X, np.full((1, 3), 1e6)])
@@ -1102,13 +1180,13 @@ _QUERIES = np.vstack([gen_counter3d(60, seed=99).X, np.full((1, 3), 1e6)])
 def test_a_corrupted_file_raises_a_data_error_or_predicts_clipped(mode, partition, seed,
                                                                   mutation, truncate, data):
     blob = _small_model_file(mode, partition, seed)
-    payload = blob[:-32]
+    payload = blob[:-_TRAILER_BYTES]
 
     def replace_bytes(start, end):  # 1-3 bytes in [start, end) set to drawn values
         edited = bytearray(payload)
         for _ in range(data.draw(st.integers(1, 3))):
             edited[data.draw(st.integers(start, end - 1))] = data.draw(st.integers(0, 255))
-        return _reseal(bytes(edited))
+        return _seal(bytes(edited))
 
     if mutation == "bytes":  # anywhere after the version field
         corrupt = replace_bytes(8, len(payload))
@@ -1119,7 +1197,7 @@ def test_a_corrupted_file_raises_a_data_error_or_predicts_clipped(mode, partitio
         start, end, _ = data.draw(st.sampled_from(spans))
         if truncate:  # drop the record's tail
             cut = data.draw(st.integers(1, end - start))
-            corrupt = _reseal(payload[:end - cut] + payload[end:])
+            corrupt = _seal(payload[:end - cut] + payload[end:])
         else:
             corrupt = replace_bytes(start, end)
     elif mutation == "integer":
