@@ -267,19 +267,18 @@ def _fit_cells(
     kernel cell instead, with mean 0.
 
     ``y`` and ``cells`` belong to the fitted rows ``rows[fit_rows]`` (all of
-    ``rows`` when None); a kernel cell's ids index ``rows`` itself.
+    ``rows`` when None); a kernel cell's ids index ``rows`` itself.  Means
+    and fallback are stored unclipped; ``clip_bound`` applies at prediction.
     """
-    fallback = float(y.mean()) if config.fallback == "global_mean" else 0.0
-    means, fallback = fit_constant(cells, y, n_cells, fallback=fallback, clip_bound=clip_bound)
     model = KernelCellModel(
         offsets=np.zeros(n_cells + 1, dtype=np.int64),
         rows=np.empty((0, rows.shape[1])),
         ids=np.empty(0, dtype=np.intp),
         alpha=np.empty(0),
-        means=means,
+        means=fit_constant(cells, y, n_cells),
         gamma=config.gamma,
         clip_bound=clip_bound,
-        fallback=fallback,
+        fallback=float(y.mean()) if config.fallback == "global_mean" else 0.0,
     )
     if config.mode == "kht":
         n_fit = len(y)
@@ -289,7 +288,7 @@ def _fit_cells(
                               f"{n_fit} * lambda2 overflows")
         counts = np.bincount(cells, minlength=n_cells)
         is_kernel = counts >= config.k_min
-        means[is_kernel] = 0.0
+        model.means[is_kernel] = 0.0
         model.offsets[1:] = np.cumsum(np.where(is_kernel, counts, 0))
         by_cell = np.argsort(narrow_keys(cells, n_cells - 1), kind="stable")
         support_rows = by_cell[np.repeat(is_kernel, counts)]

@@ -7,9 +7,10 @@ is one whose every cell is a mean cell.  A kernel cell solves the
 regularized system ``(K + n * lambda2 * I) alpha = y`` where ``n`` is the
 global training size (the squared loss is averaged over all samples while
 each cell carries its own norm penalty, so the per-cell normal equations
-scale the ridge by the global count, not the cell count).  Predictions are
-clipped to ``[-clip_bound, clip_bound]``, which can never increase
-squared-error risk when the targets themselves lie in that interval.
+scale the ridge by the global count, not the cell count).  The model
+stores raw values; only predictions are clipped to ``[-clip_bound,
+clip_bound]``, which can never increase squared-error risk when the
+targets themselves lie in that interval.
 
 Kernel cells are fit in batches: ``fit_kernel_cells`` solves each group of
 equal-size cells as stacks of at most ``_STACK_ENTRIES`` Gram entries, so
@@ -32,7 +33,8 @@ built by ``cdist`` on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,10 +73,11 @@ class KernelCellModel:
 
     Cell c's expansion is ``support[offsets[c]:offsets[c + 1]]`` with the
     matching slice of ``alpha``.  ``support`` is ``rows[ids]``, gathered
-    once when the model is built: ``ids`` are the kernel cells' training
-    rows in ``rows``, a matrix that every kht member of one ensemble shares
-    (the standardized training features after training, the file's shared
-    block after loading), so a model file stores each row once.  Cells
+    on first use, so a load that only inspects or re-saves skips it.
+    ``ids`` are the kernel cells' training rows in ``rows``, a matrix that
+    every kht member of one ensemble shares (the standardized training
+    features after training, the file's shared block after loading), so a
+    model file stores each row once.  Cells
     below the small-cell threshold skip the kernel solve (a one- or
     two-point expansion is a shrunk constant anyway), so their range is
     empty and they predict ``means[c]``, the mean of their training
@@ -91,10 +94,10 @@ class KernelCellModel:
     gamma: float
     clip_bound: float
     fallback: float = 0.0
-    support: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.support = self.rows.take(self.ids, axis=0)
+    @cached_property
+    def support(self) -> np.ndarray:  # each cell's rows together, for prediction
+        return self.rows.take(self.ids, axis=0)
 
     @property
     def n_cells(self) -> int:
@@ -118,19 +121,17 @@ class KernelCellModel:
         """
         cells = np.asarray(cells, dtype=np.int64)
         out = self.means.take(cells)  # NO_CELL (-1) reads the last mean until the fill
-        unseen = cells == NO_CELL
-        np.copyto(out, self.fallback, where=unseen)
+        np.copyto(out, self.fallback, where=cells == NO_CELL)
         if len(self.alpha):
-            self._predict_kernel_cells(out, cells, np.flatnonzero(~unseen),
-                                       np.asarray(X, dtype=np.float64))
-        if clipped:
+            self._predict_kernel_cells(out, cells, np.asarray(X, dtype=np.float64))
+        if clipped:  # the one clip: fitting stores raw means and fallback
             np.clip(out, -self.clip_bound, self.clip_bound, out=out)
         return out
 
-    def _predict_kernel_cells(self, out, cells, seen, X) -> None:
+    def _predict_kernel_cells(self, out, cells, X) -> None:
         """Write the raw values of the queried kernel cells' rows into ``out``."""
-        in_kernel = self.offsets[cells[seen] + 1] > self.offsets[cells[seen]]
-        rows = seen[in_kernel]
+        # a kernel cell's expansion is not empty; NO_CELL reads offsets[0] > offsets[-1], false
+        rows = np.flatnonzero(self.offsets[cells + 1] > self.offsets[cells])
         rows = rows[np.argsort(narrow_keys(cells[rows], self.n_cells - 1), kind="stable")]
         # per queried kernel cell: its first position in rows, its query
         # count q, and the start lo and size m of its expansion
@@ -216,19 +217,12 @@ def _spans(starts, sizes):
 ConstantModel = KernelCellModel  # the same class (benchmarks/perf.py traces it here)
 
 
-def fit_constant(
-    cell_ids: np.ndarray,
-    y: np.ndarray,
-    n_cells: int,
-    fallback: float = 0.0,
-    clip_bound: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Cell means over the training targets; returns (means, fallback).
+def fit_constant(cell_ids: np.ndarray, y: np.ndarray, n_cells: int) -> np.ndarray:
+    """Cell means over the training targets.
 
     The one cell-mean rule: each cell's targets are added in row order (a
-    ``bincount``) and divided by its count.  Every cell id in 0..n_cells-1
-    must occur at least once.  When a clip bound is given the means and the
-    fallback are clamped to it.
+    ``bincount``) and divided by its count, with no clip.  Every cell id in
+    0..n_cells-1 must occur at least once.
     """
     cell_ids = np.asarray(cell_ids, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
@@ -236,11 +230,7 @@ def fit_constant(
     if (counts == 0).any():
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ConfigError(f"every cell must contain at least one sample; cell {empty} has none")
-    means = np.bincount(cell_ids, weights=y, minlength=n_cells) / counts
-    if clip_bound is not None:
-        np.clip(means, -clip_bound, clip_bound, out=means)
-        fallback = float(np.clip(fallback, -clip_bound, clip_bound))
-    return means, fallback
+    return np.bincount(cell_ids, weights=y, minlength=n_cells) / counts
 
 
 def fit_kernel_cells(
@@ -270,10 +260,10 @@ def fit_kernel_cells(
     starts = np.cumsum(sizes) - sizes
     alpha = np.empty(len(y_support), dtype=np.float64)
     by_size = np.argsort(narrow_keys(sizes, sizes.max(initial=0)), kind="stable")
+    at, n = _runs(sizes[by_size])  # per size: where its cells start in by_size, and how many
     with one_blas_thread:
-        for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-            if len(group) == 0:  # no kernel cells at all
-                continue
+        for start, n_group in zip(at.tolist(), n.tolist()):
+            group = by_size[start : start + n_group]
             m = int(sizes[group[0]])
             step = max(1, _STACK_ENTRIES // (m * m))
             for first in range(0, len(group), step):

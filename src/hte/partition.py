@@ -49,11 +49,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ConfigError
-from .local_models import narrow_keys
+from .local_models import NO_CELL, narrow_keys
 from .transform import _FOLD_WIDTH, _KEY_LIMIT, HistogramTransform, bin_key, check_finite_image
 from .transform import column_sums
-
-_NO_CELL = -1
 
 
 def _table_fits(size: int, rows: int) -> bool:
@@ -134,7 +132,7 @@ class GridPartition:
         cells = np.arange(len(codes), dtype=np.int64)
         self._table = self._sorted_codes = self._sorted_cells = None
         if _table_fits(size, len(codes)):
-            self._table = np.full(size, _NO_CELL, dtype=np.int64)
+            self._table = np.full(size, NO_CELL, dtype=np.int64)
             self._table[codes] = cells
             repeated = (self._table[codes] != cells).any()  # a shared code kept one id
         else:
@@ -168,7 +166,7 @@ def _cells(grid: GridPartition, codes: np.ndarray) -> np.ndarray:
         return grid._table[codes]
     table = grid._sorted_codes
     pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
-    return np.where(table[pos] == codes, grid._sorted_cells[pos], _NO_CELL)
+    return np.where(table[pos] == codes, grid._sorted_cells[pos], NO_CELL)
 
 
 @dataclass
@@ -309,7 +307,7 @@ def _split_level(
     node order.
     """
     starts = np.cumsum(sizes) - sizes
-    dims = np.full(len(sizes), _NO_CELL, dtype=np.int64)
+    dims = np.full(len(sizes), -1, dtype=np.int64)  # -1 marks a leaf
     cuts = np.full(len(sizes), np.nan)
     left = np.zeros(len(sizes), dtype=np.int64)  # rows sent left
     for m in np.unique(sizes[sizes > min_leaf]).tolist():
@@ -437,7 +435,7 @@ def assign(partition: GridPartition | AdaptiveTree, x: np.ndarray) -> int | None
     if x.shape != (partition.dim,):
         raise ConfigError(f"expected a point of dimension {partition.dim}")
     cell = int(assign_many(partition, x[None, :])[0])
-    return None if cell == _NO_CELL else cell
+    return None if cell == NO_CELL else cell
 
 
 def assign_many(partition: GridPartition | AdaptiveTree, X: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ key base is the one int64 array); the loader rejects a record stored wider
 than that, and one whose values the model's own dtype cannot hold, then
 widens it to that dtype.  Every fact has one home, on the model or in this
 build, so a file the writer made loads and saves to the same bytes.  The
-header holds this build's ``format_version``, ``rng`` and
+writer gives no member records of other lengths than its loader reads
+(``_check_lengths``).  The header holds this build's ``format_version``, ``rng`` and
 ``normal_method``; ``d``, ``n_transforms`` and ``total_cells`` (for
 ``read_metadata``; checked against the members); ``clip_bound``; the
 effective ``config``, enough to reproduce the model byte-for-byte from the
@@ -258,6 +259,16 @@ def _shared_rows(ensemble: EnsembleModel) -> tuple[np.ndarray, np.ndarray]:
     return rows[used], new_ids.astype(np.int32)
 
 
+def _check_lengths(n_cells: int, model: KernelCellModel, kernel: bool) -> None:
+    """``DataError`` unless the regressor's records are as long as the loader reads them."""
+    if len(model.means) != n_cells:
+        raise DataError(f"a member's regressor has {len(model.means)} cells, its partition {n_cells}")
+    if kernel and (len(model.offsets) != n_cells + 1
+                   or not len(model.ids) == len(model.alpha) == model.offsets[-1]):
+        raise DataError(f"a member's kernel offsets are not {n_cells + 1} long, or its "
+                        "row ids or coefficients not as long as the offsets end")
+
+
 def _write_member(w: _Writer, member: Member, ensemble: EnsembleModel,
                   new_ids: np.ndarray | None) -> None:
     # the loader takes what the blocks leave out from the header: the kinds
@@ -269,6 +280,7 @@ def _write_member(w: _Writer, member: Member, ensemble: EnsembleModel,
         raise DataError("a member's gamma or clip_bound differs from the ensemble's")
     if new_ids is None and len(model.alpha):
         raise DataError("an nht member cannot hold kernel cells")
+    _check_lengths(part.n_cells, model, kernel=new_ids is not None)
     if isinstance(part, GridPartition):
         t = part.transform
         w.array(t.rotation)

@@ -361,6 +361,27 @@ class TestEnsemblePrediction:
         assert np.abs(per_member).max() <= 0.5
         np.testing.assert_array_equal(per_member[:, -1], np.clip(ds.y.mean(), -0.5, 0.5))
 
+    @pytest.mark.parametrize("partition", ["grid", "adaptive"])
+    def test_means_stored_raw_and_clipped_at_prediction(self, partition):
+        # clip_bound lies below some cell means and below the fallback: the
+        # model keeps them raw, and prediction alone clips
+        ds = gen_counter3d(1500, seed=19)
+        model = train_ensemble(ds, TrainConfig(partition=partition, n_transforms=2,
+                                               min_samples_split=50, fallback="global_mean",
+                                               clip_bound=0.5, master_seed=20))
+        assert abs(ds.y.mean()) > 0.5
+        X_std = model.standardizer.transform(ds.X)
+        for member in model.members:
+            cells = assign_many(member.partition, X_std)
+            means = fit_constant(cells, ds.y, member.partition.n_cells)
+            assert np.abs(means).max() > 0.5
+            assert member.model.means.tobytes() == means.tobytes()
+            assert member.model.fallback == ds.y.mean()
+            raw = member_predict(member, X_std, clipped=False)
+            assert raw.tobytes() == means[cells].tobytes()
+            clipped = member_predict(member, X_std)
+            assert clipped.tobytes() == np.clip(raw, -0.5, 0.5).tobytes()
+
     def test_target_standardization_round_trip(self):
         ds = gen_counter3d(400, seed=9)
         cfg = TrainConfig(mode="nht", n_transforms=4, standardize_target=True,
@@ -480,10 +501,8 @@ class TestTrainMember:
             scales, translation = sample_stretch(1, h_lo, h_hi, rng)
             transform = HistogramTransform(rotation, scales, translation, h_lo, h_hi)
             grid, cells = build_grid(transform, X_std[fit_rows])
-            bound = float(np.abs(ds.y).max())
-            means, fallback = fit_constant(cells, ds.y[fit_rows], grid.n_cells,
-                                           clip_bound=bound)
-            cand = Member(grid, _mean_model(means, 1, fallback, bound))
+            means = fit_constant(cells, ds.y[fit_rows], grid.n_cells)
+            cand = Member(grid, _mean_model(means, 1, clip_bound=float(np.abs(ds.y).max())))
             scores.append(mse(member_predict(cand, X_std[val_rows]), ds.y[val_rows]))
             scales_seen.append(scales)
         winner = int(np.argmin(scores))

@@ -387,11 +387,18 @@ def test_grid_key_base_must_be_the_keys_minimum(edit):
 _MEANS_SHAPE = r"corrupt: cell means: \w+ of shape \(\d+,\), not float64 of shape \(\d+,\)"
 
 
+def _serialize_unchecked(model) -> bytes:
+    """The file of ``model`` without the writer's record-length check: the
+    files that check refuses to write, for the loader's own length rules."""
+    with mock.patch("hte.serialize._check_lengths"):
+        return serialize_model(model)
+
+
 def test_kernel_means_length_checked():
     model, member = _kernel_grid_member()
     member.model.means = member.model.means[:-1]
     with pytest.raises(DataError, match=_MEANS_SHAPE):
-        deserialize_model(serialize_model(model))
+        deserialize_model(_serialize_unchecked(model))
 
 
 @pytest.mark.parametrize("partition", ["grid", "adaptive"])
@@ -400,7 +407,27 @@ def test_nht_means_length_checked(partition):
     member = model.members[-1]
     member.model.means = np.append(member.model.means, 0.0)
     with pytest.raises(DataError, match=_MEANS_SHAPE):
-        deserialize_model(serialize_model(model))
+        deserialize_model(_serialize_unchecked(model))
+
+
+@pytest.mark.parametrize("mode, fields", [("nht", ["means", "offsets"]), ("kht", ["means"]),
+                                          ("kht", ["offsets"]), ("kht", ["ids"]),
+                                          ("kht", ["alpha"])])
+def test_writer_refuses_a_member_its_loader_rejects(tmp_path, mode, fields):
+    # records one short make a file the loader rejects; the writer raises
+    # first, and a failed save leaves the old file
+    model = _train(mode, "grid")[1] if mode == "nht" else _kernel_grid_member()[0]
+    path = tmp_path / "model.hte"
+    save_model(model, path)
+    old = path.read_bytes()
+    member = model.members[0].model
+    for field in fields:
+        setattr(member, field, getattr(member, field)[:-1])
+    with pytest.raises(DataError, match="corrupt"):
+        deserialize_model(_serialize_unchecked(model))
+    with pytest.raises(DataError, match="a member's (regressor|kernel offsets)"):
+        save_model(model, path)
+    assert path.read_bytes() == old
 
 
 def test_cell_means_dtype_checked():
@@ -460,7 +487,7 @@ def test_kernel_offsets_must_end_at_coefficient_count():
     member.model.alpha = member.model.alpha[:-1]
     with pytest.raises(DataError, match=rf"corrupt: kernel coefficients: float64 of shape "
                                         rf"\({n - 1},\), not float64 of shape \({n},\)"):
-        deserialize_model(serialize_model(model))
+        deserialize_model(_serialize_unchecked(model))
 
 
 def _share_rows(model, rows):
@@ -571,7 +598,7 @@ def test_kernel_row_ids_length_checked():
     member.model.ids = member.model.ids[:-1]
     with pytest.raises(DataError, match=rf"corrupt: kernel row ids: uint\d+ of shape \({n - 1},\), "
                                         rf"not uint\d+ of shape \({n},\)"):
-        deserialize_model(serialize_model(model))
+        deserialize_model(_serialize_unchecked(model))
 
 
 def test_shared_row_used_by_no_member_is_corrupt():
@@ -684,7 +711,7 @@ def test_tree_node_count_checked():
     member.partition.split_dim = member.partition.split_dim[:-1]
     member.partition.threshold = member.partition.threshold[:-1]
     with pytest.raises(DataError, match="corrupt: .* not a full binary tree"):
-        deserialize_model(serialize_model(model))
+        deserialize_model(_serialize_unchecked(model))
 
 
 def test_tree_node_before_its_children_checked():
